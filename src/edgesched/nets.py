@@ -8,6 +8,7 @@ against finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,9 +41,36 @@ class ForwardCache:
     squeeze: bool                 # input arrived as a 1-D vector
 
 
+def _spans(layer_sizes: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(start, stop, shape) of W0, b0, W1, b1, ... in the flat parameter vector."""
+    spans, pos = [], 0
+    for a, b in zip(layer_sizes, layer_sizes[1:]):
+        for shape in ((a, b), (b,)):
+            spans.append((pos, pos + math.prod(shape), shape))
+            pos += math.prod(shape)
+    return spans
+
+
+def _flat(tensors: list[np.ndarray]) -> np.ndarray:
+    """The contiguous vector that tensors tile, as a view.
+
+    Mlp.params() and backward() gradients are laid out this way; a list of
+    separate arrays is rejected rather than silently copied.
+    """
+    head = tensors[0]
+    vec = head if head.base is None else head.base
+    if not (vec.flags.c_contiguous and vec.size == sum(t.size for t in tensors)
+            and all(t is vec or t.base is vec for t in tensors)):
+        raise DimensionError("tensors must tile one contiguous vector, like Mlp.params()")
+    return vec.reshape(-1)
+
+
 class Mlp:
     """Fully connected network; weights[l] has shape (in_l, out_l).
 
+    All parameters live in one contiguous float64 vector, flat, laid out
+    W0, b0, W1, b1, ... (each row-major); weights and biases are views into
+    it, so optimizer steps and target blending are single vector operations.
     The standard policy/value factory builds two ReLU hidden layers; the
     math below supports any depth so tiny hand-checkable nets work too.
     """
@@ -58,16 +86,24 @@ class Mlp:
             raise ValidationError(f"unknown output activation {output_activation!r}")
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
-        if weights is None:
-            self.weights = [np.zeros((a, b)) for a, b in zip(layer_sizes, layer_sizes[1:])]
-            self.biases = [np.zeros(b) for b in layer_sizes[1:]]
-        else:
+        self._spans = _spans(self.layer_sizes)
+        self.flat = np.zeros(self._spans[-1][1])
+        params = self._views(self.flat)
+        self.weights = params[0::2]
+        self.biases = params[1::2]
+        if weights is not None:
             assert biases is not None
-            self.weights = weights
-            self.biases = biases
+            if len(weights) != self.n_layers or len(biases) != self.n_layers:
+                raise DimensionError(f"need {self.n_layers} weight and bias tensors")
             for l, (w, b) in enumerate(zip(weights, biases)):
-                if w.shape != (layer_sizes[l], layer_sizes[l + 1]) or b.shape != (layer_sizes[l + 1],):
+                if w.shape != self.weights[l].shape or b.shape != self.biases[l].shape:
                     raise DimensionError(f"parameter shapes inconsistent at layer {l}")
+                self.weights[l][...] = w
+                self.biases[l][...] = b
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """flat split into the interleaved tensors of params()."""
+        return [flat[a:b].reshape(shape) for a, b, shape in self._spans]
 
     @classmethod
     def create(cls, in_dim: int, hidden: int, out_dim: int, output_activation: str,
@@ -79,23 +115,24 @@ class Mlp:
         """
         sizes = [in_dim, hidden, hidden, out_dim]
         net = cls(sizes, output_activation)
-        for l in range(len(net.weights)):
+        for l in range(net.n_layers):
             fan_in = sizes[l]
-            bound = 3e-3 if l == len(net.weights) - 1 else 1.0 / np.sqrt(fan_in)
-            net.weights[l] = rng.uniform(-bound, bound, size=net.weights[l].shape)
-            net.biases[l] = rng.uniform(-bound, bound, size=net.biases[l].shape)
+            bound = 3e-3 if l == net.n_layers - 1 else 1.0 / np.sqrt(fan_in)
+            net.weights[l][...] = rng.uniform(-bound, bound, size=net.weights[l].shape)
+            net.biases[l][...] = rng.uniform(-bound, bound, size=net.biases[l].shape)
         return net
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_sizes) - 1
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.output_activation,
-                   [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        net = Mlp(self.layer_sizes, self.output_activation)
+        net.flat[...] = self.flat
+        return net
 
     def params(self) -> list[np.ndarray]:
-        """Interleaved [W0, b0, W1, b1, ...]; live views, not copies."""
+        """Interleaved [W0, b0, W1, b1, ...]; live views of flat, not copies."""
         out = []
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
@@ -145,12 +182,12 @@ class Mlp:
             dz = g * (1.0 - cache.post[-1] ** 2)
         else:
             dz = g
-        param_grads: list[np.ndarray] = []
+        # a fresh vector per call: callers may keep the gradients of several calls
+        param_grads = self._views(np.empty(self.flat.size))
         for l in range(self.n_layers - 1, -1, -1):
             a_prev = cache.x if l == 0 else cache.post[l - 1]
-            dw = a_prev.T @ dz
-            db = dz.sum(axis=0)
-            param_grads[:0] = [dw, db]
+            np.matmul(a_prev.T, dz, out=param_grads[2 * l])
+            np.sum(dz, axis=0, out=param_grads[2 * l + 1])
             da = dz @ self.weights[l].T
             if l > 0:
                 dz = da * (cache.pre[l - 1] > 0.0)
@@ -158,13 +195,20 @@ class Mlp:
         return param_grads, input_grad
 
     def check_finite(self) -> None:
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValidationError(f"non-finite parameters in layer {l}")
+        if np.isfinite(self.flat).all():
+            return
+        bad = next(l for l, (w, b) in enumerate(zip(self.weights, self.biases))
+                   if not (np.isfinite(w).all() and np.isfinite(b).all()))
+        raise ValidationError(f"non-finite parameters in layer {bad}")
 
 
 class AdamState:
-    """Adam moments for one parameter list; updates in place."""
+    """Adam moments for one parameter list; updates in place.
+
+    The parameters and gradients handed to step() must tile one vector each
+    (Mlp.params() and Mlp.backward() gradients do), so the whole update is
+    a handful of vector operations into preallocated scratch.
+    """
 
     def __init__(self, params: list[np.ndarray], learning_rate: float = 3e-4,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
@@ -173,27 +217,41 @@ class AdamState:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.timestep = 0
-        self.first_moment = [np.zeros_like(p) for p in params]
-        self.second_moment = [np.zeros_like(p) for p in params]
+        n = _flat(params).size
+        self.first_moment = np.zeros(n)
+        self.second_moment = np.zeros(n)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """One bias-corrected Adam update, mutating params in place."""
-        if len(params) != len(self.first_moment) or len(grads) != len(params):
+        p, g = _flat(params), _flat(grads)
+        if p.size != self.first_moment.size or g.size != p.size:
             raise DimensionError("parameter/gradient count mismatch")
-        for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
-                raise ValidationError(f"non-finite gradient for tensor {i}")
+        if not np.isfinite(g).all():
+            bad = next(i for i, t in enumerate(grads) if not np.isfinite(t).all())
+            raise ValidationError(f"non-finite gradient for tensor {bad}")
         self.timestep += 1
         t = self.timestep
-        lr = self.learning_rate
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+        m, v = self.first_moment, self.second_moment
+        s1, s2 = self._scratch
+        # the IEEE operations of m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # p -= lr * (m/c1) / (sqrt(v/c2) + eps), in that order
+        np.multiply(g, 1.0 - self.beta1, out=s1)
+        m *= self.beta1
+        m += s1
+        np.multiply(g, 1.0 - self.beta2, out=s1)
+        s1 *= g
+        v *= self.beta2
+        v += s1
+        np.divide(m, c1, out=s1)
+        s1 *= self.learning_rate
+        np.divide(v, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.epsilon
+        s1 /= s2
+        p -= s1
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
@@ -201,9 +259,8 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     if target.layer_sizes != source.layer_sizes or \
             target.output_activation != source.output_activation:
         raise ValidationError("target and source architectures differ")
-    for tp, sp in zip(target.params(), source.params()):
-        tp *= 1.0 - tau
-        tp += tau * sp
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
 
 
 # Binary parameter file, little-endian throughout:
@@ -212,7 +269,8 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
 #   I    number of layer sizes  (n)
 #   nI   layer sizes
 #   B    output activation tag (0=linear, 1=tanh)
-# then per weight layer l: W_l as float64 row-major (in_l x out_l), b_l float64.
+# then per weight layer l: W_l as float64 row-major (in_l x out_l), b_l float64,
+# which is exactly Mlp.flat.
 PARAM_MAGIC = b"EMLPNET1"
 PARAM_VERSION = 1
 
@@ -223,9 +281,7 @@ def save_mlp(net: Mlp, path: str | Path) -> None:
         fh.write(struct.pack("<II", PARAM_VERSION, len(net.layer_sizes)))
         fh.write(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
         fh.write(struct.pack("<B", _ACTIVATIONS.index(net.output_activation)))
-        for w, b in zip(net.weights, net.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(net.flat, dtype="<f8").tobytes())
 
 
 class ParamLoadError(ValidationError):
@@ -265,12 +321,10 @@ def load_mlp(path: str | Path, expect_sizes: list[int] | None = None) -> Mlp:
     if expect_sizes is not None and sizes != list(expect_sizes):
         raise ParamLoadError(
             f"{path}: architecture mismatch, file has layers {sizes}, expected {list(expect_sizes)}")
-    weights, biases = [], []
-    for a, b in zip(sizes, sizes[1:]):
-        w = np.frombuffer(take(8 * a * b), dtype="<f8").reshape(a, b).copy()
-        bias = np.frombuffer(take(8 * b), dtype="<f8").copy()
-        weights.append(w)
-        biases.append(bias)
+    n_params = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+    flat = np.frombuffer(take(8 * n_params), dtype="<f8")
     if pos != len(view):
         raise ParamLoadError(f"{path}: {len(view) - pos} trailing bytes")
-    return Mlp(sizes, _ACTIVATIONS[act_tag], weights, biases)
+    net = Mlp(sizes, _ACTIVATIONS[act_tag])
+    net.flat[...] = flat
+    return net

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Transition, ValidationError
+from .domain import DimensionError, Transition, ValidationError
 
 __all__ = ["ReplayBuffer", "TransitionBatch"]
+
+# Rows allocated at the first add; columns double from here up to capacity,
+# so a large capacity costs no memory until the buffer actually fills.
+_INITIAL_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,36 +30,67 @@ class TransitionBatch:
 
 
 class ReplayBuffer:
-    """FIFO ring of transitions; sampling is uniform with replacement.
+    """FIFO ring of transitions in five column arrays; sampling is uniform
+    with replacement.
 
     With-replacement keeps every minibatch i.i.d. from the current buffer
     contents and stays well defined when len(buffer) is close to the batch
-    size right after warmup.
+    size right after warmup. Logical row i (0 = oldest) lives at physical
+    row (i + head) % capacity; head stays 0 until the ring is full.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValidationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._store: deque[Transition] = deque(maxlen=capacity)
+        self._len = 0
+        self._head = 0
+        # (states, actions, rewards, next_states, dones); widths come from the first add
+        self._columns: tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self._store)
+        return self._len
 
     def add(self, transition: Transition) -> None:
-        self._store.append(transition)
+        state, action = transition.state.vec, transition.action.vec
+        if self._columns is None:
+            self._columns = self._allocate(min(self.capacity, _INITIAL_ROWS),
+                                           state.size, action.size)
+        states, actions, rewards, next_states, dones = self._columns
+        if state.size != states.shape[1] or action.size != actions.shape[1]:
+            raise DimensionError(
+                f"transition widths (state {state.size}, action {action.size}) differ "
+                f"from the buffer's (state {states.shape[1]}, action {actions.shape[1]})")
+        if self._len == self.capacity:
+            row = self._head
+            self._head = (self._head + 1) % self.capacity
+        else:
+            if self._len == len(rewards):
+                self._grow(min(2 * self._len, self.capacity))
+                states, actions, rewards, next_states, dones = self._columns
+            row = self._len
+            self._len += 1
+        states[row] = state
+        actions[row] = action
+        rewards[row] = transition.reward
+        next_states[row] = transition.next_state.vec
+        dones[row] = 1.0 if transition.done else 0.0
+
+    def _allocate(self, rows: int, state_dim: int, action_dim: int) -> tuple[np.ndarray, ...]:
+        return (np.empty((rows, state_dim)), np.empty((rows, action_dim)), np.empty(rows),
+                np.empty((rows, state_dim)), np.empty(rows))
+
+    def _grow(self, rows: int) -> None:
+        old = self._columns
+        self._columns = self._allocate(rows, old[0].shape[1], old[1].shape[1])
+        for new, col in zip(self._columns, old):
+            new[:self._len] = col[:self._len]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
-        if not self._store:
+        if self._len == 0:
             raise ValidationError("cannot sample from an empty buffer")
         if batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
-        idx = rng.integers(0, len(self._store), size=batch_size)
-        rows = [self._store[i] for i in idx]
-        return TransitionBatch(
-            states=np.stack([t.state.vec for t in rows]),
-            actions=np.stack([t.action.vec for t in rows]),
-            rewards=np.array([t.reward for t in rows], dtype=np.float64),
-            next_states=np.stack([t.next_state.vec for t in rows]),
-            dones=np.array([1.0 if t.done else 0.0 for t in rows]),
-        )
+        idx = rng.integers(0, self._len, size=batch_size)
+        rows = (idx + self._head) % self.capacity
+        return TransitionBatch(*(col[rows] for col in self._columns))

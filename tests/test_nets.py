@@ -32,6 +32,16 @@ def forward_oracle(net, x):
     return h
 
 
+def tiled(*arrays):
+    """Copies of arrays as views tiling one vector, the layout AdamState takes."""
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    out, pos = [], 0
+    for a in arrays:
+        out.append(flat[pos:pos + np.size(a)].reshape(np.shape(a)))
+        pos += np.size(a)
+    return out
+
+
 def scalar_objective(net, x, g):
     out, _ = net.forward(x)
     return float(np.sum(g * out))
@@ -196,9 +206,9 @@ class TestAdam:
         np.testing.assert_array_equal(p[0], [1.5, -2.0])
 
     def test_determinism(self, rng):
-        grads = [rng.normal(size=(3, 2)), rng.normal(size=2)]
-        p1 = [np.ones((3, 2)), np.ones(2)]
-        p2 = [np.ones((3, 2)), np.ones(2)]
+        grads = tiled(rng.normal(size=(3, 2)), rng.normal(size=2))
+        p1 = tiled(np.ones((3, 2)), np.ones(2))
+        p2 = tiled(np.ones((3, 2)), np.ones(2))
         o1 = AdamState(p1, learning_rate=0.05)
         o2 = AdamState(p2, learning_rate=0.05)
         for _ in range(10):
@@ -208,10 +218,19 @@ class TestAdam:
             np.testing.assert_array_equal(a, b)
 
     def test_non_finite_grad_names_tensor(self):
-        p = [np.zeros(2), np.zeros(3)]
+        p = tiled(np.zeros(2), np.zeros(3))
         opt = AdamState(p)
         with pytest.raises(ValidationError, match="1"):
-            opt.step(p, [np.zeros(2), np.array([1.0, np.nan, 0.0])])
+            opt.step(p, tiled(np.zeros(2), np.array([1.0, np.nan, 0.0])))
+
+    def test_separate_arrays_rejected(self):
+        # two stand-alone arrays tile no one vector; copying them would
+        # silently drop the in-place update
+        with pytest.raises(DimensionError):
+            AdamState([np.zeros(2), np.zeros(3)])
+        p = tiled(np.zeros(2), np.zeros(3))
+        with pytest.raises(DimensionError):
+            AdamState(p).step(p, [np.zeros(2), np.zeros(3)])
 
     def test_quadratic_convergence(self):
         # minimize (p - 3)^2; gradient 2(p - 3)
@@ -345,3 +364,71 @@ class TestTrainingFuzz:
         net.check_finite()
         for p in net.params():
             assert np.all(np.isfinite(p))
+
+
+class TestFlatParameters:
+    """The flat-vector updates against per-tensor reference loops."""
+
+    @staticmethod
+    def reference_adam(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        c1 = 1.0 - b1 ** t
+        c2 = 1.0 - b2 ** t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+
+    @staticmethod
+    def reference_soft_update(target, source, tau):
+        for tp, sp in zip(target, source):
+            tp *= 1.0 - tau
+            tp += tau * sp
+
+    def test_adam_and_soft_update_bit_identical_over_50_steps(self):
+        rng = stream(21, "flat-ref")
+        net = Mlp.create(5, 16, 3, "tanh", rng)
+        target = net.copy()
+        ref = [p.copy() for p in net.params()]
+        ref_target = [p.copy() for p in ref]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = AdamState(net.params(), learning_rate=5e-3)
+        for t in range(1, 51):
+            x = rng.normal(size=(8, 5))
+            _, cache = net.forward(x)
+            grads, _ = net.backward(cache, rng.normal(size=(8, 3)))
+            opt.step(net.params(), grads)
+            self.reference_adam(ref, [g.copy() for g in grads], m, v, t, 5e-3)
+            soft_update(target, net, 0.05)
+            self.reference_soft_update(ref_target, ref, 0.05)
+            for got, want in zip(net.params(), ref):
+                assert got.tobytes() == want.tobytes(), f"Adam diverged at step {t}"
+            for got, want in zip(target.params(), ref_target):
+                assert got.tobytes() == want.tobytes(), f"soft update diverged at step {t}"
+
+    def test_params_are_views_of_flat(self, rng):
+        net = Mlp.create(3, 8, 2, "tanh", rng)
+        assert net.flat.size == sum(p.size for p in net.params())
+        net.flat[...] = 0.0
+        for p in net.params():
+            assert not p.any()
+
+    def test_check_finite_names_layer(self, rng):
+        for layer, tensor in ((0, "weights"), (1, "biases"), (2, "weights")):
+            net = Mlp.create(3, 8, 2, "tanh", rng)
+            net.check_finite()
+            getattr(net, tensor)[layer].flat[-1] = np.nan if layer % 2 else np.inf
+            with pytest.raises(ValidationError, match=f"layer {layer}"):
+                net.check_finite()
+
+    def test_backward_gradients_are_fresh_per_call(self, rng):
+        net = Mlp.create(3, 8, 2, "linear", rng)
+        _, c1 = net.forward(rng.normal(size=(4, 3)))
+        g1, _ = net.backward(c1, rng.normal(size=(4, 2)))
+        kept = [g.copy() for g in g1]
+        _, c2 = net.forward(rng.normal(size=(4, 3)))
+        net.backward(c2, rng.normal(size=(4, 2)))
+        for got, want in zip(g1, kept):
+            np.testing.assert_array_equal(got, want)

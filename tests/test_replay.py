@@ -1,9 +1,11 @@
 """Replay buffer: FIFO eviction and sampling statistics."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
-from edgesched.domain import (ActionVector, NormalizationConfig, Transition,
+from edgesched.domain import (ActionVector, DimensionError, NormalizationConfig, Transition,
                               ValidationError, normalize_state)
 from edgesched.replay import ReplayBuffer, TransitionBatch
 from edgesched.rng import stream
@@ -42,8 +44,20 @@ class TestPush:
         buf.add(transition(0.0))
         buf.add(transition(1.0))
         buf.add(transition(2.0))
-        rewards = {t.reward for t in buf._store}
+        # 200 draws from 2 rows miss one with probability 2 * 2**-200
+        rewards = set(buf.sample(200, stream(5, "strict")).rewards.tolist())
         assert rewards == {1.0, 2.0}
+
+    def test_mismatched_widths_rejected(self):
+        buf = ReplayBuffer(capacity=4)
+        buf.add(transition(0.0, n=2))
+        with pytest.raises(DimensionError):
+            buf.add(transition(1.0, n=1))
+        s = transition(0.0, n=2).state
+        narrow = ActionVector(cpu_alloc=np.ones(1), mem_alloc=np.full(1, 512.0))
+        with pytest.raises(DimensionError):
+            buf.add(Transition(state=s, action=narrow, reward=0.0, next_state=s, done=False))
+        assert len(buf) == 1
 
     def test_capacity_validated(self):
         with pytest.raises(ValidationError):
@@ -111,3 +125,57 @@ class TestSample:
         buf.add(transition(1.0))
         batch = buf.sample(10, stream(12, "s"))
         assert set(batch.rewards.tolist()) <= {0.0, 1.0}
+
+
+class DequeReference:
+    """The deque-of-Transition buffer the columnar ring replaced, as the oracle."""
+
+    def __init__(self, capacity):
+        self.store = deque(maxlen=capacity)
+
+    def add(self, t):
+        self.store.append(t)
+
+    def sample(self, batch_size, rng):
+        idx = rng.integers(0, len(self.store), size=batch_size)
+        rows = [self.store[i] for i in idx]
+        return TransitionBatch(
+            states=np.stack([t.state.vec for t in rows]),
+            actions=np.stack([t.action.vec for t in rows]),
+            rewards=np.array([t.reward for t in rows], dtype=np.float64),
+            next_states=np.stack([t.next_state.vec for t in rows]),
+            dones=np.array([1.0 if t.done else 0.0 for t in rows]),
+        )
+
+
+def random_transition(rng, n=2):
+    norm = NormalizationConfig()
+    raw = lambda: make_raw(n=n, latency=rng.uniform(1, 500), cpu_used=rng.uniform(0, 1),
+                           mem_used=rng.uniform(0, 1024), qps=rng.uniform(0, 300))
+    return Transition(state=normalize_state(raw(), norm),
+                      action=ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, n),
+                                          mem_alloc=rng.uniform(64, 2048, n)),
+                      reward=float(rng.normal()), next_state=normalize_state(raw(), norm),
+                      done=bool(rng.random() < 0.1))
+
+
+@pytest.mark.parametrize("capacity", [3, 7, 1024, 1500])
+def test_sample_bytes_match_deque_reference(capacity):
+    # growth boundaries (1024 initial rows, doubling) and wraparound
+    data_rng = stream(capacity, "replay-ref-data")
+    buf, ref = ReplayBuffer(capacity), DequeReference(capacity)
+    rng_buf, rng_ref = stream(capacity, "replay-ref"), stream(capacity, "replay-ref")
+    compared = 0
+    for i in range(2 * capacity + 5):
+        t = random_transition(data_rng)
+        buf.add(t)
+        ref.add(t)
+        assert len(buf) == len(ref.store)
+        if i % 5 == 4 or i == 2 * capacity + 4:
+            got, want = buf.sample(16, rng_buf), ref.sample(16, rng_ref)
+            for field in ("states", "actions", "rewards", "next_states", "dones"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert a.tobytes() == b.tobytes(), f"{field} differs after {i + 1} adds"
+            compared += 1
+    assert compared >= (2 * capacity + 5) // 5
