@@ -3,8 +3,9 @@
 
 Reproduces the qualitative-ordering experiment end to end: 4 algorithms x
 2 scenarios x 4 seeds with the settings the acceptance suite locks in
-(60 episodes of 20 steps, 128-wide nets, 5e-4 learning rates). Takes a
-couple of minutes on a laptop; pass --episodes / --seeds to shrink it.
+(60 episodes of 20 steps, 128-wide nets, 5e-4 learning rates). Took 104 s
+on a 2-vCPU x86_64 Xeon host (OpenBLAS SkylakeX kernel, Python 3.11.7,
+numpy 2.4.6); pass --episodes / --seeds to shrink it.
 """
 
 import argparse

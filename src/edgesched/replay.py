@@ -29,6 +29,12 @@ class TransitionBatch:
         return self.states.shape[0]
 
 
+def _empty_columns(rows: int, state_dim: int, action_dim: int) -> tuple[np.ndarray, ...]:
+    """Uninitialised (states, actions, rewards, next_states, dones) columns."""
+    return (np.empty((rows, state_dim)), np.empty((rows, action_dim)), np.empty(rows),
+            np.empty((rows, state_dim)), np.empty(rows))
+
+
 class ReplayBuffer:
     """FIFO ring of transitions in five column arrays; sampling is uniform
     with replacement.
@@ -45,7 +51,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self._len = 0
         self._head = 0
-        # (states, actions, rewards, next_states, dones); widths come from the first add
+        # widths come from the first add
         self._columns: tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
@@ -54,37 +60,30 @@ class ReplayBuffer:
     def add(self, transition: Transition) -> None:
         state, action = transition.state.vec, transition.action.vec
         if self._columns is None:
-            self._columns = self._allocate(min(self.capacity, _INITIAL_ROWS),
+            self._columns = _empty_columns(min(self.capacity, _INITIAL_ROWS),
                                            state.size, action.size)
-        states, actions, rewards, next_states, dones = self._columns
-        if state.size != states.shape[1] or action.size != actions.shape[1]:
-            raise DimensionError(
-                f"transition widths (state {state.size}, action {action.size}) differ "
-                f"from the buffer's (state {states.shape[1]}, action {actions.shape[1]})")
-        if self._len == self.capacity:
-            row = self._head
-            self._head = (self._head + 1) % self.capacity
-        else:
-            if self._len == len(rewards):
+        widths = (self._columns[0].shape[1], self._columns[1].shape[1])
+        if (state.size, action.size) != widths:
+            raise DimensionError(f"transition widths (state, action) = {(state.size, action.size)} "
+                                 f"differ from the buffer's {widths}")
+        if self._len < self.capacity:
+            if self._len == len(self._columns[2]):
                 self._grow(min(2 * self._len, self.capacity))
-                states, actions, rewards, next_states, dones = self._columns
             row = self._len
             self._len += 1
-        states[row] = state
-        actions[row] = action
-        rewards[row] = transition.reward
-        next_states[row] = transition.next_state.vec
-        dones[row] = 1.0 if transition.done else 0.0
-
-    def _allocate(self, rows: int, state_dim: int, action_dim: int) -> tuple[np.ndarray, ...]:
-        return (np.empty((rows, state_dim)), np.empty((rows, action_dim)), np.empty(rows),
-                np.empty((rows, state_dim)), np.empty(rows))
+        else:
+            row = self._head
+            self._head = (self._head + 1) % self.capacity
+        values = (state, action, transition.reward, transition.next_state.vec,
+                  1.0 if transition.done else 0.0)
+        for column, value in zip(self._columns, values):
+            column[row] = value
 
     def _grow(self, rows: int) -> None:
         old = self._columns
-        self._columns = self._allocate(rows, old[0].shape[1], old[1].shape[1])
-        for new, col in zip(self._columns, old):
-            new[:self._len] = col[:self._len]
+        self._columns = _empty_columns(rows, old[0].shape[1], old[1].shape[1])
+        for new, column in zip(self._columns, old):
+            new[:self._len] = column[:self._len]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         if self._len == 0:

@@ -419,16 +419,6 @@ class TestFlatParameters:
         for layer, tensor in ((0, "weights"), (1, "biases"), (2, "weights")):
             net = Mlp.create(3, 8, 2, "tanh", rng)
             net.check_finite()
-            getattr(net, tensor)[layer].flat[-1] = np.nan if layer % 2 else np.inf
+            getattr(net, tensor)[layer][..., -1] = np.nan if layer % 2 else np.inf
             with pytest.raises(ValidationError, match=f"layer {layer}"):
                 net.check_finite()
-
-    def test_backward_gradients_are_fresh_per_call(self, rng):
-        net = Mlp.create(3, 8, 2, "linear", rng)
-        _, c1 = net.forward(rng.normal(size=(4, 3)))
-        g1, _ = net.backward(c1, rng.normal(size=(4, 2)))
-        kept = [g.copy() for g in g1]
-        _, c2 = net.forward(rng.normal(size=(4, 3)))
-        net.backward(c2, rng.normal(size=(4, 2)))
-        for got, want in zip(g1, kept):
-            np.testing.assert_array_equal(got, want)
