@@ -2,7 +2,10 @@
 """Record sha256 hashes of a fixed artifact matrix into tests/golden.json.
 
 The matrix is 4 algorithms x 2 scenarios x seed 0 at configs/smoke.json
-sizes. Each metrics CSV is hashed without its wall_time_s column; each
+sizes, plus greedy evaluations of the trained high_300 TD3 policy and the
+threshold baseline on a shared-edge topology under a burst trace, where
+node grants are scaled down and memory pressure sets in. Each metrics or
+evaluation CSV is hashed without its wall_time_s column; each
 params_seed0.bin is hashed as written. tests/test_golden.py re-creates the
 artifacts and compares them against these hashes, so a refactor that
 changes any output byte fails there. Re-record only when a change to the
@@ -25,13 +28,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from edgesched.configio import load_config
-from edgesched.harness import run_training
+from edgesched.configio import TRACE_PREFIX, load_config
+from edgesched.domain import default_services, make_node
+from edgesched.harness import export_csv, run_evaluation, run_training
+from edgesched.workload import TraceRecord, front_heavy_weights, write_trace
 
 GOLDEN = ROOT / "tests" / "golden.json"
 ALGOS = ("td3", "ddpg", "dqn", "basek")
 SCENARIOS = ("normal_100", "high_300")
 SEED = 0
+EVAL_ALGOS = ("td3", "basek")
 
 
 def build_key() -> dict:
@@ -48,8 +54,26 @@ def _metrics_digest(path: Path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def eval_config(base, work_dir: Path):
+    """base on 2 edge + 2 cloud nodes under a burst trace written to work_dir.
+
+    Two services share each 2-core edge node, so mid-box CPU requests are
+    scaled down; the burst pushes the heavy services' memory demand past
+    their grants.
+    """
+    nodes = [make_node(0, "edge"), make_node(1, "edge"),
+             make_node(2, "cloud"), make_node(3, "cloud")]
+    sim = replace(base.sim, nodes=nodes, services=default_services(nodes))
+    weights = front_heavy_weights(sim.n_services)
+    trace = work_dir / "burst.csv"
+    write_trace([TraceRecord(step, i, (800.0 if step in (2, 3) else 100.0) * w)
+                 for step in range(base.steps_per_episode + 1)
+                 for i, w in enumerate(weights)], trace)
+    return replace(base, sim=sim, scenario=TRACE_PREFIX + str(trace), basek_mode="threshold")
+
+
 def artifact_hashes(work_dir: Path) -> dict[str, str]:
-    """Train the matrix under work_dir; map '<scenario>/<algo>/<file>' to sha256."""
+    """Train and evaluate the matrix under work_dir; map '<group>/<algo>/<file>' to sha256."""
     base = load_config(ROOT / "configs" / "smoke.json")
     hashes = {}
     for scenario in SCENARIOS:
@@ -63,6 +87,16 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
             if params.exists():
                 hashes[f"{scenario}/{algo}/{params.name}"] = \
                     hashlib.sha256(params.read_bytes()).hexdigest()
+    config = eval_config(base, work_dir)
+    for algo in EVAL_ALGOS:
+        out = work_dir / "eval_shared_edge" / algo
+        out.mkdir(parents=True)
+        rows = run_evaluation(replace(config, algorithm=algo),
+                              work_dir / "high_300" / "td3" / f"params_seed{SEED}.bin",
+                              episodes=base.episodes, seeds=(SEED,))
+        export_csv(rows, out / f"eval_seed{SEED}.csv")
+        hashes[f"eval_shared_edge/{algo}/eval_seed{SEED}.csv"] = \
+            _metrics_digest(out / f"eval_seed{SEED}.csv")
     return hashes
 
 
