@@ -40,7 +40,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    rows = run_evaluation(config, args.params, args.episodes)
+    seeds = None if args.seed is None else (args.seed,)
+    rows = run_evaluation(config, args.params, args.episodes, seeds=seeds)
     writer = csv.writer(sys.stdout)
     writer.writerow(METRICS_HEADER)
     for row in rows:
@@ -103,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(unused for the non-learning baseline)")
     evaluate.add_argument("--episodes", type=int, required=True,
                           help="episodes per seed")
+    evaluate.add_argument("--seed", type=int, default=None,
+                          help="evaluate this single seed instead of the config's list")
     evaluate.set_defaults(func=_cmd_eval)
 
     compare = sub.add_parser("compare", help="tabulate completed runs")

@@ -1,12 +1,13 @@
 """Cluster, service, state, and action vocabulary.
 
-All types are immutable value objects; arrays are defensively copied and
-frozen on construction so instances can be shared across threads.
+All types are immutable value objects. RawMetrics, StateVector and
+ActionVector keep their per-service vectors as read-only rows of one
+float64 block, copied from the inputs and validated in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
 # Per-service allocation box: cores and megabytes.
 CPU_MIN, CPU_MAX = 0.1, 2.0
 MEM_MIN, MEM_MAX = 64.0, 2048.0
+_BOX_LO, _BOX_HI = np.array([[CPU_MIN], [MEM_MIN]]), np.array([[CPU_MAX], [MEM_MAX]])
 
 
 class ValidationError(ValueError):
@@ -53,10 +55,38 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+def _stack_rows(obj, nonneg: bool = False) -> np.ndarray | None:
+    """The dataclass fields as rows of a new finite (nonneg: and >= 0) block, else None."""
+    try:
+        block = np.array([getattr(obj, name) for name in obj.__dataclass_fields__],
+                         dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if block.ndim != 2 or not np.isfinite(block).all() or (nonneg and (block < 0).any()):
+        return None
+    return block
+
+
+def _explain_rows(obj, nonneg: bool = False) -> None:
+    """Raise for the first field, in field order, that failed _stack_rows."""
+    n = None
+    for name in obj.__dataclass_fields__:
+        arr = _as_float_array(getattr(obj, name), name)
+        if nonneg and np.any(arr < 0):
+            raise ValidationError(f"{name} contains negative values")
+        if n is None:
+            n = arr.size
+        elif arr.size != n:
+            raise DimensionError(f"{name} has length {arr.size}, expected {n}")
+    raise AssertionError("fields that pass every per-field check stack into one block")
+
+
+def _freeze_rows(obj, block: np.ndarray) -> None:
+    """Make block read-only and each dataclass field a row view of it."""
+    block.setflags(write=False)
+    object.__setattr__(obj, "_block", block)
+    for name, row in zip(obj.__dataclass_fields__, block):
+        object.__setattr__(obj, name, row)
 
 
 @dataclass(frozen=True)
@@ -201,18 +231,12 @@ class RawMetrics:
     qps: np.ndarray
 
     def __post_init__(self):
-        n = None
-        for name in ("cpu_used", "cpu_alloc", "mem_used", "mem_alloc", "latency_ms", "qps"):
-            arr = _as_float_array(getattr(self, name), name)
-            if np.any(arr < 0):
-                raise ValidationError(f"{name} contains negative values")
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise DimensionError(f"{name} has length {arr.size}, expected {n}")
-            object.__setattr__(self, name, _frozen(arr))
-        if np.any(self.cpu_alloc <= 0) or np.any(self.mem_alloc <= 0):
+        block = _stack_rows(self, nonneg=True)
+        if block is None:
+            _explain_rows(self, nonneg=True)
+        if (block[1:4:2] <= 0).any():  # the cpu_alloc and mem_alloc rows
             raise ValidationError("allocations must be strictly positive")
+        _freeze_rows(self, block)
 
     @property
     def n_services(self) -> int:
@@ -229,14 +253,10 @@ class StateVector:
     qps_norm: np.ndarray
 
     def __post_init__(self):
-        n = None
-        for name in ("cpu_util", "mem_util", "latency_norm", "qps_norm"):
-            arr = _as_float_array(getattr(self, name), name)
-            if n is None:
-                n = arr.size
-            elif arr.size != n:
-                raise DimensionError(f"{name} has length {arr.size}, expected {n}")
-            object.__setattr__(self, name, _frozen(np.clip(arr, 0.0, 1.0)))
+        block = _stack_rows(self)
+        if block is None:
+            _explain_rows(self)
+        _freeze_rows(self, np.clip(block, 0.0, 1.0, out=block))
 
     @property
     def n_services(self) -> int:
@@ -244,8 +264,8 @@ class StateVector:
 
     @property
     def vec(self) -> np.ndarray:
-        """Flat 4N vector in block order [cpu, mem, latency, qps]."""
-        return np.concatenate([self.cpu_util, self.mem_util, self.latency_norm, self.qps_norm])
+        """Flat 4N vector in block order [cpu, mem, latency, qps]: a read-only view."""
+        return self._block.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,13 +276,14 @@ class ActionVector:
     mem_alloc: np.ndarray  # MB in [MEM_MIN, MEM_MAX]
 
     def __post_init__(self):
-        cpu = _as_float_array(self.cpu_alloc, "cpu_alloc")
-        mem = _as_float_array(self.mem_alloc, "mem_alloc")
-        if cpu.size != mem.size:
+        block = _stack_rows(self)
+        if block is None:
+            cpu = _as_float_array(self.cpu_alloc, "cpu_alloc")
+            mem = _as_float_array(self.mem_alloc, "mem_alloc")
+            # both are finite 1-D vectors, so only their lengths can differ
             raise DimensionError(
                 f"cpu_alloc has length {cpu.size} but mem_alloc has length {mem.size}")
-        object.__setattr__(self, "cpu_alloc", _frozen(np.clip(cpu, CPU_MIN, CPU_MAX)))
-        object.__setattr__(self, "mem_alloc", _frozen(np.clip(mem, MEM_MIN, MEM_MAX)))
+        _freeze_rows(self, np.clip(block, _BOX_LO, _BOX_HI, out=block))
 
     @property
     def n_services(self) -> int:
@@ -270,8 +291,8 @@ class ActionVector:
 
     @property
     def vec(self) -> np.ndarray:
-        """Flat 2N vector in block order [cpu, mem]."""
-        return np.concatenate([self.cpu_alloc, self.mem_alloc])
+        """Flat 2N vector in block order [cpu, mem]: a read-only view."""
+        return self._block.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -140,19 +140,18 @@ def episode_metrics(trajectory: list[tuple[RawMetrics, float]],
     """
     if not trajectory:
         raise ValidationError("trajectory must be non-empty")
-    step_latency = []
-    step_efficiency = []
+    # (T, N) and (T, 2, N) stacks; each step's mean is a per-row reduction
+    lat = np.array([raw.latency_ms for raw, _ in trajectory]).mean(axis=1)
+    util = np.clip(np.array([(raw.cpu_used, raw.mem_used) for raw, _ in trajectory])
+                   / np.array([(raw.cpu_alloc, raw.mem_alloc) for raw, _ in trajectory]),
+                   0.0, 1.0)
+    step_efficiency = ((util[:, 0] + util[:, 1]) / 2.0).mean(axis=1)
     reward_sum = 0.0
-    for raw, reward in trajectory:
-        step_latency.append(float(raw.latency_ms.mean()))
-        cpu_util = np.clip(raw.cpu_used / raw.cpu_alloc, 0.0, 1.0)
-        mem_util = np.clip(raw.mem_used / raw.mem_alloc, 0.0, 1.0)
-        step_efficiency.append(float(((cpu_util + mem_util) / 2.0).mean()))
+    for _, reward in trajectory:  # summed in step order, as the bytes depend on it
         reward_sum += float(reward)
-    lat = np.asarray(step_latency)
     return EpisodeMetrics(
         mean_latency_ms=float(lat.mean()),
-        resource_efficiency=float(np.mean(step_efficiency)),
+        resource_efficiency=float(step_efficiency.mean()),
         slo_violation_rate=float(np.count_nonzero(lat > l_target) / lat.size),
         total_reward=reward_sum,
     )

@@ -104,6 +104,16 @@ class TestEval:
         assert code == 0
         assert stdout.splitlines()[0] == ",".join(METRICS_HEADER)
 
+    def test_seed_flag_narrows_evaluation(self, tmp_path, capsys):
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps(dict(SMOKE, algorithm="basek", seeds=[0, 1])),
+                       encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            ["eval", "--config", cfg, "--episodes", 2, "--seed", 3], capsys)
+        assert code == 0, stderr
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert [(row[0], row[1]) for row in rows[1:]] == [("0", "3"), ("1", "3")]
+
     def test_eval_learner_without_params_exits_2(self, smoke_cfg, capsys):
         code, _, stderr = run_cli(
             ["eval", "--config", smoke_cfg, "--episodes", 1], capsys)

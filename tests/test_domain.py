@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ActionVector, DimensionError,
-                              NormalizationConfig, StateVector, Transition,
+                              NormalizationConfig, RawMetrics, StateVector, Transition,
                               ValidationError, action_from_unit,
                               default_nodes, default_services,
                               normalize_state, unit_from_action)
@@ -162,3 +162,120 @@ class TestTransition:
         a = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         t = Transition(state=s, action=a, reward=-0.5, next_state=s, done=True)
         assert t.done and t.reward == -0.5
+
+
+# One valid 3-service value per field; each field's rows differ so block order shows.
+GOOD = {
+    RawMetrics: {"cpu_used": [0.5, 0.6, 0.7], "cpu_alloc": [1.0, 1.1, 1.2],
+                 "mem_used": [256.0, 257.0, 258.0], "mem_alloc": [512.0, 513.0, 514.0],
+                 "latency_ms": [90.0, 91.0, 92.0], "qps": [10.0, 11.0, 12.0]},
+    StateVector: {"cpu_util": [0.1, 0.2, 0.3], "mem_util": [0.4, 0.5, 0.6],
+                  "latency_norm": [0.7, 0.8, 0.9], "qps_norm": [0.05, 0.15, 0.25]},
+    ActionVector: {"cpu_alloc": [0.5, 1.0, 1.5], "mem_alloc": [128.0, 256.0, 512.0]},
+}
+
+BAD_VALUES = {
+    "nan": [0.5, np.nan, 0.5],
+    "inf": [np.inf, 0.5, 0.5],
+    "negative": [0.5, 0.5, -1.0],
+    "zero": [0.0, 0.5, 0.5],
+    "ragged": [0.5, 0.5],
+    "scalar": 0.5,
+    "2-D": np.full((1, 3), 0.5),
+    "string": "abc",
+}
+
+
+def per_field_checks(cls, values: dict) -> None:
+    """Inline copy of the constructors' per-field checks from before fields
+    shared one block: raises whatever they raised for these values."""
+    def as_float(v, name):
+        arr = np.asarray(v, dtype=np.float64)
+        if arr.ndim != 1:
+            raise DimensionError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} contains non-finite values")
+        return arr
+
+    if cls is ActionVector:
+        cpu = as_float(values["cpu_alloc"], "cpu_alloc")
+        mem = as_float(values["mem_alloc"], "mem_alloc")
+        if cpu.size != mem.size:
+            raise DimensionError(
+                f"cpu_alloc has length {cpu.size} but mem_alloc has length {mem.size}")
+        return
+    n = None
+    arrays = {}
+    for name, v in values.items():
+        arr = arrays[name] = as_float(v, name)
+        if cls is RawMetrics and np.any(arr < 0):
+            raise ValidationError(f"{name} contains negative values")
+        if n is None:
+            n = arr.size
+        elif arr.size != n:
+            raise DimensionError(f"{name} has length {arr.size}, expected {n}")
+    if cls is RawMetrics and (np.any(arrays["cpu_alloc"] <= 0)
+                              or np.any(arrays["mem_alloc"] <= 0)):
+        raise ValidationError("allocations must be strictly positive")
+
+
+BAD_CASES = [(cls, name, kind) for cls, fields in GOOD.items() for name in fields
+             for kind in BAD_VALUES
+             # negative and zero values are clamped, not rejected, outside RawMetrics
+             if cls is RawMetrics or kind not in ("negative", "zero")
+             if kind != "zero" or name in ("cpu_alloc", "mem_alloc")]
+
+
+class TestOneBlock:
+    @pytest.mark.parametrize("cls,name,kind", BAD_CASES,
+                             ids=[f"{c.__name__}-{n}-{k}" for c, n, k in BAD_CASES])
+    def test_failure_matches_per_field_checks(self, cls, name, kind):
+        values = dict(GOOD[cls], **{name: BAD_VALUES[kind]})
+        with pytest.raises(ValueError) as expected:
+            per_field_checks(cls, values)
+        with pytest.raises(ValueError) as got:
+            cls(**values)
+        # the same class and message, so the same field is named
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_first_bad_field_in_field_order_is_named(self):
+        values = dict(GOOD[RawMetrics], mem_used=[0.5, np.nan, 0.5], qps=[0.5, 0.5])
+        with pytest.raises(ValidationError, match="mem_used contains non-finite"):
+            RawMetrics(**values)
+
+    @pytest.mark.parametrize("cls", list(GOOD), ids=lambda c: c.__name__)
+    def test_fields_and_vec_are_read_only_copies(self, cls):
+        inputs = {name: np.array(v) for name, v in GOOD[cls].items()}
+        obj = cls(**inputs)
+        for name, arr in inputs.items():
+            arr[0] = 1.5  # the object copied its inputs
+            assert getattr(obj, name)[0] == GOOD[cls][name][0]
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obj, name)[0] = 0.5
+        if cls is not RawMetrics:
+            with pytest.raises(ValueError, match="read-only"):
+                obj.vec[0] = 0.5
+
+    @pytest.mark.parametrize("cls", [StateVector, ActionVector], ids=lambda c: c.__name__)
+    def test_vec_keeps_block_order(self, cls):
+        obj = cls(**GOOD[cls])
+        # [cpu, mem, latency, qps] / [cpu, mem]: the dataclass field order
+        np.testing.assert_array_equal(obj.vec, np.concatenate(list(GOOD[cls].values())))
+        assert obj.vec.shape == (len(GOOD[cls]) * 3,)
+
+    def test_replace_revalidates(self):
+        raw = RawMetrics(**GOOD[RawMetrics])
+        with pytest.raises(ValidationError, match="allocations must be strictly positive"):
+            dataclasses.replace(raw, mem_alloc=[512.0, 0.0, 512.0])
+        with pytest.raises(DimensionError, match="qps has length 2, expected 3"):
+            dataclasses.replace(raw, qps=[1.0, 2.0])
+        action = ActionVector(**GOOD[ActionVector])
+        with pytest.raises(ValidationError, match="mem_alloc contains non-finite"):
+            dataclasses.replace(action, mem_alloc=[np.inf, 1.0, 1.0])
+        moved = dataclasses.replace(action, cpu_alloc=[9.0, 0.0, 1.0])
+        np.testing.assert_array_equal(moved.cpu_alloc, [CPU_MAX, CPU_MIN, 1.0])
+        np.testing.assert_array_equal(moved.mem_alloc, action.mem_alloc)
+        state = StateVector(**GOOD[StateVector])
+        clipped = dataclasses.replace(state, qps_norm=[-1.0, 0.5, 2.0])
+        np.testing.assert_array_equal(clipped.qps_norm, [0.0, 0.5, 1.0])

@@ -5,7 +5,7 @@ import pytest
 
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ActionVector, RawMetrics, ValidationError)
-from edgesched.rewards import (RewardWeights, episode_metrics,
+from edgesched.rewards import (EpisodeMetrics, RewardWeights, episode_metrics,
                                latency_penalty, migration_cost,
                                resource_waste, slo_satisfaction, total_reward)
 from edgesched.rng import stream
@@ -136,6 +136,63 @@ class TestEpisodeMetrics:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValidationError):
             episode_metrics([], l_target=150.0)
+
+    @staticmethod
+    def per_step_reference(trajectory, l_target):
+        """Inline copy of the per-step loop episode_metrics ran before it
+        reduced stacked arrays."""
+        if not trajectory:
+            raise ValidationError("trajectory must be non-empty")
+        step_latency = []
+        step_efficiency = []
+        reward_sum = 0.0
+        for raw, reward in trajectory:
+            step_latency.append(float(raw.latency_ms.mean()))
+            cpu_util = np.clip(raw.cpu_used / raw.cpu_alloc, 0.0, 1.0)
+            mem_util = np.clip(raw.mem_used / raw.mem_alloc, 0.0, 1.0)
+            step_efficiency.append(float(((cpu_util + mem_util) / 2.0).mean()))
+            reward_sum += float(reward)
+        lat = np.asarray(step_latency)
+        return EpisodeMetrics(
+            mean_latency_ms=float(lat.mean()),
+            resource_efficiency=float(np.mean(step_efficiency)),
+            slo_violation_rate=float(np.count_nonzero(lat > l_target) / lat.size),
+            total_reward=reward_sum,
+        )
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_bytes_match_per_step_reference(self, n):
+        rng = stream(n, "episode-metrics")
+        over_alloc = 0
+        for t in range(1, 21):
+            trajectory = []
+            for _ in range(t):
+                cpu_alloc = rng.uniform(CPU_MIN, CPU_MAX, n)
+                mem_alloc = rng.uniform(MEM_MIN, MEM_MAX, n)
+                # usage up to 1.5x the grant, so the utilization clip is active
+                cpu_used = cpu_alloc * rng.uniform(0.0, 1.5, n)
+                mem_used = mem_alloc * rng.uniform(0.0, 1.5, n)
+                over_alloc += int(np.count_nonzero(cpu_used > cpu_alloc)
+                                  + np.count_nonzero(mem_used > mem_alloc))
+                raw = RawMetrics(cpu_used=cpu_used, cpu_alloc=cpu_alloc,
+                                 mem_used=mem_used, mem_alloc=mem_alloc,
+                                 latency_ms=rng.uniform(20.0, 400.0, n),
+                                 qps=rng.uniform(0.0, 300.0, n))
+                trajectory.append((raw, float(rng.normal(0.0, 3.0))))
+            got = episode_metrics(trajectory, l_target=150.0)
+            expect = self.per_step_reference(trajectory, l_target=150.0)
+            for field in ("mean_latency_ms", "resource_efficiency",
+                          "slo_violation_rate", "total_reward"):
+                assert (np.float64(getattr(got, field)).tobytes()
+                        == np.float64(getattr(expect, field)).tobytes()), (t, field)
+        assert over_alloc > 0
+
+    def test_empty_trajectory_matches_reference(self):
+        with pytest.raises(ValidationError) as expected:
+            self.per_step_reference([], l_target=150.0)
+        with pytest.raises(ValidationError) as got:
+            episode_metrics([], l_target=150.0)
+        assert str(got.value) == str(expected.value)
 
     def test_violation_uses_step_mean(self):
         raw = RawMetrics(cpu_used=[0.1, 0.1], cpu_alloc=[1.0, 1.0],
