@@ -78,7 +78,6 @@ def _explain_rows(obj, nonneg: bool = False) -> None:
             n = arr.size
         elif arr.size != n:
             raise DimensionError(f"{name} has length {arr.size}, expected {n}")
-    raise AssertionError("fields that pass every per-field check stack into one block")
 
 
 def _freeze_rows(obj, block: np.ndarray) -> None:
