@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from edgesched.agents import DqnHyper, Td3Hyper
+from edgesched.agents import DqnHyper, Td3Agent, Td3Hyper
 from edgesched.configio import ExperimentConfig, config_hash
 from edgesched.domain import ValidationError
 from edgesched.harness import (
@@ -129,6 +129,31 @@ class TestTraining:
         train_one_seed(cfg, 0, tmp_path)
         assert (tmp_path / "metrics_seed0.csv").exists()
         assert (tmp_path / "manifest_seed0.json").exists()
+        assert not (tmp_path / "params_seed0.bin").exists()
+
+    def test_aborted_run_leaves_exact_manifest(self, tmp_path, monkeypatch):
+        # learn() call 7 is the third step of episode 1: 6 finished steps,
+        # 2 applied critic updates (batch 4 skips calls 1-4), 1 actor update
+        learn = Td3Agent.learn
+        calls = []
+
+        def failing_learn(agent, buffer, rng):
+            calls.append(1)
+            if len(calls) == 7:
+                raise ValidationError("injected")
+            return learn(agent, buffer, rng)
+
+        monkeypatch.setattr(Td3Agent, "learn", failing_learn)
+        with pytest.raises(ValidationError, match="injected"):
+            train_one_seed(tiny_config(episodes=3), 0, tmp_path)
+        doc = json.loads((tmp_path / "manifest_seed0.json").read_text())
+        assert doc["status"] == "aborted"
+        assert doc["error"] == "ValidationError: injected"
+        counters = doc["counters"]
+        assert (counters["env_steps"], counters["critic_updates"],
+                counters["actor_updates"]) == (6, 2, 1)
+        lines = (tmp_path / "metrics_seed0.csv").read_text().strip().splitlines()
+        assert len(lines) == 2
         assert not (tmp_path / "params_seed0.bin").exists()
 
     @pytest.mark.parametrize("algo", ["ddpg", "dqn"])
