@@ -2,14 +2,14 @@
 """Record sha256 hashes of a fixed artifact matrix into tests/golden.json.
 
 The matrix is 4 algorithms x 2 scenarios x seed 0 at configs/smoke.json
-sizes, plus greedy evaluations of the trained high_300 TD3 policy and the
-threshold baseline on a shared-edge topology under a burst trace, where
-node grants are scaled down and memory pressure sets in. Each metrics or
-evaluation CSV is hashed without its wall_time_s column; each
-params_seed0.bin is hashed as written. tests/test_golden.py re-creates the
-artifacts and compares them against these hashes, so a refactor that
-changes any output byte fails there. Re-record only when a change to the
-outputs is intended:
+sizes, plus greedy evaluations of each algorithm's trained high_300 policy
+(the threshold rule for the baseline) on a shared-edge topology under a
+burst trace, where node grants are scaled down and memory pressure sets
+in. Each metrics or evaluation CSV is hashed without its wall_time_s
+column; each params_seed0.bin is hashed as written. tests/test_golden.py
+re-creates the artifacts and compares them against these hashes, so a
+refactor that changes any output byte fails there. Re-record only when
+a change to the outputs is intended:
 
     PYTHONPATH=src python3 scripts/record_golden.py
 """
@@ -37,7 +37,7 @@ GOLDEN = ROOT / "tests" / "golden.json"
 ALGOS = ("td3", "ddpg", "dqn", "basek")
 SCENARIOS = ("normal_100", "high_300")
 SEED = 0
-EVAL_ALGOS = ("td3", "basek")
+EVAL_ALGOS = ("td3", "ddpg", "dqn", "basek")
 
 
 def build_key() -> dict:
@@ -92,7 +92,7 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
         out = work_dir / "eval_shared_edge" / algo
         out.mkdir(parents=True)
         rows = run_evaluation(replace(config, algorithm=algo),
-                              work_dir / "high_300" / "td3" / f"params_seed{SEED}.bin",
+                              work_dir / "high_300" / algo / f"params_seed{SEED}.bin",
                               episodes=base.episodes, seeds=(SEED,))
         export_csv(rows, out / f"eval_seed{SEED}.csv")
         hashes[f"eval_shared_edge/{algo}/eval_seed{SEED}.csv"] = \
