@@ -138,73 +138,86 @@ def _agent_counters(agent, env_steps: int) -> dict:
     }
 
 
-def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[EpisodeRow]:
-    """One full training campaign: M episodes of T steps, then artifacts.
-
-    The per-episode loop is: act (with exploration) -> env step -> reward ->
-    store transition -> one learn() call, breaking early if the episode
-    reports done. Metrics are appended to the seed's CSV after every
-    episode so partial runs stay inspectable.
-    """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    workload = build_workload(config)
+def _setup(config: ExperimentConfig, workload, seed: int):
+    """The seed's simulator and freshly initialised agent."""
     sim_cfg = replace(config.sim, seed=seed)
-    env = ClusterSim(sim_cfg, workload)
     agent = build_agent(config.algorithm, sim_cfg.n_services, stream(seed, "init"),
                         td3=config.td3, dqn=config.dqn,
                         initial_action=sim_cfg.initial_action(),
                         basek_mode=config.basek_mode)
+    return ClusterSim(sim_cfg, workload), agent
+
+
+def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
+                 episode: int, reset_stream: str, t: int, trajectory: list,
+                 rng: np.random.Generator, buffer: ReplayBuffer | None,
+                 sample_rng: np.random.Generator | None = None) -> EpisodeRow:
+    """Reset, then act -> env step -> reward until done; t counts earlier steps.
+
+    The reset seed is child_seed(seed, reset_stream, episode). A buffer means
+    explore, store each transition and learn; None means act greedily. Every
+    finished step appends (raw, reward) to the caller's trajectory, so its
+    length stays right when a step raises.
+    """
+    t_start = time.perf_counter()
+    _, obs = env.reset(seed=child_seed(seed, reset_stream, episode))
+    raw = env.last_raw
+    prev_action = env.state.alloc
+    done = False
+    while not done:
+        action = agent.act(obs, raw, t + len(trajectory), buffer is not None, rng)
+        _, next_obs, raw, done = env.step(action)
+        reward = total_reward(raw, action, prev_action, env.config.l_target,
+                              config.reward).total
+        if buffer is not None:
+            buffer.add(Transition(obs, action, reward, next_obs, done))
+            agent.learn(buffer, sample_rng)
+        trajectory.append((raw, reward))
+        obs = next_obs
+        prev_action = action
+    met = episode_metrics(trajectory, env.config.l_target)
+    return EpisodeRow(episode, seed, met.mean_latency_ms, met.resource_efficiency,
+                      met.slo_violation_rate, met.total_reward,
+                      time.perf_counter() - t_start)
+
+
+def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[EpisodeRow]:
+    """One full training campaign: M episodes of T steps, then artifacts.
+
+    Each episode runs the loop shared with evaluation, with exploration,
+    transition storage and one learn() call per step for learning agents.
+    Metrics are appended to the seed's CSV after every episode so partial
+    runs stay inspectable.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    env, agent = _setup(config, build_workload(config), seed)
     explore_rng = stream(seed, "explore")
     sample_rng = stream(seed, "sample")
-    if config.algorithm in ("td3", "ddpg"):
-        buffer = ReplayBuffer(config.td3.buffer_capacity)
-    elif config.algorithm == "dqn":
-        buffer = ReplayBuffer(config.dqn.buffer_capacity)
-    else:
-        buffer = ReplayBuffer(1)  # never written
+    buffer = ReplayBuffer(agent.hyper.buffer_capacity) if agent.trainable else None
 
     rows: list[EpisodeRow] = []
-    t_global = 0
+    t = 0
+    trajectory = []
     csv_path = _metrics_path(out_dir, seed)
     try:
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
             for episode in range(config.episodes):
-                t_start = time.perf_counter()
-                _, obs = env.reset(seed=child_seed(seed, "episode", episode))
-                raw = env.last_raw
-                prev_action = env.state.alloc
+                row = _run_episode(env, agent, config, seed, episode, "episode", t,
+                                   trajectory, explore_rng, buffer, sample_rng)
+                t += len(trajectory)
                 trajectory = []
-                for _ in range(config.steps_per_episode):
-                    action = agent.act(obs, raw, t_global, True, explore_rng)
-                    _, next_obs, raw, done = env.step(action)
-                    breakdown = total_reward(raw, action, prev_action,
-                                             sim_cfg.l_target, config.reward)
-                    if agent.trainable:
-                        buffer.add(Transition(obs, action, breakdown.total,
-                                              next_obs, done))
-                        agent.learn(buffer, sample_rng)
-                    trajectory.append((raw, breakdown.total))
-                    obs = next_obs
-                    prev_action = action
-                    t_global += 1
-                    if done:
-                        break
-                met = episode_metrics(trajectory, sim_cfg.l_target)
-                row = EpisodeRow(episode, seed, met.mean_latency_ms,
-                                 met.resource_efficiency, met.slo_violation_rate,
-                                 met.total_reward, time.perf_counter() - t_start)
                 writer.writerow(row.as_csv())
                 fh.flush()
                 rows.append(row)
     except Exception as exc:
-        _write_manifest(out_dir, seed, config, _agent_counters(agent, t_global),
+        _write_manifest(out_dir, seed, config, _agent_counters(agent, t + len(trajectory)),
                         status="aborted", error=f"{type(exc).__name__}: {exc}")
         raise
     if agent.trainable:
         save_mlp(agent.policy_net(), _params_path(out_dir, seed))
-    _write_manifest(out_dir, seed, config, _agent_counters(agent, t_global),
+    _write_manifest(out_dir, seed, config, _agent_counters(agent, t),
                     status="complete")
     return rows
 
@@ -227,12 +240,7 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
     workload = build_workload(config)
     rows: list[EpisodeRow] = []
     for seed in seeds:
-        sim_cfg = replace(config.sim, seed=seed)
-        env = ClusterSim(sim_cfg, workload)
-        agent = build_agent(config.algorithm, sim_cfg.n_services, stream(seed, "init"),
-                            td3=config.td3, dqn=config.dqn,
-                            initial_action=sim_cfg.initial_action(),
-                            basek_mode=config.basek_mode)
+        env, agent = _setup(config, workload, seed)
         if agent.trainable:
             if params_path is None:
                 raise ValidationError(
@@ -240,26 +248,12 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
             agent.load_policy(load_mlp(params_path,
                                        expect_sizes=agent.policy_net().layer_sizes))
         idle_rng = stream(seed, "eval")
+        t = 0
         for episode in range(episodes):
-            t_start = time.perf_counter()
-            _, obs = env.reset(seed=child_seed(seed, "eval", episode))
-            raw = env.last_raw
-            prev_action = env.state.alloc
             trajectory = []
-            for _ in range(config.steps_per_episode):
-                action = agent.act(obs, raw, 0, False, idle_rng)
-                _, next_obs, raw, done = env.step(action)
-                breakdown = total_reward(raw, action, prev_action,
-                                         sim_cfg.l_target, config.reward)
-                trajectory.append((raw, breakdown.total))
-                obs = next_obs
-                prev_action = action
-                if done:
-                    break
-            met = episode_metrics(trajectory, sim_cfg.l_target)
-            rows.append(EpisodeRow(episode, seed, met.mean_latency_ms,
-                                   met.resource_efficiency, met.slo_violation_rate,
-                                   met.total_reward, time.perf_counter() - t_start))
+            rows.append(_run_episode(env, agent, config, seed, episode, "eval", t,
+                                     trajectory, idle_rng, None))
+            t += len(trajectory)
     return rows
 
 
