@@ -177,8 +177,6 @@ class Td3Agent:
                             for c in self.critics]
         self.critic_update_count = 0
         self.actor_update_count = 0
-        # diagnostics from the most recent target computation, for tests
-        self.last_td_diag: dict | None = None
 
     def select_action(self, state: StateVector, t: int, explore: bool,
                       rng: np.random.Generator) -> ActionVector:
@@ -215,20 +213,11 @@ class Td3Agent:
     def td_targets(self, rewards: np.ndarray, next_states: np.ndarray,
                    dones: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Bootstrapped targets y = r + gamma * min_i Q'_i(s', a') * (1 - done)."""
-        a_next, noise = self.smoothed_target_action(next_states, rng)
+        a_next, _ = self.smoothed_target_action(next_states, rng)
         sa_next = np.concatenate([next_states, a_next], axis=1)
         q_next = [tc.forward(sa_next)[0] for tc in self.target_critics]
         q_min = q_next[0] if len(q_next) == 1 else np.minimum.reduce(q_next)
-        y = rewards[:, None] + self.hyper.gamma * q_min * (1.0 - dones)[:, None]
-        self.last_td_diag = {
-            "q_targets": tuple(q.copy() for q in q_next),
-            "q_min": q_min.copy(),
-            "y": y.copy(),
-            "rewards": rewards.copy(),
-            "dones": dones.copy(),
-            "smoothing_noise": None if noise is None else noise.copy(),
-        }
-        return y
+        return rewards[:, None] + self.hyper.gamma * q_min * (1.0 - dones)[:, None]
 
     def train_step(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
         """One critic update, with a delayed actor/target update when due."""

@@ -7,6 +7,7 @@ the library code they check: finite differences for gradients, a scalar
 brute-force reward evaluation, fixed-point and bias probes for learning.
 """
 
+import copy
 import csv
 import io
 import json
@@ -236,9 +237,14 @@ def test_criterion_04_update_mechanics():
         clip_ok &= bool(np.all(np.abs(noise) <= 0.5))
 
     # (c) target bootstraps from the pointwise minimum of the twin critics
+    # (the twin target values are recomputed from a copy of the learn rng)
     rewards = rng.uniform(-1, 1, 32)
-    y = agent.td_targets(rewards, rng.uniform(0, 1, (32, 4)), np.zeros(32), rng)
-    q1, q2 = agent.last_td_diag["q_targets"]
+    next_states = rng.uniform(0, 1, (32, 4))
+    rng_copy = copy.deepcopy(rng)
+    y = agent.td_targets(rewards, next_states, np.zeros(32), rng)
+    a_next, _ = agent.smoothed_target_action(next_states, rng_copy)
+    sa_next = np.concatenate([next_states, a_next], axis=1)
+    q1, q2 = (tc.forward(sa_next)[0] for tc in agent.target_critics)
     min_ok = (np.allclose(y, rewards[:, None] + 0.99 * np.minimum(q1, q2),
                           atol=1e-12)
               and np.all(y - rewards[:, None] <= 0.99 * q1 + 1e-9)

@@ -63,6 +63,13 @@ def params_equal(net, snap):
     return all(np.array_equal(p, q) for p, q in zip(net.params(), snap))
 
 
+def target_qs(agent, next_states, rng):
+    """Each target critic's Q(s', a'), with a' drawn as td_targets draws it from rng."""
+    a_next, _ = agent.smoothed_target_action(next_states, rng)
+    sa_next = np.concatenate([next_states, a_next], axis=1)
+    return [tc.forward(sa_next)[0] for tc in agent.target_critics]
+
+
 # ---------------------------------------------------------------- schedules
 
 class TestSchedules:
@@ -169,9 +176,9 @@ class TestTargets:
         rewards = rng.uniform(-2, 1, b)
         next_states = rng.uniform(0, 1, (b, 4))
         dones = (rng.random(b) < 0.3).astype(float)
+        rng_copy = copy.deepcopy(rng)
         y = agent.td_targets(rewards, next_states, dones, rng)
-        d = agent.last_td_diag
-        q1, q2 = d["q_targets"]
+        q1, q2 = target_qs(agent, next_states, rng_copy)
         expect = rewards[:, None] + 0.99 * np.minimum(q1, q2) * (1.0 - dones)[:, None]
         np.testing.assert_allclose(y, expect, atol=1e-12)
 
@@ -188,8 +195,9 @@ class TestTargets:
         b = 32
         rewards = rng.uniform(-1, 1, b)
         next_states = rng.uniform(0, 1, (b, 8))
+        rng_copy = copy.deepcopy(rng)
         y = agent.td_targets(rewards, next_states, np.zeros(b), rng)
-        q1, q2 = agent.last_td_diag["q_targets"]
+        q1, q2 = target_qs(agent, next_states, rng_copy)
         implied = (y - rewards[:, None]) / agent.hyper.gamma
         assert np.all(implied <= q1 + 1e-9)
         assert np.all(implied <= q2 + 1e-9)
@@ -315,8 +323,10 @@ class TestDdpg:
     def test_single_critic_target(self, rng):
         agent = DdpgAgent(1, small_hyper(), rng)
         rewards = np.array([0.5])
-        y = agent.td_targets(rewards, rng.uniform(0, 1, (1, 4)), np.zeros(1), rng)
-        (q,) = agent.last_td_diag["q_targets"]
+        next_states = rng.uniform(0, 1, (1, 4))
+        rng_copy = copy.deepcopy(rng)
+        y = agent.td_targets(rewards, next_states, np.zeros(1), rng)
+        (q,) = target_qs(agent, next_states, rng_copy)
         np.testing.assert_allclose(y, rewards[:, None] + 0.99 * q, atol=1e-12)
 
     def test_smoothing_divergence_from_td3(self, rng):
@@ -326,10 +336,10 @@ class TestDdpg:
         ddpg = DdpgAgent(1, small_hyper(), stream(5, "init"))
         batch = np.full((4, 4), 0.5)
         r1, r2 = stream(11, "learn"), stream(11, "learn")
+        assert td3.smoothed_target_action(batch, copy.deepcopy(r1))[1] is not None
+        assert ddpg.smoothed_target_action(batch, copy.deepcopy(r2))[1] is None
         td3.td_targets(np.zeros(4), batch, np.zeros(4), r1)
         ddpg.td_targets(np.zeros(4), batch, np.zeros(4), r2)
-        assert td3.last_td_diag["smoothing_noise"] is not None
-        assert ddpg.last_td_diag["smoothing_noise"] is None
         assert r1.uniform() != r2.uniform()
 
 
