@@ -291,9 +291,9 @@ class ParamLoadError(ValidationError):
 def load_mlp(path: str | Path, expect_sizes: list[int] | None = None) -> Mlp:
     """Load a parameter file written by save_mlp; bit-exact round trip.
 
-    Raises ParamLoadError on corruption, truncation, version mismatch, or
-    (when expect_sizes is given) architecture mismatch. No partial state
-    escapes a failed load.
+    Raises ParamLoadError on corruption, truncation, version mismatch,
+    non-finite values, or (when expect_sizes is given) architecture
+    mismatch. No partial state escapes a failed load.
     """
     data = Path(path).read_bytes()
     view = memoryview(data)
@@ -325,6 +325,8 @@ def load_mlp(path: str | Path, expect_sizes: list[int] | None = None) -> Mlp:
     flat = np.frombuffer(take(8 * n_params), dtype="<f8")
     if pos != len(view):
         raise ParamLoadError(f"{path}: {len(view) - pos} trailing bytes")
+    if not np.isfinite(flat).all():
+        raise ParamLoadError(f"{path}: non-finite parameter values")
     net = Mlp(sizes, _ACTIVATIONS[act_tag])
     net.flat[...] = flat
     return net

@@ -16,6 +16,7 @@ import pytest
 import edgesched
 from edgesched.cli import main
 from edgesched.harness import METRICS_HEADER
+from edgesched.nets import load_mlp, save_mlp
 from edgesched.workload import load_trace
 
 SMOKE = {
@@ -119,6 +120,22 @@ class TestEval:
             ["eval", "--config", smoke_cfg, "--episodes", 1], capsys)
         assert code == 2
         assert "parameter file" in stderr
+
+    def test_eval_non_finite_params_exits_2(self, tmp_path, capsys):
+        # argmax over NaN Q-values would quietly pick level 0 every step
+        cfg = tmp_path / "dqn.json"
+        cfg.write_text(json.dumps(dict(SMOKE, algorithm="dqn")), encoding="utf-8")
+        out = tmp_path / "run"
+        run_cli(["train", "--config", cfg, "--algo", "dqn", "--out", out], capsys)
+        params = out / "params_seed0.bin"
+        net = load_mlp(params)
+        net.flat[...] = np.nan
+        save_mlp(net, params)
+        code, stdout, stderr = run_cli(
+            ["eval", "--config", cfg, "--params", params, "--episodes", 1], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert "non-finite parameter values" in stderr
 
 
 class TestCompare:

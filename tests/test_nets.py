@@ -347,6 +347,15 @@ class TestSerialization:
         with pytest.raises(ParamLoadError):
             load_mlp(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values(self, tmp_path, rng, bad):
+        net = Mlp.create(3, 8, 2, "linear", rng)
+        net.flat[5] = bad
+        path = tmp_path / "p.bin"
+        save_mlp(net, path)
+        with pytest.raises(ParamLoadError, match="non-finite"):
+            load_mlp(path)
+
 
 class TestTrainingFuzz:
     def test_10000_random_steps_stay_finite(self):
