@@ -178,8 +178,8 @@ class Td3Agent:
         self.critic_update_count = 0
         self.actor_update_count = 0
 
-    def select_action(self, state: StateVector, t: int, explore: bool,
-                      rng: np.random.Generator) -> ActionVector:
+    def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
+            rng: np.random.Generator) -> ActionVector:
         """Greedy actor output, plus decaying Gaussian noise when exploring.
 
         The first warmup_transitions exploration steps are uniform over the
@@ -187,15 +187,11 @@ class Td3Agent:
         """
         if explore and t < self.hyper.warmup_transitions:
             return action_from_unit(rng.uniform(-1.0, 1.0, self.action_dim))
-        u, _ = self.actor.forward(state.vec)
+        u, _ = self.actor.forward(obs.vec)
         if explore:
             sigma = exploration_sigma(self.hyper, t)
             u = u + sigma * rng.standard_normal(self.action_dim)
         return action_from_unit(np.clip(u, -1.0, 1.0))
-
-    def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
-            rng: np.random.Generator) -> ActionVector:
-        return self.select_action(obs, t, explore, rng)
 
     def smoothed_target_action(self, next_states: np.ndarray,
                                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
@@ -219,7 +215,7 @@ class Td3Agent:
         q_min = q_next[0] if len(q_next) == 1 else np.minimum.reduce(q_next)
         return rewards[:, None] + self.hyper.gamma * q_min * (1.0 - dones)[:, None]
 
-    def train_step(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
+    def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
         """One critic update, with a delayed actor/target update when due."""
         if len(buffer) <= self.hyper.batch_size:
             return TrainStats(skipped=True)
@@ -264,9 +260,6 @@ class Td3Agent:
             soft_update(tc, c, self.hyper.tau)
         return TrainStats(critic_losses=tuple(losses), actor_loss=actor_loss,
                           actor_updated=True, targets_updated=True)
-
-    def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
-        return self.train_step(buffer, rng)
 
     def policy_net(self) -> Mlp:
         return self.actor
@@ -421,7 +414,8 @@ class BaseKScheduler:
         self.high_util = high_util
         self.low_util = low_util
 
-    def decide(self, raw: RawMetrics) -> ActionVector:
+    def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
+            rng: np.random.Generator) -> ActionVector:
         if self.mode == "static":
             return self.initial
         up, down = 1.0 + self.step_frac, 1.0 - self.step_frac
@@ -435,10 +429,6 @@ class BaseKScheduler:
 
         return ActionVector(cpu_alloc=adjust(raw.cpu_alloc, raw.cpu_used),
                             mem_alloc=adjust(raw.mem_alloc, raw.mem_used))
-
-    def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
-            rng: np.random.Generator) -> ActionVector:
-        return self.decide(raw)
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
         return TrainStats(skipped=True)

@@ -74,7 +74,7 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
         source = burst_source(args.rate, burst_rate, burst_start, burst_len, n)
     records = []
     for step in range(args.steps):
-        qps = qps_at(source, step, args.seed)
+        qps = qps_at(source, step)
         records.extend(TraceRecord(step, i, float(qps[i])) for i in range(n))
     write_trace(records, args.out)
     print(f"wrote {args.out}: {args.steps} steps x {n} services ({args.kind})")
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rate inside the burst (default 3x rate)")
     gen.add_argument("--burst-start", type=int, default=None)
     gen.add_argument("--burst-len", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=0)
     gen.set_defaults(func=_cmd_gen_trace)
     return parser
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -131,6 +132,8 @@ def _expect(doc: dict, key: str, kinds, section: str, default):
     if kinds is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kinds is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -205,9 +208,8 @@ def _services_from(items: list, section: str) -> list[ServiceSpec]:
 
 def _sim_from(doc: dict, steps_per_episode: int) -> SimConfig:
     _reject_unknown("sim", doc, {
-        "l_target", "step_duration_s", "seed", "base_service_ms",
-        "saturation_cap_ms", "mem_pressure_multiplier", "jitter_sigma",
-        "l_max", "q_max", "nodes", "services"})
+        "l_target", "base_service_ms", "saturation_cap_ms", "mem_pressure_multiplier",
+        "jitter_sigma", "l_max", "q_max", "nodes", "services"})
     base = SimConfig()
     latency = LatencyModel(
         base_service_ms=_expect(doc, "base_service_ms", float, "sim",
@@ -227,10 +229,8 @@ def _sim_from(doc: dict, steps_per_episode: int) -> SimConfig:
     kwargs = dict(
         l_target=l_target,
         episode_len=steps_per_episode,
-        step_duration_s=_expect(doc, "step_duration_s", float, "sim", base.step_duration_s),
         latency=latency,
         normalization=norm,
-        seed=_expect(doc, "seed", int, "sim", base.seed),
     )
     if "nodes" in doc:
         if not isinstance(doc["nodes"], list):

@@ -29,7 +29,6 @@ __all__ = [
     "default_services",
     "normalize_state",
     "action_from_unit",
-    "unit_from_action",
 ]
 
 # Per-service allocation box: cores and megabytes.
@@ -213,10 +212,6 @@ class NormalizationConfig:
         if self.l_max <= 0 or self.q_max <= 0:
             raise ValidationError("normalization divisors must be positive")
 
-    @classmethod
-    def for_latency_target(cls, l_target: float, q_max: float = 400.0) -> "NormalizationConfig":
-        return cls(l_max=2.0 * l_target, q_max=q_max)
-
 
 @dataclass(frozen=True, eq=False)
 class RawMetrics:
@@ -296,7 +291,11 @@ class ActionVector:
 
 @dataclass(frozen=True, eq=False)
 class Transition:
-    """One (s, a, r, s', done) tuple for the replay buffer."""
+    """One validated (s, a, r, s', done) tuple.
+
+    The step loop does not build these: ReplayBuffer.add takes the five
+    values as arrays.
+    """
 
     state: StateVector
     action: ActionVector
@@ -337,10 +336,3 @@ def action_from_unit(u) -> ActionVector:
         cpu_alloc=CPU_MIN + half[:n] * (CPU_MAX - CPU_MIN),
         mem_alloc=MEM_MIN + half[n:] * (MEM_MAX - MEM_MIN),
     )
-
-
-def unit_from_action(a: ActionVector) -> np.ndarray:
-    """Exact inverse of action_from_unit; round-trips to within 1e-9."""
-    cpu = (a.cpu_alloc - CPU_MIN) / (CPU_MAX - CPU_MIN) * 2.0 - 1.0
-    mem = (a.mem_alloc - MEM_MIN) / (MEM_MAX - MEM_MIN) * 2.0 - 1.0
-    return np.concatenate([cpu, mem])

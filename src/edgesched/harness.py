@@ -12,7 +12,7 @@ import csv
 import json
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .agents import build_agent
 from .configio import ExperimentConfig, build_workload, config_hash
-from .domain import Transition, ValidationError
+from .domain import ValidationError
 from .nets import load_mlp, save_mlp
 from .replay import ReplayBuffer
 from .rewards import episode_metrics, total_reward
@@ -140,12 +140,11 @@ def _agent_counters(agent, env_steps: int) -> dict:
 
 def _setup(config: ExperimentConfig, workload, seed: int):
     """The seed's simulator and freshly initialised agent."""
-    sim_cfg = replace(config.sim, seed=seed)
-    agent = build_agent(config.algorithm, sim_cfg.n_services, stream(seed, "init"),
+    agent = build_agent(config.algorithm, config.sim.n_services, stream(seed, "init"),
                         td3=config.td3, dqn=config.dqn,
-                        initial_action=sim_cfg.initial_action(),
+                        initial_action=config.sim.initial_action(),
                         basek_mode=config.basek_mode)
-    return ClusterSim(sim_cfg, workload), agent
+    return ClusterSim(config.sim, workload), agent
 
 
 def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
@@ -160,9 +159,8 @@ def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
     length stays right when a step raises.
     """
     t_start = time.perf_counter()
-    _, obs = env.reset(seed=child_seed(seed, reset_stream, episode))
-    raw = env.last_raw
-    prev_action = env.state.alloc
+    state, obs, raw = env.reset(child_seed(seed, reset_stream, episode))
+    prev_action = state.alloc
     done = False
     while not done:
         action = agent.act(obs, raw, t + len(trajectory), buffer is not None, rng)
@@ -170,7 +168,7 @@ def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
         reward = total_reward(raw, action, prev_action, env.config.l_target,
                               config.reward).total
         if buffer is not None:
-            buffer.add(Transition(obs, action, reward, next_obs, done))
+            buffer.add(obs.vec, action.vec, reward, next_obs.vec, done)
             agent.learn(buffer, sample_rng)
         trajectory.append((raw, reward))
         obs = next_obs
@@ -211,12 +209,12 @@ def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[E
                 writer.writerow(row.as_csv())
                 fh.flush()
                 rows.append(row)
+        if agent.trainable:
+            save_mlp(agent.policy_net(), _params_path(out_dir, seed))
     except Exception as exc:
         _write_manifest(out_dir, seed, config, _agent_counters(agent, t + len(trajectory)),
                         status="aborted", error=f"{type(exc).__name__}: {exc}")
         raise
-    if agent.trainable:
-        save_mlp(agent.policy_net(), _params_path(out_dir, seed))
     _write_manifest(out_dir, seed, config, _agent_counters(agent, t),
                     status="complete")
     return rows

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DimensionError, Transition, ValidationError
+from .domain import DimensionError, ValidationError
 
 __all__ = ["ReplayBuffer", "TransitionBatch"]
 
@@ -57,15 +57,17 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._len
 
-    def add(self, transition: Transition) -> None:
-        state, action = transition.state.vec, transition.action.vec
+    def add(self, state: np.ndarray, action: np.ndarray, reward: float,
+            next_state: np.ndarray, done: bool) -> None:
+        """Store one row: flat state vectors and a domain-unit action vector."""
         if self._columns is None:
             self._columns = _empty_columns(min(self.capacity, _INITIAL_ROWS),
                                            state.size, action.size)
-        widths = (self._columns[0].shape[1], self._columns[1].shape[1])
-        if (state.size, action.size) != widths:
-            raise DimensionError(f"transition widths (state, action) = {(state.size, action.size)} "
-                                 f"differ from the buffer's {widths}")
+        got = (state.size, action.size, next_state.size)
+        want = (self._columns[0].shape[1], self._columns[1].shape[1], self._columns[0].shape[1])
+        if got != want:
+            raise DimensionError(f"transition widths (state, action, next_state) = {got} "
+                                 f"differ from the buffer's {want}")
         if self._len < self.capacity:
             if self._len == len(self._columns[2]):
                 self._grow(min(2 * self._len, self.capacity))
@@ -74,8 +76,7 @@ class ReplayBuffer:
         else:
             row = self._head
             self._head = (self._head + 1) % self.capacity
-        values = (state, action, transition.reward, transition.next_state.vec,
-                  1.0 if transition.done else 0.0)
+        values = (state, action, reward, next_state, 1.0 if done else 0.0)
         for column, value in zip(self._columns, values):
             column[row] = value
 

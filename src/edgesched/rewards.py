@@ -42,6 +42,8 @@ class RewardWeights:
     normalize_latency_excess: bool = True  # False: raw-ms latency penalty
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta, self.lam, self.mu]).all():
+            raise ValidationError("reward weights must be finite")
         if min(self.alpha, self.beta, self.lam, self.mu) < 0:
             raise ValidationError("reward weights must be >= 0")
 
@@ -68,16 +70,18 @@ def latency_penalty(latency_ms, l_target: float, normalize: bool = True) -> floa
     return float(-excess.sum())
 
 
-def resource_waste(alloc: ActionVector, cpu_used, mem_used) -> float:
+def resource_waste(cpu_alloc, mem_alloc, cpu_used, mem_used) -> float:
     """Negative sum of idle allocation fractions, each clamped to [0, 1].
 
     Usage is capped at allocation: demand above allocation is a latency
     problem, not negative waste.
     """
+    cpu_alloc = np.asarray(cpu_alloc, dtype=np.float64)
+    mem_alloc = np.asarray(mem_alloc, dtype=np.float64)
     cpu_used = np.asarray(cpu_used, dtype=np.float64)
     mem_used = np.asarray(mem_used, dtype=np.float64)
-    cpu_frac = np.clip((alloc.cpu_alloc - cpu_used) / alloc.cpu_alloc, 0.0, 1.0)
-    mem_frac = np.clip((alloc.mem_alloc - mem_used) / alloc.mem_alloc, 0.0, 1.0)
+    cpu_frac = np.clip((cpu_alloc - cpu_used) / cpu_alloc, 0.0, 1.0)
+    mem_frac = np.clip((mem_alloc - mem_used) / mem_alloc, 0.0, 1.0)
     return float(-(cpu_frac + mem_frac).sum())
 
 
@@ -108,9 +112,8 @@ def total_reward(raw: RawMetrics, action: ActionVector, prev_action: ActionVecto
     (raw.cpu_alloc / raw.mem_alloc); churn against the agent's requested
     actions.
     """
-    granted = ActionVector(cpu_alloc=raw.cpu_alloc, mem_alloc=raw.mem_alloc)
     r_l = latency_penalty(raw.latency_ms, l_target, weights.normalize_latency_excess)
-    r_r = resource_waste(granted, raw.cpu_used, raw.mem_used)
+    r_r = resource_waste(raw.cpu_alloc, raw.mem_alloc, raw.cpu_used, raw.mem_used)
     r_s = slo_satisfaction(raw.latency_ms, l_target)
     r_m = migration_cost(action, prev_action)
     total = (weights.alpha * r_l + weights.beta * r_r

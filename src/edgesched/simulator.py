@@ -37,7 +37,6 @@ __all__ = [
     "SimConfig",
     "SimState",
     "ClusterSim",
-    "network_ms",
 ]
 
 # Utilization is clamped below 1 so the queueing denominator stays positive;
@@ -73,10 +72,8 @@ class SimConfig:
     nodes: list[NodeSpec] = field(default_factory=default_nodes)
     l_target: float = 150.0
     episode_len: int = 20
-    step_duration_s: float = 30.0
     latency: LatencyModel = field(default_factory=LatencyModel)
     normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.services or not self.nodes:
@@ -85,8 +82,6 @@ class SimConfig:
             raise ValidationError(f"episode_len must be >= 1, got {self.episode_len}")
         if self.l_target <= 0:
             raise ValidationError("l_target must be positive")
-        if self.step_duration_s <= 0:
-            raise ValidationError("step_duration_s must be positive")
         node_ids = {n.node_id for n in self.nodes}
         if len(node_ids) != len(self.nodes):
             raise ValidationError("duplicate node ids")
@@ -123,11 +118,6 @@ class SimState:
     latency: np.ndarray
 
 
-def network_ms(node: NodeSpec) -> float:
-    """Network latency contribution of a service homed on this node."""
-    return node.base_network_latency
-
-
 class ClusterSim:
     """Mutable environment: reset(seed) then step(action) until done.
 
@@ -151,7 +141,7 @@ class ClusterSim:
         self._mem_per_qps = np.array([s.mem_per_qps for s in svcs])
         # latency floor per service: service time plus its node's network hop
         self._floor_ms = np.array(
-            [config.latency.base_service_ms + network_ms(nodes_by_id[s.home_node])
+            [config.latency.base_service_ms + nodes_by_id[s.home_node].base_network_latency
              for s in svcs])
         self._node_members = {
             n.node_id: np.array([i for i, s in enumerate(svcs) if s.home_node == n.node_id],
@@ -160,9 +150,7 @@ class ClusterSim:
         }
         self._nodes_by_id = nodes_by_id
         self._rng: np.random.Generator | None = None
-        self._seed = config.seed
         self.state: SimState | None = None
-        self.last_raw: RawMetrics | None = None
         self._done = True
 
     def grant(self, action: ActionVector) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +177,7 @@ class ClusterSim:
                 prev_action: ActionVector) -> tuple[SimState, RawMetrics]:
         lm = self.config.latency
         granted_cpu, granted_mem = self.grant(action)
-        qps = qps_at(self.workload, step_index, self._seed)
+        qps = qps_at(self.workload, step_index)
         demand = qps * self._cpu_cost
         rho = np.minimum(demand / granted_cpu, RHO_CAP)
         latency = np.minimum(self._floor_ms / (1.0 - rho), lm.saturation_cap_ms)
@@ -213,15 +201,13 @@ class ClusterSim:
                          latency=latency)
         return state, raw
 
-    def reset(self, seed: int | None = None) -> tuple[SimState, StateVector]:
+    def reset(self, seed: int) -> tuple[SimState, StateVector, RawMetrics]:
         """Window 0 under the services' initial requests."""
-        self._seed = self.config.seed if seed is None else seed
-        self._rng = stream(self._seed, "env")
+        self._rng = stream(seed, "env")
         initial = self.config.initial_action()
         self.state, raw = self._window(0, initial, initial)
-        self.last_raw = raw
         self._done = False
-        return self.state, normalize_state(raw, self.config.normalization)
+        return self.state, normalize_state(raw, self.config.normalization), raw
 
     def step(self, action: ActionVector) -> tuple[SimState, StateVector, RawMetrics, bool]:
         """Advance one window under the given (clamped) allocation request."""
@@ -236,7 +222,6 @@ class ClusterSim:
         new_step = self.state.step + 1
         prev = self.state.alloc
         self.state, raw = self._window(new_step, action, prev)
-        self.last_raw = raw
         done = new_step == self.config.episode_len
         self._done = done
         obs = normalize_state(raw, self.config.normalization)

@@ -193,13 +193,11 @@ def _aggregate_rate(source: WorkloadSource, step: int) -> float:
     raise ValidationError(f"no aggregate rate for kind {source.kind!r}")
 
 
-def qps_at(source: WorkloadSource, step: int, seed: int = 0) -> np.ndarray:
-    """Per-service request rates at a step; deterministic given (source, step, seed).
+def qps_at(source: WorkloadSource, step: int) -> np.ndarray:
+    """Per-service request rates at a step; a pure function of (source, step).
 
-    The stock generators draw no randomness; the seed parameter is part of
-    the contract so stochastic generators can slot in without changing
-    call sites. Trace sources hold their last step's values past the end,
-    so fixed-length episodes never fail on short traces.
+    Trace sources hold their last step's values past the end, so
+    fixed-length episodes never fail on short traces.
     """
     if step < 0:
         raise ValidationError("step must be >= 0")

@@ -34,7 +34,6 @@ from edgesched.domain import (
     ActionVector,
     ServiceSpec,
     StateVector,
-    Transition,
     action_from_unit,
     make_node,
 )
@@ -212,7 +211,7 @@ def _bandit_buffer(n=32, reward=0.5, done=False):
     a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
     buf = ReplayBuffer(64)
     for _ in range(n):
-        buf.add(Transition(s, a, reward, s, done))
+        buf.add(s.vec, a.vec, reward, s.vec, done)
     return buf
 
 
@@ -224,7 +223,7 @@ def test_criterion_04_update_mechanics():
 
     # (a) delayed actor cadence over 101 critic updates
     for _ in range(101):
-        agent.train_step(buf, rng)
+        agent.learn(buf, rng)
     cadence_ok = (agent.critic_update_count == 101
                   and agent.actor_update_count == 101 // 2)
 
@@ -284,7 +283,7 @@ def test_criterion_05_bandit_fixed_point():
                                     warmup_transitions=0), rng)
             buf = _bandit_buffer(reward=1.0, done=True)
             for _ in range(2000):
-                agent.train_step(buf, rng)
+                agent.learn(buf, rng)
             s = StateVector(*(np.full(1, 0.5) for _ in range(4)))
             a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
             sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])
@@ -316,8 +315,8 @@ def test_criterion_06_overestimation_bias():
         buf = ReplayBuffer(n)
         for i in range(n):
             sv = StateVector(*(states[i, j:j + 1] for j in range(4)))
-            buf.add(Transition(sv, action_from_unit(units[i]),
-                               float(rewards[i]), sv, False))
+            buf.add(sv.vec, action_from_unit(units[i]).vec, float(rewards[i]), sv.vec,
+                    False)
         probe = np.concatenate([states, units], axis=1)
         for name, cls in (("td3", Td3Agent), ("ddpg", DdpgAgent)):
             agent = cls(1, Td3Hyper(hidden=32, batch_size=64,
@@ -325,7 +324,7 @@ def test_criterion_06_overestimation_bias():
                         stream(seed, "accept-bias-init"))
             train_rng = stream(seed, "accept-bias-train")
             for _ in range(600):
-                agent.train_step(buf, train_rng)
+                agent.learn(buf, train_rng)
             q, _ = agent.critics[0].forward(probe)
             biases[name].append(float(q.mean()))
     m_td3 = float(np.mean(biases["td3"]))
@@ -467,14 +466,14 @@ def test_criterion_09_determinism_and_replay(tmp_path):
     a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
     ring = ReplayBuffer(2)
     for r in (1.0, 2.0, 3.0):
-        ring.add(Transition(s, a, r, s, False))
+        ring.add(s.vec, a.vec, r, s.vec, False)
     seen = set(ring.sample(200, stream(1, "fifo")).rewards.tolist())
     fifo_ok = seen == {2.0, 3.0}
 
     # uniformity: each of four items within 3 sigma of its expected count
     quad = ReplayBuffer(4)
     for r in (0.0, 1.0, 2.0, 3.0):
-        quad.add(Transition(s, a, r, s, False))
+        quad.add(s.vec, a.vec, r, s.vec, False)
     draws = quad.sample(10000, stream(2, "freq")).rewards
     counts = np.array([(draws == r).sum() for r in (0.0, 1.0, 2.0, 3.0)])
     sigma = np.sqrt(10000 * 0.25 * 0.75)

@@ -20,7 +20,6 @@ from edgesched.agents import (
 from edgesched.domain import (
     ActionVector,
     StateVector,
-    Transition,
     ValidationError,
     action_from_unit,
 )
@@ -51,7 +50,7 @@ def fill_buffer(n_services=1, count=32, reward=0.5, done=False, seed=3):
         s = StateVector(*(rng.uniform(0, 1, n_services) for _ in range(4)))
         s2 = StateVector(*(rng.uniform(0, 1, n_services) for _ in range(4)))
         a = action_from_unit(rng.uniform(-1, 1, 2 * n_services))
-        buf.add(Transition(state=s, action=a, reward=reward, next_state=s2, done=done))
+        buf.add(s.vec, a.vec, reward, s2.vec, done)
     return buf
 
 
@@ -109,7 +108,7 @@ class TestSelectAction:
         agent = Td3Agent(2, small_hyper(), rng)
         for p in agent.actor.params():
             p[:] = 0.0
-        act = agent.select_action(make_state(2), t=0, explore=False, rng=rng)
+        act = agent.act(make_state(2), None, t=0, explore=False, rng=rng)
         # tanh(0) = 0 maps to the center of each allocation range
         np.testing.assert_allclose(act.cpu_alloc, [1.05, 1.05], atol=1e-12)
         np.testing.assert_allclose(act.mem_alloc, [1056.0, 1056.0], atol=1e-12)
@@ -117,15 +116,15 @@ class TestSelectAction:
     def test_greedy_is_deterministic(self, rng):
         agent = Td3Agent(2, small_hyper(), rng)
         s = make_state(2)
-        a1 = agent.select_action(s, t=5, explore=False, rng=stream(1, "a"))
-        a2 = agent.select_action(s, t=5, explore=False, rng=stream(2, "b"))
+        a1 = agent.act(s, None, t=5, explore=False, rng=stream(1, "a"))
+        a2 = agent.act(s, None, t=5, explore=False, rng=stream(2, "b"))
         np.testing.assert_array_equal(a1.vec, a2.vec)
 
     def test_explore_adds_scheduled_noise(self, rng):
         agent = Td3Agent(1, small_hyper(), rng)
         s = make_state(1)
         t = 40
-        got = agent.select_action(s, t=t, explore=True, rng=stream(9, "n"))
+        got = agent.act(s, None, t=t, explore=True, rng=stream(9, "n"))
         u, _ = agent.actor.forward(s.vec)
         sigma = exploration_sigma(agent.hyper, t)
         expect = np.clip(u + sigma * stream(9, "n").standard_normal(2), -1, 1)
@@ -133,21 +132,21 @@ class TestSelectAction:
 
     def test_warmup_actions_are_uniform_draws(self, rng):
         agent = Td3Agent(1, small_hyper(warmup_transitions=10), rng)
-        got = agent.select_action(make_state(1), t=3, explore=True, rng=stream(4, "w"))
+        got = agent.act(make_state(1), None, t=3, explore=True, rng=stream(4, "w"))
         expect = action_from_unit(stream(4, "w").uniform(-1, 1, 2))
         np.testing.assert_array_equal(got.vec, expect.vec)
 
     def test_warmup_ignored_when_greedy(self, rng):
         agent = Td3Agent(1, small_hyper(warmup_transitions=10), rng)
         s = make_state(1)
-        a1 = agent.select_action(s, t=0, explore=False, rng=stream(1, "x"))
-        a2 = agent.select_action(s, t=0, explore=False, rng=stream(2, "y"))
+        a1 = agent.act(s, None, t=0, explore=False, rng=stream(1, "x"))
+        a2 = agent.act(s, None, t=0, explore=False, rng=stream(2, "y"))
         np.testing.assert_array_equal(a1.vec, a2.vec)
 
     def test_explored_action_stays_in_box(self, rng):
         agent = Td3Agent(2, small_hyper(sigma_init=5.0), rng)
         for t in range(30):
-            act = agent.select_action(make_state(2), t=t, explore=True, rng=rng)
+            act = agent.act(make_state(2), None, t=t, explore=True, rng=rng)
             assert np.all(act.cpu_alloc >= 0.1) and np.all(act.cpu_alloc <= 2.0)
             assert np.all(act.mem_alloc >= 64.0) and np.all(act.mem_alloc <= 2048.0)
 
@@ -210,7 +209,7 @@ class TestTrainStep:
         agent = Td3Agent(1, small_hyper(batch_size=8), rng)
         buf = fill_buffer(count=8)  # size == batch_size: still skipped
         before = snapshot(agent.actor) + snapshot(agent.critics[0])
-        stats = agent.train_step(buf, rng)
+        stats = agent.learn(buf, rng)
         assert stats.skipped
         after = snapshot(agent.actor) + snapshot(agent.critics[0])
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -218,10 +217,10 @@ class TestTrainStep:
     def test_actor_delayed_by_policy_freq(self, rng):
         agent = Td3Agent(1, small_hyper(), rng)
         buf = fill_buffer(count=32)
-        s1 = agent.train_step(buf, rng)
+        s1 = agent.learn(buf, rng)
         assert not s1.actor_updated and not s1.targets_updated
         assert s1.actor_loss is None and len(s1.critic_losses) == 2
-        s2 = agent.train_step(buf, rng)
+        s2 = agent.learn(buf, rng)
         assert s2.actor_updated and s2.targets_updated
         assert s2.actor_loss is not None
         assert agent.critic_update_count == 2
@@ -231,7 +230,7 @@ class TestTrainStep:
         agent = Td3Agent(1, small_hyper(), rng)
         buf = fill_buffer(count=32)
         for _ in range(101):
-            agent.train_step(buf, rng)
+            agent.learn(buf, rng)
         assert agent.critic_update_count == 101
         assert agent.actor_update_count == 101 // agent.hyper.policy_freq == 50
 
@@ -240,7 +239,7 @@ class TestTrainStep:
         buf = fill_buffer(count=32)
         actor_before = snapshot(agent.actor)
         tgt_before = snapshot(agent.target_critics[0])
-        agent.train_step(buf, rng)  # count=1, not a policy step
+        agent.learn(buf, rng)  # count=1, not a policy step
         assert params_equal(agent.actor, actor_before)
         assert params_equal(agent.target_actor, actor_before)
         assert params_equal(agent.target_critics[0], tgt_before)
@@ -249,16 +248,16 @@ class TestTrainStep:
         agent = Td3Agent(1, small_hyper(), rng)
         buf = fill_buffer(count=32)
         c_before = snapshot(agent.critics[0])
-        agent.train_step(buf, rng)
+        agent.learn(buf, rng)
         assert not params_equal(agent.critics[0], c_before)
 
     def test_soft_update_blends_with_tau(self, rng):
         agent = Td3Agent(1, small_hyper(tau=0.25), rng)
         buf = fill_buffer(count=32)
-        agent.train_step(buf, rng)
+        agent.learn(buf, rng)
         old_targets = [snapshot(agent.target_actor)] + [
             snapshot(tc) for tc in agent.target_critics]
-        agent.train_step(buf, rng)  # policy step: soft updates fire
+        agent.learn(buf, rng)  # policy step: soft updates fire
         nets = [(agent.target_actor, agent.actor)] + list(
             zip(agent.target_critics, agent.critics))
         for (tgt, main), old in zip(nets, old_targets):
@@ -282,7 +281,7 @@ class TestTrainStep:
         buf = fill_buffer(count=32)
         agent.critics[0].params()[0][:] = 1e200
         with pytest.raises(ValidationError, match="non-finite"):
-            agent.train_step(buf, rng)
+            agent.learn(buf, rng)
 
     def test_bandit_fixed_point(self):
         # single (s, a, r=1, done) tuple: Eq. target collapses to y = 1,
@@ -293,9 +292,9 @@ class TestTrainStep:
         a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
         buf = ReplayBuffer(64)
         for _ in range(32):
-            buf.add(Transition(state=s, action=a, reward=1.0, next_state=s, done=True))
+            buf.add(s.vec, a.vec, 1.0, s.vec, True)
         for _ in range(2000):
-            agent.train_step(buf, rng)
+            agent.learn(buf, rng)
         sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])
         for critic in agent.critics:
             q, _ = critic.forward(sa)
@@ -316,7 +315,7 @@ class TestDdpg:
         agent = DdpgAgent(1, small_hyper(), rng)
         buf = fill_buffer(count=32)
         for k in range(3):
-            stats = agent.train_step(buf, rng)
+            stats = agent.learn(buf, rng)
             assert stats.actor_updated and stats.targets_updated
         assert agent.actor_update_count == 3
 
@@ -429,8 +428,8 @@ class TestBaseK:
                                mem_alloc=np.array([448.0, 320.0]))
         sched = BaseKScheduler(initial)
         for latency in (10.0, 500.0, 999.0):
-            out = sched.decide(make_raw(2, latency=latency,
-                                        cpu_used=latency / 1000))
+            out = sched.act(None, make_raw(2, latency=latency, cpu_used=latency / 1000),
+                            t=0, explore=False, rng=None)
             np.testing.assert_array_equal(out.vec, initial.vec)
 
     def test_threshold_scales_up_under_pressure(self):
@@ -438,7 +437,7 @@ class TestBaseK:
                                mode="threshold")
         raw = make_raw(1, cpu_used=0.9, cpu_alloc=1.0, mem_used=512.0,
                        mem_alloc=1024.0)
-        out = sched.decide(raw)
+        out = sched.act(None, raw, t=0, explore=False, rng=None)
         assert out.cpu_alloc[0] == pytest.approx(1.2)
         assert out.mem_alloc[0] == pytest.approx(1024.0)  # util 0.5: in band
 
@@ -447,7 +446,7 @@ class TestBaseK:
                                mode="threshold")
         raw = make_raw(1, cpu_used=0.2, cpu_alloc=1.0, mem_used=200.0,
                        mem_alloc=1024.0)
-        out = sched.decide(raw)
+        out = sched.act(None, raw, t=0, explore=False, rng=None)
         assert out.cpu_alloc[0] == pytest.approx(0.8)
         assert out.mem_alloc[0] == pytest.approx(1024.0 * 0.8)
 
@@ -455,7 +454,8 @@ class TestBaseK:
         sched = BaseKScheduler(ActionVector(np.array([1.0]), np.array([1024.0])),
                                mode="threshold")
         raw = make_raw(1, cpu_used=1.71, cpu_alloc=1.9)
-        out = sched.decide(raw)  # 1.9 * 1.2 = 2.28 exceeds the 2.0 cap
+        # 1.9 * 1.2 = 2.28 exceeds the 2.0 cap
+        out = sched.act(None, raw, t=0, explore=False, rng=None)
         assert out.cpu_alloc[0] == pytest.approx(2.0)
 
     def test_never_learns(self, rng):
@@ -499,8 +499,8 @@ class TestBuildAndPersist:
         twin = Td3Agent(2, small_hyper(), stream(99, "other"))
         twin.load_policy(load_mlp(path))
         s = make_state(2, fill=0.37)
-        a1 = agent.select_action(s, t=0, explore=False, rng=rng)
-        a2 = twin.select_action(s, t=0, explore=False, rng=rng)
+        a1 = agent.act(s, None, t=0, explore=False, rng=rng)
+        a2 = twin.act(s, None, t=0, explore=False, rng=rng)
         np.testing.assert_array_equal(a1.vec, a2.vec)
         # targets follow the loaded policy
         assert params_equal(twin.target_actor, snapshot(twin.actor))

@@ -77,6 +77,17 @@ class TestTrain:
         assert stderr.startswith("error: ")
         assert "episodez" in stderr
 
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"reward": {"alpha": NaN}}', encoding="utf-8")
+        out = tmp_path / "run"
+        code, _, stderr = run_cli(
+            ["train", "--config", bad, "--algo", "basek", "--out", out], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert "reward.alpha" in stderr
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["train", "--config", tmp_path / "none.json", "--algo", "td3"], capsys)

@@ -92,6 +92,7 @@ class TestRejection:
         ({"reward": {"alpha": 0.5, "delta": 0.1}}, "delta"),
         ({"td3": {"learning_rate": 0.001}}, "learning_rate"),
         ({"dqn": {"eps": 0.1}}, "eps"),
+        ({"sim": {"seed": 3}}, "seed"),
     ])
     def test_unknown_keys_fail_loudly(self, tmp_path, doc, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -136,6 +137,18 @@ class TestRejection:
     def test_bad_values_rejected(self, tmp_path, doc):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, doc))
+
+    @pytest.mark.parametrize("doc,where", [
+        ({"reward": {"alpha": float("nan")}}, "reward.alpha"),
+        ({"td3": {"actor_lr": float("inf")}}, "td3.actor_lr"),
+        ({"sim": {"l_target": float("inf")}}, "sim.l_target"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, doc, where):
+        # json writes and reads NaN / Infinity, so only the loader can stop them
+        path = write_cfg(tmp_path, doc)
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match=rf"{where}: expected a finite number"):
+            load_config(path)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgesched.agents import batch_units_from_domain
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ActionVector, DimensionError,
                               NormalizationConfig, RawMetrics, StateVector, Transition,
                               ValidationError, action_from_unit,
                               default_nodes, default_services,
-                              normalize_state, unit_from_action)
+                              normalize_state)
 from tests.conftest import make_raw
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -110,7 +111,7 @@ class TestActionBox:
 
     def test_inverse_anchors(self):
         a = ActionVector(cpu_alloc=[1.05, 2.0], mem_alloc=[1056.0, 2048.0])
-        u = unit_from_action(a)
+        u = batch_units_from_domain(a.vec)
         assert u[0] == pytest.approx(0.0, abs=1e-12)
         assert u[1] == pytest.approx(1.0)
         assert u[2] == pytest.approx(0.0, abs=1e-12)
@@ -121,7 +122,7 @@ class TestActionBox:
             cpu = rng.uniform(CPU_MIN, CPU_MAX, 3)
             mem = rng.uniform(MEM_MIN, MEM_MAX, 3)
             a = ActionVector(cpu_alloc=cpu, mem_alloc=mem)
-            b = action_from_unit(unit_from_action(a))
+            b = action_from_unit(batch_units_from_domain(a.vec))
             np.testing.assert_allclose(b.cpu_alloc, cpu, atol=1e-9)
             np.testing.assert_allclose(b.mem_alloc, mem, atol=1e-9)
 

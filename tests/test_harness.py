@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from edgesched import harness
 from edgesched.agents import DqnHyper, Td3Agent, Td3Hyper
 from edgesched.configio import ExperimentConfig, config_hash
 from edgesched.domain import ValidationError
@@ -155,6 +156,23 @@ class TestTraining:
         lines = (tmp_path / "metrics_seed0.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         assert not (tmp_path / "params_seed0.bin").exists()
+
+    def test_failed_params_write_replaces_complete_manifest(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        manifest = tmp_path / "manifest_seed0.json"
+        train_one_seed(cfg, 0, tmp_path)
+        assert json.loads(manifest.read_text())["status"] == "complete"
+
+        def full_disk(net, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(harness, "save_mlp", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            train_one_seed(cfg, 0, tmp_path)
+        doc = json.loads(manifest.read_text())
+        assert doc["status"] == "aborted"
+        assert doc["error"] == "OSError: [Errno 28] No space left on device"
+        assert doc["counters"]["env_steps"] == cfg.episodes * cfg.steps_per_episode
 
     @pytest.mark.parametrize("algo", ["ddpg", "dqn"])
     def test_other_learners_complete(self, tmp_path, algo):

@@ -5,7 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from edgesched.domain import (ActionVector, DimensionError, NormalizationConfig, Transition,
+from edgesched.domain import (ActionVector, DimensionError, NormalizationConfig,
                               ValidationError, normalize_state)
 from edgesched.replay import ReplayBuffer, TransitionBatch
 from edgesched.rng import stream
@@ -13,9 +13,10 @@ from tests.conftest import make_raw
 
 
 def transition(reward, n=1, done=False):
-    s = normalize_state(make_raw(n=n), NormalizationConfig())
-    a = ActionVector(cpu_alloc=np.full(n, 1.0), mem_alloc=np.full(n, 512.0))
-    return Transition(state=s, action=a, reward=reward, next_state=s, done=done)
+    """The five add() arguments of one (s, a, r, s', done) row."""
+    s = normalize_state(make_raw(n=n), NormalizationConfig()).vec
+    a = ActionVector(cpu_alloc=np.full(n, 1.0), mem_alloc=np.full(n, 512.0)).vec
+    return s, a, reward, s, done
 
 
 class TestPush:
@@ -23,13 +24,13 @@ class TestPush:
         buf = ReplayBuffer(capacity=3)
         assert len(buf) == 0
         for i in range(3):
-            buf.add(transition(float(i)))
+            buf.add(*transition(float(i)))
             assert len(buf) == i + 1
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(capacity=3)
         for i in range(5):
-            buf.add(transition(float(i)))
+            buf.add(*transition(float(i)))
         assert len(buf) == 3
         rng = stream(0, "drain")
         seen = set()
@@ -41,22 +42,24 @@ class TestPush:
 
     def test_eviction_order_strict(self):
         buf = ReplayBuffer(capacity=2)
-        buf.add(transition(0.0))
-        buf.add(transition(1.0))
-        buf.add(transition(2.0))
+        buf.add(*transition(0.0))
+        buf.add(*transition(1.0))
+        buf.add(*transition(2.0))
         # 200 draws from 2 rows miss one with probability 2 * 2**-200
         rewards = set(buf.sample(200, stream(5, "strict")).rewards.tolist())
         assert rewards == {1.0, 2.0}
 
     def test_mismatched_widths_rejected(self):
         buf = ReplayBuffer(capacity=4)
-        buf.add(transition(0.0, n=2))
+        buf.add(*transition(0.0, n=2))
         with pytest.raises(DimensionError):
-            buf.add(transition(1.0, n=1))
-        s = transition(0.0, n=2).state
-        narrow = ActionVector(cpu_alloc=np.ones(1), mem_alloc=np.full(1, 512.0))
+            buf.add(*transition(1.0, n=1))
+        s, a, _, _, _ = transition(0.0, n=2)
+        narrow = ActionVector(cpu_alloc=np.ones(1), mem_alloc=np.full(1, 512.0)).vec
         with pytest.raises(DimensionError):
-            buf.add(Transition(state=s, action=narrow, reward=0.0, next_state=s, done=False))
+            buf.add(s, narrow, 0.0, s, False)
+        with pytest.raises(DimensionError):
+            buf.add(s, a, 0.0, transition(0.0, n=1)[0], False)
         assert len(buf) == 1
 
     def test_capacity_validated(self):
@@ -67,7 +70,7 @@ class TestPush:
 class TestSample:
     def test_forced_choice(self):
         buf = ReplayBuffer(capacity=4)
-        buf.add(transition(7.0))
+        buf.add(*transition(7.0))
         batch = buf.sample(1, stream(1, "s"))
         assert isinstance(batch, TransitionBatch)
         assert batch.rewards[0] == 7.0
@@ -76,7 +79,7 @@ class TestSample:
     def test_batch_shapes(self):
         buf = ReplayBuffer(capacity=8)
         for i in range(8):
-            buf.add(transition(float(i), n=2))
+            buf.add(*transition(float(i), n=2))
         batch = buf.sample(5, stream(2, "s"))
         assert batch.states.shape == (5, 8)
         assert batch.actions.shape == (5, 4)
@@ -91,14 +94,14 @@ class TestSample:
 
     def test_bad_batch_size_rejected(self):
         buf = ReplayBuffer(capacity=4)
-        buf.add(transition(0.0))
+        buf.add(*transition(0.0))
         with pytest.raises(ValidationError):
             buf.sample(0, stream(4, "s"))
 
     def test_deterministic_given_rng(self):
         buf = ReplayBuffer(capacity=16)
         for i in range(16):
-            buf.add(transition(float(i)))
+            buf.add(*transition(float(i)))
         a = buf.sample(8, stream(9, "s")).rewards
         b = buf.sample(8, stream(9, "s")).rewards
         np.testing.assert_array_equal(a, b)
@@ -107,7 +110,7 @@ class TestSample:
         # 10000 single draws from 4 items: binomial(10000, 1/4)
         buf = ReplayBuffer(capacity=4)
         for i in range(4):
-            buf.add(transition(float(i)))
+            buf.add(*transition(float(i)))
         rng = stream(11, "freq")
         counts = np.zeros(4)
         draws = 10000
@@ -121,14 +124,14 @@ class TestSample:
         # batch larger than buffer is legal precisely because sampling
         # replaces; all entries come from storage
         buf = ReplayBuffer(capacity=2)
-        buf.add(transition(0.0))
-        buf.add(transition(1.0))
+        buf.add(*transition(0.0))
+        buf.add(*transition(1.0))
         batch = buf.sample(10, stream(12, "s"))
         assert set(batch.rewards.tolist()) <= {0.0, 1.0}
 
 
 class DequeReference:
-    """The deque-of-Transition buffer the columnar ring replaced, as the oracle."""
+    """The deque-of-transitions buffer the columnar ring replaced, as the oracle."""
 
     def __init__(self, capacity):
         self.store = deque(maxlen=capacity)
@@ -140,11 +143,11 @@ class DequeReference:
         idx = rng.integers(0, len(self.store), size=batch_size)
         rows = [self.store[i] for i in idx]
         return TransitionBatch(
-            states=np.stack([t.state.vec for t in rows]),
-            actions=np.stack([t.action.vec for t in rows]),
-            rewards=np.array([t.reward for t in rows], dtype=np.float64),
-            next_states=np.stack([t.next_state.vec for t in rows]),
-            dones=np.array([1.0 if t.done else 0.0 for t in rows]),
+            states=np.stack([s for s, _, _, _, _ in rows]),
+            actions=np.stack([a for _, a, _, _, _ in rows]),
+            rewards=np.array([r for _, _, r, _, _ in rows], dtype=np.float64),
+            next_states=np.stack([s2 for _, _, _, s2, _ in rows]),
+            dones=np.array([1.0 if d else 0.0 for _, _, _, _, d in rows]),
         )
 
 
@@ -152,11 +155,11 @@ def random_transition(rng, n=2):
     norm = NormalizationConfig()
     raw = lambda: make_raw(n=n, latency=rng.uniform(1, 500), cpu_used=rng.uniform(0, 1),
                            mem_used=rng.uniform(0, 1024), qps=rng.uniform(0, 300))
-    return Transition(state=normalize_state(raw(), norm),
-                      action=ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, n),
-                                          mem_alloc=rng.uniform(64, 2048, n)),
-                      reward=float(rng.normal()), next_state=normalize_state(raw(), norm),
-                      done=bool(rng.random() < 0.1))
+    return (normalize_state(raw(), norm).vec,
+            ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, n),
+                         mem_alloc=rng.uniform(64, 2048, n)).vec,
+            float(rng.normal()), normalize_state(raw(), norm).vec,
+            bool(rng.random() < 0.1))
 
 
 @pytest.mark.parametrize("capacity", [3, 7, 1024, 1500])
@@ -168,7 +171,7 @@ def test_sample_bytes_match_deque_reference(capacity):
     compared = 0
     for i in range(2 * capacity + 5):
         t = random_transition(data_rng)
-        buf.add(t)
+        buf.add(*t)
         ref.add(t)
         assert len(buf) == len(ref.store)
         if i % 5 == 4 or i == 2 * capacity + 4:

@@ -48,13 +48,13 @@ class TestComponents:
 
     def test_waste_idle_fractions(self):
         a = make_action(n=2, cpu=1.0, mem=1024.0)
-        r = resource_waste(a, cpu_used=[0.5, 0.8], mem_used=[512.0, 512.0])
+        r = resource_waste(a.cpu_alloc, a.mem_alloc, cpu_used=[0.5, 0.8], mem_used=[512.0, 512.0])
         assert r == pytest.approx(-(0.5 + 0.5 + 0.2 + 0.5))
 
     def test_waste_clamped_when_demand_exceeds_alloc(self):
         a = make_action(n=1, cpu=1.0, mem=1024.0)
         # overuse is a latency problem, not negative waste
-        r = resource_waste(a, cpu_used=[5.0], mem_used=[4096.0])
+        r = resource_waste(a.cpu_alloc, a.mem_alloc, cpu_used=[5.0], mem_used=[4096.0])
         assert r == 0.0
 
     def test_slo_count_ties_satisfy(self):
@@ -73,6 +73,11 @@ class TestComponents:
     def test_weights_validated(self):
         with pytest.raises(ValidationError):
             RewardWeights(alpha=-0.1)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_weights_must_be_finite(self, weight):
+        with pytest.raises(ValidationError, match="finite"):
+            RewardWeights(lam=weight)
 
 
 class TestTotalReward:

@@ -41,7 +41,7 @@ class TestReset:
     def test_installs_initial_requests(self):
         cfg = SimConfig(latency=quiet())
         sim = ClusterSim(cfg, constant_source(100.0, cfg.n_services))
-        state, obs = sim.reset(seed=0)
+        state, obs, _ = sim.reset(seed=0)
         assert state.step == 0
         expected = cfg.initial_action()
         np.testing.assert_allclose(state.alloc.cpu_alloc, expected.cpu_alloc)
@@ -52,7 +52,7 @@ class TestReset:
     def test_zero_rate_latency_at_floor(self):
         cfg = SimConfig(latency=quiet())
         sim = ClusterSim(cfg, constant_source(0.0, cfg.n_services))
-        state, _ = sim.reset(seed=3)
+        state, _, _ = sim.reset(seed=3)
         np.testing.assert_allclose(state.cpu_used, 0.0)
         floors = np.array([20.0 + n.base_network_latency
                            for n in cfg.nodes])[[s.home_node for s in cfg.services]]
@@ -63,8 +63,8 @@ class TestReset:
         wl = constant_source(100.0, cfg.n_services)
         a = ClusterSim(cfg, wl)
         b = ClusterSim(cfg, wl)
-        sa, oa = a.reset(seed=11)
-        sb, ob = b.reset(seed=11)
+        sa, oa, _ = a.reset(seed=11)
+        sb, ob, _ = b.reset(seed=11)
         np.testing.assert_array_equal(sa.latency, sb.latency)
         np.testing.assert_array_equal(oa.vec, ob.vec)
 
@@ -206,7 +206,7 @@ class TestEpisodeProtocol:
     def test_prev_alloc_tracks_requests(self):
         cfg = one_service_config()
         sim = ClusterSim(cfg, constant_source(10.0, 1))
-        state0, _ = sim.reset(seed=0)
+        state0, _, _ = sim.reset(seed=0)
         a1 = ActionVector(cpu_alloc=[1.7], mem_alloc=[900.0])
         state1, _, _, _ = sim.step(a1)
         np.testing.assert_allclose(state1.prev_alloc.vec, state0.alloc.vec)
