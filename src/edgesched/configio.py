@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -132,7 +132,7 @@ def _expect(doc: dict, key: str, kinds, section: str, default):
     if kinds is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:  # NaN, inf or an int beyond float range
             raise ConfigError(f"{section}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if kinds is int:

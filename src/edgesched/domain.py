@@ -1,12 +1,16 @@
 """Cluster, service, state, and action vocabulary.
 
-All types are immutable value objects. RawMetrics, StateVector and
-ActionVector keep their per-service vectors as read-only rows of one
-float64 block, copied from the inputs and validated in one pass.
+All types are immutable value objects. Values are validated at the edges
+where they enter: the specs here, SimConfig and ClusterSim.step.
+RawMetrics, StateVector and ActionVector are built in the step loop from
+checked values, so they only stack their per-service vectors into one
+read-only float64 block (StateVector clipped to [0, 1], ActionVector to
+the allocation box) and expose the fields as its rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,7 @@ __all__ = [
     "MEM_MAX",
     "ValidationError",
     "DimensionError",
+    "require_finite",
     "NodeSpec",
     "ServiceSpec",
     "NormalizationConfig",
@@ -45,45 +50,29 @@ class DimensionError(ValidationError):
     """Raised when a vector has the wrong length for its context."""
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
+def require_finite(owner: str, **values: float) -> None:
+    """Raise ValidationError naming the first of values that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{owner}: {name} must be finite, got {value!r}")
 
 
-def _stack_rows(obj, nonneg: bool = False) -> np.ndarray | None:
-    """The dataclass fields as rows of a new finite (nonneg: and >= 0) block, else None."""
+def _freeze_rows(obj, lo=None, hi=None) -> None:
+    """Stack the dataclass fields into one new float64 block, clip it to
+    [lo, hi] when given, and make each field a read-only row view of it."""
+    names = obj.__dataclass_fields__
     try:
-        block = np.array([getattr(obj, name) for name in obj.__dataclass_fields__],
-                         dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if block.ndim != 2 or not np.isfinite(block).all() or (nonneg and (block < 0).any()):
-        return None
-    return block
-
-
-def _explain_rows(obj, nonneg: bool = False) -> None:
-    """Raise for the first field, in field order, that failed _stack_rows."""
-    n = None
-    for name in obj.__dataclass_fields__:
-        arr = _as_float_array(getattr(obj, name), name)
-        if nonneg and np.any(arr < 0):
-            raise ValidationError(f"{name} contains negative values")
-        if n is None:
-            n = arr.size
-        elif arr.size != n:
-            raise DimensionError(f"{name} has length {arr.size}, expected {n}")
-
-
-def _freeze_rows(obj, block: np.ndarray) -> None:
-    """Make block read-only and each dataclass field a row view of it."""
+        block = np.array([getattr(obj, name) for name in names], dtype=np.float64)
+    except ValueError:  # ragged rows or non-numeric values
+        block = None
+    if block is None or block.ndim != 2:
+        raise DimensionError(
+            f"{type(obj).__name__} fields must be numeric 1-D vectors of one length")
+    if lo is not None:
+        np.clip(block, lo, hi, out=block)
     block.setflags(write=False)
     object.__setattr__(obj, "_block", block)
-    for name, row in zip(obj.__dataclass_fields__, block):
+    for name, row in zip(names, block):
         object.__setattr__(obj, name, row)
 
 
@@ -100,8 +89,12 @@ class NodeSpec:
     def __post_init__(self):
         if self.tier not in ("edge", "cloud"):
             raise ValidationError(f"unknown node tier {self.tier!r}")
-        if self.cpu_capacity <= 0 or self.mem_capacity <= 0:
-            raise ValidationError(f"node {self.node_id}: capacities must be positive")
+        require_finite(f"node {self.node_id}", cpu_capacity=self.cpu_capacity,
+                       mem_capacity=self.mem_capacity,
+                       base_network_latency=self.base_network_latency)
+        if self.cpu_capacity <= 0 or self.mem_capacity <= 0 or self.base_network_latency < 0:
+            raise ValidationError(
+                f"node {self.node_id}: capacities must be positive and latency >= 0")
 
 
 # Defaults per tier: (cpu cores, mem MB, network ms).
@@ -150,6 +143,8 @@ class ServiceSpec:
             raise ValidationError(
                 f"service {self.name}: initial_mem_request {self.initial_mem_request} "
                 f"outside [{MEM_MIN}, {MEM_MAX}]")
+        require_finite(f"service {self.name}", cpu_cost_per_request=self.cpu_cost_per_request,
+                       mem_floor=self.mem_floor, mem_per_qps=self.mem_per_qps)
         if self.cpu_cost_per_request < 0 or self.mem_floor < 0 or self.mem_per_qps < 0:
             raise ValidationError(f"service {self.name}: demand parameters must be >= 0")
 
@@ -209,6 +204,7 @@ class NormalizationConfig:
     q_max: float = 400.0
 
     def __post_init__(self):
+        require_finite("normalization", **vars(self))
         if self.l_max <= 0 or self.q_max <= 0:
             raise ValidationError("normalization divisors must be positive")
 
@@ -225,12 +221,7 @@ class RawMetrics:
     qps: np.ndarray
 
     def __post_init__(self):
-        block = _stack_rows(self, nonneg=True)
-        if block is None:
-            _explain_rows(self, nonneg=True)
-        if (block[1:4:2] <= 0).any():  # the cpu_alloc and mem_alloc rows
-            raise ValidationError("allocations must be strictly positive")
-        _freeze_rows(self, block)
+        _freeze_rows(self)
 
     @property
     def n_services(self) -> int:
@@ -247,10 +238,7 @@ class StateVector:
     qps_norm: np.ndarray
 
     def __post_init__(self):
-        block = _stack_rows(self)
-        if block is None:
-            _explain_rows(self)
-        _freeze_rows(self, np.clip(block, 0.0, 1.0, out=block))
+        _freeze_rows(self, 0.0, 1.0)
 
     @property
     def n_services(self) -> int:
@@ -270,14 +258,7 @@ class ActionVector:
     mem_alloc: np.ndarray  # MB in [MEM_MIN, MEM_MAX]
 
     def __post_init__(self):
-        block = _stack_rows(self)
-        if block is None:
-            cpu = _as_float_array(self.cpu_alloc, "cpu_alloc")
-            mem = _as_float_array(self.mem_alloc, "mem_alloc")
-            # both are finite 1-D vectors, so only their lengths can differ
-            raise DimensionError(
-                f"cpu_alloc has length {cpu.size} but mem_alloc has length {mem.size}")
-        _freeze_rows(self, np.clip(block, _BOX_LO, _BOX_HI, out=block))
+        _freeze_rows(self, _BOX_LO, _BOX_HI)
 
     @property
     def n_services(self) -> int:
@@ -313,10 +294,10 @@ class Transition:
 def normalize_state(raw: RawMetrics, norm: NormalizationConfig) -> StateVector:
     """Map raw per-service metrics into the clamped [0, 1] state blocks."""
     return StateVector(
-        cpu_util=np.clip(raw.cpu_used / raw.cpu_alloc, 0.0, 1.0),
-        mem_util=np.clip(raw.mem_used / raw.mem_alloc, 0.0, 1.0),
-        latency_norm=np.clip(raw.latency_ms / norm.l_max, 0.0, 1.0),
-        qps_norm=np.clip(raw.qps / norm.q_max, 0.0, 1.0),
+        cpu_util=raw.cpu_used / raw.cpu_alloc,
+        mem_util=raw.mem_used / raw.mem_alloc,
+        latency_norm=raw.latency_ms / norm.l_max,
+        qps_norm=raw.qps / norm.q_max,
     )
 
 
@@ -326,9 +307,10 @@ def action_from_unit(u) -> ActionVector:
     Values numerically outside [-1, 1] are clamped first, mirroring a
     tanh-bounded policy head.
     """
-    u = _as_float_array(u, "unit action")
-    if u.size % 2 != 0 or u.size == 0:
-        raise DimensionError(f"unit action length must be even and positive, got {u.size}")
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim != 1 or u.size % 2 != 0 or u.size == 0:
+        raise DimensionError(f"unit action must be a 1-D vector of even positive length, "
+                             f"got shape {u.shape}")
     n = u.size // 2
     u = np.clip(u, -1.0, 1.0)
     half = (u + 1.0) / 2.0

@@ -88,9 +88,13 @@ def load_metrics(path: str | Path) -> list[EpisodeRow]:
         if header != METRICS_HEADER:
             raise ValidationError(f"{path}: unexpected metrics header {header}")
         for line in reader:
-            if len(line) != len(METRICS_HEADER):
-                raise ValidationError(f"{path}: malformed row {line}")
-            rows.append(EpisodeRow(int(line[0]), int(line[1]), *map(float, line[2:])))
+            try:
+                if len(line) != len(METRICS_HEADER):
+                    raise ValueError(f"expected {len(METRICS_HEADER)} cells")
+                rows.append(EpisodeRow(int(line[0]), int(line[1]), *map(float, line[2:])))
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: malformed row {line} ({exc})") from exc
     return rows
 
 
@@ -286,6 +290,9 @@ def load_run(run_dir: str | Path) -> RunSummary:
         doc = json.loads(mpath.read_text(encoding="utf-8"))
         if doc.get("status") != "complete":
             raise ValidationError(f"{mpath}: run not complete (status {doc.get('status')!r})")
+        missing = [key for key in ("algorithm", "scenario", "seed") if key not in doc]
+        if missing:
+            raise ValidationError(f"{mpath}: manifest lacks {missing}")
         if algorithm is None:
             algorithm, scenario = doc["algorithm"], doc["scenario"]
         elif (doc["algorithm"], doc["scenario"]) != (algorithm, scenario):

@@ -27,6 +27,7 @@ from .domain import (
     default_nodes,
     default_services,
     normalize_state,
+    require_finite,
 )
 from .rng import stream
 from .workload import WorkloadSource, qps_at
@@ -54,6 +55,7 @@ class LatencyModel:
     jitter_sigma: float = 0.02  # multiplicative measurement noise, 0 disables
 
     def __post_init__(self):
+        require_finite("latency", **vars(self))
         if self.base_service_ms <= 0:
             raise ValidationError("base_service_ms must be positive")
         if self.saturation_cap_ms < self.base_service_ms:
@@ -80,6 +82,7 @@ class SimConfig:
             raise ValidationError("need at least one service and one node")
         if self.episode_len < 1:
             raise ValidationError(f"episode_len must be >= 1, got {self.episode_len}")
+        require_finite("sim", l_target=self.l_target)
         if self.l_target <= 0:
             raise ValidationError("l_target must be positive")
         node_ids = {n.node_id for n in self.nodes}
@@ -219,6 +222,8 @@ class ClusterSim:
             raise DimensionError(
                 f"action covers {action.n_services} services, "
                 f"config has {self.config.n_services}")
+        if not np.isfinite(action.vec).all():
+            raise ValidationError("action contains non-finite values")
         new_step = self.state.step + 1
         prev = self.state.alloc
         self.state, raw = self._window(new_step, action, prev)

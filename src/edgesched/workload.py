@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import ValidationError
+from .domain import ValidationError, require_finite
 
 __all__ = [
     "TraceRecord",
@@ -64,6 +64,8 @@ def _check_weights(weights: np.ndarray, n_services: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.size != n_services:
         raise ValidationError(f"weight vector length {w.size} != n_services {n_services}")
+    if not np.isfinite(w).all():
+        raise ValidationError("per-service weights must be finite")
     if np.any(w < 0):
         raise ValidationError("per-service weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
@@ -92,6 +94,7 @@ class WorkloadSource:
 
 
 def constant_source(rate: float, n_services: int, weights=None) -> WorkloadSource:
+    require_finite("constant source", rate=rate)
     if rate < 0:
         raise ValidationError("constant rate must be >= 0")
     w = uniform_weights(n_services) if weights is None else weights
@@ -100,6 +103,7 @@ def constant_source(rate: float, n_services: int, weights=None) -> WorkloadSourc
 
 def sinusoidal_source(mean: float, amplitude: float, period_steps: int,
                       n_services: int, weights=None) -> WorkloadSource:
+    require_finite("sinusoidal source", mean=mean, amplitude=amplitude)
     if period_steps < 1:
         raise ValidationError("period_steps must be >= 1")
     w = uniform_weights(n_services) if weights is None else weights
@@ -109,6 +113,7 @@ def sinusoidal_source(mean: float, amplitude: float, period_steps: int,
 
 def burst_source(base_rate: float, burst_rate: float, burst_start: int,
                  burst_len: int, n_services: int, weights=None) -> WorkloadSource:
+    require_finite("burst source", base_rate=base_rate, burst_rate=burst_rate)
     if base_rate < 0 or burst_rate < 0:
         raise ValidationError("rates must be >= 0")
     if burst_start < 0 or burst_len < 0:

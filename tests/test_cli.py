@@ -88,6 +88,15 @@ class TestTrain:
         assert "reward.alpha" in stderr
         assert not out.exists()
 
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"sim": {"l_target": 1' + "0" * 400 + "}}", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["train", "--config", bad, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        assert code == 2
+        assert stderr.startswith("error: sim.l_target: expected a finite number")
+        assert stderr.count("\n") == 1
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["train", "--config", tmp_path / "none.json", "--algo", "td3"], capsys)
@@ -165,6 +174,33 @@ class TestCompare:
         assert lines[0] == "run,algorithm,metric,episode,mean"
         assert len(lines) > 1
 
+    def _two_basek_runs(self, smoke_cfg, tmp_path, capsys):
+        runs = tmp_path / "a", tmp_path / "b"
+        for run in runs:
+            run_cli(["train", "--config", smoke_cfg, "--algo", "basek", "--out", run], capsys)
+        return runs
+
+    def test_non_numeric_metrics_cell_exits_2(self, smoke_cfg, tmp_path, capsys):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        metrics = a / "metrics_seed0.csv"
+        lines = metrics.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace(",", ",x", 1)
+        metrics.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {metrics}:3: malformed row")
+        assert stderr.count("\n") == 1
+
+    def test_manifest_without_algorithm_exits_2(self, smoke_cfg, tmp_path, capsys):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        manifest = b / "manifest_seed0.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        del doc["algorithm"]
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stderr == f"error: {manifest}: manifest lacks ['algorithm']\n"
+
     def test_compare_single_run_exits_2(self, smoke_cfg, tmp_path, capsys):
         a = tmp_path / "a"
         run_cli(["train", "--config", smoke_cfg, "--algo", "basek", "--out", a], capsys)
@@ -221,6 +257,19 @@ class TestGenTrace:
              "--steps", 0], capsys)
         assert code == 2
         assert stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--kind", "constant", "--rate", "nan"], "rate"),
+        (["--kind", "burst", "--burst-rate", "inf"], "burst_rate"),
+        (["--kind", "sinusoidal", "--amplitude", "nan"], "amplitude"),
+    ], ids=["constant-rate-nan", "burst-rate-inf", "sinusoidal-amplitude-nan"])
+    def test_non_finite_rate_exits_2(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(["gen-trace", "--out", out, "--steps", 4, *flags], capsys)
+        assert code == 2
+        assert stderr.startswith("error: ") and f"{field} must be finite" in stderr
+        assert stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_generated_trace_feeds_training(self, tmp_path, capsys):
         trace = tmp_path / "demand.csv"

@@ -150,6 +150,12 @@ class TestRejection:
         with pytest.raises(ConfigError, match=rf"{where}: expected a finite number"):
             load_config(path)
 
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        # a 401-digit literal parses to a Python int that no float can hold
+        path = write_cfg(tmp_path, {"sim": {"l_target": 10 ** 400}})
+        with pytest.raises(ConfigError, match=r"sim\.l_target: expected a finite number"):
+            load_config(path)
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -71,6 +71,14 @@ class TestMetricsCsv:
             load_metrics(path)
 
 
+    def test_non_numeric_cell_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(METRICS_HEADER) + "\n0,0,1,1,0,1,1\n1,0,fast,1,0,1,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"bad\.csv:3: malformed row"):
+            load_metrics(path)
+
+
 class TestTraining:
     def test_artifact_trio_per_seed(self, tmp_path):
         cfg = tiny_config(output_dir=str(tmp_path / "run"))
@@ -249,6 +257,20 @@ class TestComparison:
         doc["status"] = "aborted"
         (clone / "manifest_seed0.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="not complete"):
+            load_run(clone)
+
+    @pytest.mark.parametrize("key", ["algorithm", "scenario", "seed"])
+    def test_load_run_rejects_manifest_without_key(self, tmp_path, two_runs, key):
+        td3_dir, _ = two_runs
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for f in td3_dir.iterdir():
+            (clone / f.name).write_bytes(f.read_bytes())
+        doc = json.loads((clone / "manifest_seed0.json").read_text())
+        del doc[key]
+        (clone / "manifest_seed0.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=rf"manifest_seed0\.json: manifest lacks \['{key}'\]"):
             load_run(clone)
 
     def test_compare_needs_two_runs(self, two_runs):

@@ -7,16 +7,19 @@ multiplier.
 """
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesched.domain import (ActionVector, ServiceSpec, ValidationError,
+from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN, ActionVector,
+                              NormalizationConfig, ServiceSpec, ValidationError,
                               make_node)
 from edgesched.simulator import RHO_CAP, ClusterSim, LatencyModel, SimConfig
-from edgesched.workload import constant_source
+from edgesched.workload import TraceRecord, constant_source, trace_source, write_trace
 
 
 def quiet(**kwargs):
@@ -183,6 +186,14 @@ class TestEpisodeProtocol:
         with pytest.raises(ValidationError):
             sim.step(ActionVector(cpu_alloc=[1.0, 1.0], mem_alloc=[512.0, 512.0]))
 
+    def test_nan_action_rejected(self):
+        # ActionVector clamps inf into the box, but NaN passes the clamp
+        cfg = one_service_config()
+        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim.reset(seed=0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            sim.step(ActionVector(cpu_alloc=[np.nan], mem_alloc=[512.0]))
+
     def test_trajectory_determinism(self):
         cfg = SimConfig()
         wl = constant_source(200.0, cfg.n_services)
@@ -282,6 +293,24 @@ class TestNodeCapacity:
         np.testing.assert_allclose(raw.cpu_used, [min(demand, 1.0)] * 2)
 
 
+# One spec constructor per numeric field that enters from outside the step loop.
+SPEC_BUILDERS = {
+    "cpu_capacity": lambda x: make_node(0, "edge", cpu_capacity=x),
+    "mem_capacity": lambda x: make_node(0, "cloud", mem_capacity=x),
+    "base_network_latency": lambda x: make_node(0, "edge", base_network_latency=x),
+    "cpu_cost_per_request": lambda x: one_service_config(cpu_cost=x),
+    "mem_floor": lambda x: one_service_config(mem_floor=x),
+    "mem_per_qps": lambda x: one_service_config(mem_per_qps=x),
+    "base_service_ms": lambda x: LatencyModel(base_service_ms=x, saturation_cap_ms=x),
+    "saturation_cap_ms": lambda x: LatencyModel(saturation_cap_ms=x),
+    "mem_pressure_multiplier": lambda x: LatencyModel(mem_pressure_multiplier=x),
+    "jitter_sigma": lambda x: LatencyModel(jitter_sigma=x),
+    "l_max": lambda x: NormalizationConfig(l_max=x),
+    "q_max": lambda x: NormalizationConfig(q_max=x),
+    "l_target": lambda x: one_service_config(l_target=x),
+}
+
+
 class TestConfigValidation:
     def test_episode_len(self):
         with pytest.raises(ValidationError):
@@ -291,6 +320,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             one_service_config(l_target=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", list(SPEC_BUILDERS))
+    def test_non_finite_spec_values_rejected(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SPEC_BUILDERS[field](bad)
+
+    def test_negative_network_latency_rejected(self):
+        with pytest.raises(ValidationError, match="latency >= 0"):
+            make_node(0, "edge", base_network_latency=-1.0)
+
     def test_home_node_must_exist(self):
         node = make_node(0, "edge")
         svc = ServiceSpec(service_id=0, name="s", home_node=3,
@@ -299,3 +338,75 @@ class TestConfigValidation:
                           initial_mem_request=256.0)
         with pytest.raises(ValidationError):
             SimConfig(services=[svc], nodes=[node])
+
+
+# Strategies for the step invariants below: valid specs, box actions with
+# the corners drawn often, and constant or trace workloads that may be idle.
+box_cpu = st.one_of(st.sampled_from([CPU_MIN, CPU_MAX]), st.floats(CPU_MIN, CPU_MAX))
+box_mem = st.one_of(st.sampled_from([MEM_MIN, MEM_MAX]), st.floats(MEM_MIN, MEM_MAX))
+qps_values = st.one_of(st.just(0.0), st.floats(0.0, 1000.0))
+
+
+@st.composite
+def topologies(draw):
+    nodes = [make_node(i, draw(st.sampled_from(["edge", "cloud"])),
+                       cpu_capacity=draw(st.floats(0.1, 16.0)),
+                       mem_capacity=draw(st.floats(64.0, 32768.0)),
+                       base_network_latency=draw(st.floats(0.0, 100.0)))
+             for i in range(draw(st.integers(1, 3)))]
+    services = [ServiceSpec(service_id=i, name=f"s{i}",
+                            home_node=draw(st.integers(0, len(nodes) - 1)),
+                            cpu_cost_per_request=draw(st.floats(0.0, 0.2)),
+                            mem_floor=draw(st.floats(0.0, 1024.0)),
+                            mem_per_qps=draw(st.floats(0.0, 20.0)),
+                            initial_cpu_request=draw(box_cpu),
+                            initial_mem_request=draw(box_mem))
+                for i in range(draw(st.integers(1, 4)))]
+    base = draw(st.floats(0.5, 100.0))
+    latency = LatencyModel(base_service_ms=base,
+                           saturation_cap_ms=base + draw(st.floats(0.0, 2000.0)),
+                           mem_pressure_multiplier=draw(st.floats(1.0, 4.0)),
+                           jitter_sigma=draw(st.sampled_from([0.0, 0.02, 0.5])))
+    return SimConfig(services=services, nodes=nodes, episode_len=draw(st.integers(1, 6)),
+                     latency=latency)
+
+
+class TestStepInvariants:
+    """Why RawMetrics and StateVector need no checks of their own: from
+    validated specs, workloads and a finite box action, every block the
+    step loop builds is finite and in range, and step is the one place a
+    non-finite action can enter."""
+
+    @given(cfg=topologies(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_metrics_and_states_hold_by_construction(self, cfg, data):
+        n = cfg.n_services
+        with tempfile.TemporaryDirectory() as tmp:
+            if data.draw(st.booleans(), label="trace"):
+                path = Path(tmp) / "trace.csv"
+                write_trace([TraceRecord(t, i, data.draw(qps_values))
+                             for t in range(cfg.episode_len + 1) for i in range(n)], path)
+                workload = trace_source(path, n)
+            else:
+                workload = constant_source(data.draw(qps_values, label="rate"), n)
+        sim = ClusterSim(cfg, workload)
+        _, obs, raw = sim.reset(seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        windows = [(obs, raw)]
+        for _ in range(cfg.episode_len):
+            action = ActionVector(
+                cpu_alloc=data.draw(st.lists(box_cpu, min_size=n, max_size=n)),
+                mem_alloc=data.draw(st.lists(box_mem, min_size=n, max_size=n)))
+            _, obs, raw, _ = sim.step(action)
+            windows.append((obs, raw))
+        for obs, raw in windows:
+            block = np.array([getattr(raw, f.name) for f in dataclasses.fields(raw)])
+            assert np.isfinite(block).all() and (block >= 0).all()
+            assert (raw.cpu_alloc > 0).all() and (raw.mem_alloc > 0).all()
+            assert np.isfinite(obs.vec).all()
+            assert ((obs.vec >= 0.0) & (obs.vec <= 1.0)).all()
+
+        sim.reset(seed=0)
+        cpu = np.full(n, 1.0)
+        cpu[data.draw(st.integers(0, n - 1), label="nan at")] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            sim.step(ActionVector(cpu_alloc=cpu, mem_alloc=np.full(n, 512.0)))

@@ -56,6 +56,20 @@ class TestBurst:
         assert qps_at(src, 8).sum() == pytest.approx(50.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make,field", [
+    (lambda x: constant_source(x, 2), "rate"),
+    (lambda x: sinusoidal_source(x, 10.0, 20, 2), "mean"),
+    (lambda x: sinusoidal_source(100.0, x, 20, 2), "amplitude"),
+    (lambda x: burst_source(x, 200.0, 1, 2, 2), "base_rate"),
+    (lambda x: burst_source(50.0, x, 1, 2, 2), "burst_rate"),
+], ids=["constant-rate", "sinusoidal-mean", "sinusoidal-amplitude",
+        "burst-base_rate", "burst-burst_rate"])
+def test_generators_reject_non_finite(make, field, bad):
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        make(bad)
+
+
 class TestWeights:
     def test_uniform_sums_to_one(self):
         assert uniform_weights(8).sum() == pytest.approx(1.0, abs=1e-9)
@@ -71,6 +85,10 @@ class TestWeights:
             constant_source(100.0, 2, weights=[0.9, 0.2])
         with pytest.raises(ValidationError):
             constant_source(100.0, 2, weights=[-0.5, 1.5])
+
+    def test_non_finite_weights_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            constant_source(100.0, 2, weights=[np.nan, np.nan])
 
     @given(st.integers(1, 16))
     @settings(max_examples=30)
