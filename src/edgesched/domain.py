@@ -1,11 +1,10 @@
 """Cluster, service, state, and action vocabulary.
 
-All types are immutable value objects. Values are validated at the edges
-where they enter: the specs here, SimConfig and ClusterSim.step.
-RawMetrics, StateVector and ActionVector are built in the step loop from
-checked values, so they only stack their per-service vectors into one
-read-only float64 block (StateVector clipped to [0, 1], ActionVector to
-the allocation box) and expose the fields as its rows.
+All types are immutable value objects. Specs check their values when built
+and ClusterSim.step checks each action, so RawMetrics, StateVector and
+ActionVector, built from checked values in the step loop, only stack their
+fields into one read-only float64 block (states clipped to [0, 1], actions
+to the allocation box) whose rows are the fields.
 """
 
 from __future__ import annotations

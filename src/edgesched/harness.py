@@ -88,9 +88,9 @@ def load_metrics(path: str | Path) -> list[EpisodeRow]:
         if header != METRICS_HEADER:
             raise ValidationError(f"{path}: unexpected metrics header {header}")
         for line in reader:
+            if len(line) != len(METRICS_HEADER):
+                raise ValidationError(f"{path}:{reader.line_num}: malformed row {line}")
             try:
-                if len(line) != len(METRICS_HEADER):
-                    raise ValueError(f"expected {len(METRICS_HEADER)} cells")
                 rows.append(EpisodeRow(int(line[0]), int(line[1]), *map(float, line[2:])))
             except ValueError as exc:
                 raise ValidationError(

@@ -200,6 +200,9 @@ class TestOneBlock:
         moved = dataclasses.replace(action, cpu_alloc=[9.0, 0.0, 1.0])
         np.testing.assert_array_equal(moved.cpu_alloc, [CPU_MAX, CPU_MIN, 1.0])
         np.testing.assert_array_equal(moved.mem_alloc, action.mem_alloc)
+        # infinities clamp to the box edges; NaN is left for ClusterSim.step to reject
+        edged = dataclasses.replace(action, mem_alloc=[np.inf, -np.inf, 1.0])
+        np.testing.assert_array_equal(edged.mem_alloc, [MEM_MAX, MEM_MIN, MEM_MIN])
         state = StateVector(**GOOD[StateVector])
         clipped = dataclasses.replace(state, qps_norm=[-1.0, 0.5, 2.0])
         np.testing.assert_array_equal(clipped.qps_norm, [0.0, 0.5, 1.0])

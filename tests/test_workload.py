@@ -85,8 +85,6 @@ class TestWeights:
             constant_source(100.0, 2, weights=[0.9, 0.2])
         with pytest.raises(ValidationError):
             constant_source(100.0, 2, weights=[-0.5, 1.5])
-
-    def test_non_finite_weights_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
             constant_source(100.0, 2, weights=[np.nan, np.nan])
 
