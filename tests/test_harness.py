@@ -233,6 +233,13 @@ def two_runs(tmp_path_factory):
     return td3_dir, basek_dir
 
 
+def copy_run(run_dir, dest):
+    dest.mkdir()
+    for f in run_dir.iterdir():
+        (dest / f.name).write_bytes(f.read_bytes())
+    return dest
+
+
 class TestComparison:
     def test_load_run_summary(self, two_runs):
         td3_dir, _ = two_runs
@@ -248,11 +255,7 @@ class TestComparison:
             load_run(tmp_path)
 
     def test_load_run_rejects_aborted(self, tmp_path, two_runs):
-        td3_dir, _ = two_runs
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        for f in td3_dir.iterdir():
-            (clone / f.name).write_bytes(f.read_bytes())
+        clone = copy_run(two_runs[0], tmp_path / "clone")
         doc = json.loads((clone / "manifest_seed0.json").read_text())
         doc["status"] = "aborted"
         (clone / "manifest_seed0.json").write_text(json.dumps(doc))
@@ -261,11 +264,7 @@ class TestComparison:
 
     @pytest.mark.parametrize("key", ["algorithm", "scenario", "seed"])
     def test_load_run_rejects_manifest_without_key(self, tmp_path, two_runs, key):
-        td3_dir, _ = two_runs
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        for f in td3_dir.iterdir():
-            (clone / f.name).write_bytes(f.read_bytes())
+        clone = copy_run(two_runs[0], tmp_path / "clone")
         doc = json.loads((clone / "manifest_seed0.json").read_text())
         del doc[key]
         (clone / "manifest_seed0.json").write_text(json.dumps(doc))
