@@ -202,7 +202,6 @@ class Td3Agent:
             noise = np.clip(
                 rng.normal(0.0, self.hyper.smoothing_sigma, size=a.shape),
                 -self.hyper.smoothing_clip, self.hyper.smoothing_clip)
-            assert np.all(np.abs(noise) <= self.hyper.smoothing_clip)
             a = a + noise
         return np.clip(a, -1.0, 1.0), noise
 
@@ -229,9 +228,6 @@ class Td3Agent:
             q, cache = critic.forward(sa)
             err = q - y
             loss = float(np.mean(err ** 2))
-            if not np.isfinite(loss):
-                raise ValidationError(
-                    f"non-finite critic loss at update {self.critic_update_count + 1}")
             grads, _ = critic.backward(cache, 2.0 * err / b)
             opt.step(critic.params(), grads)
             critic.check_finite()
@@ -246,9 +242,6 @@ class Td3Agent:
         sa_pi = np.concatenate([batch.states, u], axis=1)
         q_pi, critic_cache = self.critics[0].forward(sa_pi)
         actor_loss = float(-np.mean(q_pi))
-        if not np.isfinite(actor_loss):
-            raise ValidationError(
-                f"non-finite actor loss at update {self.actor_update_count + 1}")
         _, sa_grad = self.critics[0].backward(critic_cache, -np.ones((b, 1)) / b)
         actor_grads, _ = self.actor.backward(actor_cache, sa_grad[:, self.state_dim:])
         self.actor_opt.step(self.actor.params(), actor_grads)
@@ -365,9 +358,6 @@ class DqnAgent:
         q_taken = q_grid[rows, heads, levels]
         err = q_taken - y
         loss = float(np.mean(err ** 2))
-        if not np.isfinite(loss):
-            raise ValidationError(
-                f"non-finite loss at train step {self.train_step_count + 1}")
         grad_grid = np.zeros((b, h, nl))
         grad_grid[rows, heads, levels] = 2.0 * err / (b * h)
         grads, _ = self.q_net.backward(cache, grad_grid.reshape(b, h * nl))

@@ -61,6 +61,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
+    if args.services < 1:
+        raise ValidationError("--services must be >= 1")
     n = args.services
     if args.kind == "constant":
         source = constant_source(args.rate, n)

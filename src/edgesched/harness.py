@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,10 +92,13 @@ def load_metrics(path: str | Path) -> list[EpisodeRow]:
             if len(line) != len(METRICS_HEADER):
                 raise ValidationError(f"{path}:{reader.line_num}: malformed row {line}")
             try:
-                rows.append(EpisodeRow(int(line[0]), int(line[1]), *map(float, line[2:])))
+                values = [float(v) for v in line[2:]]
+                rows.append(EpisodeRow(int(line[0]), int(line[1]), *values))
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:{reader.line_num}: malformed row {line} ({exc})") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValidationError(f"{path}:{reader.line_num}: non-finite value in row {line}")
     return rows
 
 
@@ -238,10 +242,11 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
     """Greedy rollouts of a saved policy: no noise, no learning, no buffer."""
     if episodes < 1:
         raise ValidationError("episodes must be >= 1")
-    seeds = config.seeds if seeds is None else seeds
+    if seeds is not None:  # the config checks the seeds
+        config = replace(config, seeds=tuple(seeds))
     workload = build_workload(config)
     rows: list[EpisodeRow] = []
-    for seed in seeds:
+    for seed in config.seeds:
         env, agent = _setup(config, workload, seed)
         if agent.trainable:
             if params_path is None:
@@ -287,7 +292,12 @@ def load_run(run_dir: str | Path) -> RunSummary:
     seeds = []
     by_seed: dict[int, list[EpisodeRow]] = {}
     for mpath in manifests:
-        doc = json.loads(mpath.read_text(encoding="utf-8"))
+        try:
+            doc = json.loads(mpath.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{mpath}: manifest is not valid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{mpath}: manifest is not a JSON object")
         if doc.get("status") != "complete":
             raise ValidationError(f"{mpath}: run not complete (status {doc.get('status')!r})")
         missing = [key for key in ("algorithm", "scenario", "seed") if key not in doc]

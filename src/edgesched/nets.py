@@ -139,7 +139,8 @@ class Mlp:
         return out
 
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
-        """Affine/activation composition; accepts (in,) or (B, in) input."""
+        """Affine/activation composition; accepts (in,) or (B, in) input. Values are
+        not checked: each update checks the updated network's parameters once."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
@@ -147,8 +148,6 @@ class Mlp:
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with input size {self.layer_sizes[0]}")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("non-finite network input")
         pre, post = [], []
         a = x
         for l in range(self.n_layers):
@@ -223,13 +222,11 @@ class AdamState:
         self._scratch = (np.empty(n), np.empty(n))
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """One bias-corrected Adam update, mutating params in place."""
+        """One bias-corrected Adam update, mutating params in place. Gradients are
+        not checked: each update checks the updated network's parameters once."""
         p, g = _flat(params), _flat(grads)
         if p.size != self.first_moment.size or g.size != p.size:
             raise DimensionError("parameter/gradient count mismatch")
-        if not np.isfinite(g).all():
-            bad = next(i for i, t in enumerate(grads) if not np.isfinite(t).all())
-            raise ValidationError(f"non-finite gradient for tensor {bad}")
         self.timestep += 1
         t = self.timestep
         c1 = 1.0 - self.beta1 ** t

@@ -276,6 +276,7 @@ class TestTrainStep:
             assert params_equal(tc, snapshot(c))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_loss_aborts(self, rng):
         agent = Td3Agent(1, small_hyper(), rng)
         buf = fill_buffer(count=32)
@@ -471,6 +472,26 @@ class TestBaseK:
             BaseKScheduler(iv, step_frac=1.5)
         with pytest.raises(ValidationError):
             BaseKScheduler(iv, low_util=0.9, high_util=0.8)
+
+
+# ------------------------------------------------------------- divergence
+
+@pytest.mark.parametrize("column", ["state", "next_state", "reward"])
+@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
+def test_non_finite_replay_column_caught_at_parameter_check(rng, kind, column):
+    # the only check in learn() is on the parameters right after each step
+    agent = {"td3": lambda: Td3Agent(1, small_hyper(), rng),
+             "ddpg": lambda: DdpgAgent(1, small_hyper(), rng),
+             "dqn": lambda: DqnAgent(1, DqnHyper(hidden=8, batch_size=8,
+                                                  warmup_transitions=0), rng)}[kind]()
+    fill = stream(3, "fill")
+    buf = ReplayBuffer(64)
+    for _ in range(32):
+        s, s2, r = fill.uniform(0, 1, 4), fill.uniform(0, 1, 4), np.array([0.5])
+        {"state": s, "next_state": s2, "reward": r}[column][0] = np.nan
+        buf.add(s, action_from_unit(fill.uniform(-1, 1, 2)).vec, r[0], s2, False)
+    with pytest.raises(ValidationError, match="non-finite parameters"):
+        agent.learn(buf, rng)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -141,6 +141,15 @@ class TestEval:
         assert code == 2
         assert "parameter file" in stderr
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "b.json"
+        cfg.write_text(json.dumps(dict(SMOKE, algorithm="basek")), encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            ["eval", "--config", cfg, "--episodes", 1, "--seed", -1], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: seeds must be non-negative integers\n"
+
     def test_eval_non_finite_params_exits_2(self, tmp_path, capsys):
         # argmax over NaN Q-values would quietly pick level 0 every step
         cfg = tmp_path / "dqn.json"
@@ -201,6 +210,32 @@ class TestCompare:
         assert code == 2
         assert stderr == f"error: {manifest}: manifest lacks ['algorithm']\n"
 
+    @pytest.mark.parametrize("text,why", [("{", "is not valid JSON"),
+                                          ("[]", "is not a JSON object")],
+                             ids=["truncated", "list"])
+    def test_unreadable_manifest_exits_2(self, smoke_cfg, tmp_path, capsys, text, why):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        manifest = b / "manifest_seed0.json"
+        manifest.write_text(text, encoding="utf-8")
+        code, _, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {manifest}: manifest {why}")
+        assert stderr.count("\n") == 1
+
+    def test_non_finite_metrics_cell_exits_2(self, smoke_cfg, tmp_path, capsys):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        metrics = a / "metrics_seed0.csv"
+        lines = metrics.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[METRICS_HEADER.index("mean_latency_ms")] = "nan"
+        lines[2] = ",".join(cells)
+        metrics.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, stdout, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {metrics}:3: non-finite value")
+        assert stderr.count("\n") == 1
+
     def test_compare_single_run_exits_2(self, smoke_cfg, tmp_path, capsys):
         a = tmp_path / "a"
         run_cli(["train", "--config", smoke_cfg, "--algo", "basek", "--out", a], capsys)
@@ -257,6 +292,15 @@ class TestGenTrace:
              "--steps", 0], capsys)
         assert code == 2
         assert stderr.startswith("error: ")
+
+    def test_zero_services_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            ["gen-trace", "--kind", "constant", "--out", out, "--steps", 4,
+             "--services", 0], capsys)
+        assert code == 2
+        assert stderr == "error: --services must be >= 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,field", [
         (["--kind", "constant", "--rate", "nan"], "rate"),

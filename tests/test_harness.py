@@ -78,6 +78,14 @@ class TestMetricsCsv:
         with pytest.raises(ValidationError, match=r"bad\.csv:3: malformed row"):
             load_metrics(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_path_and_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(METRICS_HEADER) + f"\n0,0,1,1,0,1,1\n1,0,{cell},1,0,1,1\n",
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"bad\.csv:3: non-finite value"):
+            load_metrics(path)
+
 
 class TestTraining:
     def test_artifact_trio_per_seed(self, tmp_path):
@@ -221,6 +229,11 @@ class TestEvaluation:
         with pytest.raises(ValidationError):
             run_evaluation(tiny_config(algorithm="basek"), None, episodes=0)
 
+    @pytest.mark.parametrize("seeds", [(-1,), (0, -2), (1.5,)])
+    def test_bad_seeds_rejected(self, seeds):
+        with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
+            run_evaluation(tiny_config(algorithm="basek"), None, episodes=1, seeds=seeds)
+
 
 @pytest.fixture(scope="module")
 def two_runs(tmp_path_factory):
@@ -270,6 +283,15 @@ class TestComparison:
         (clone / "manifest_seed0.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError,
                            match=rf"manifest_seed0\.json: manifest lacks \['{key}'\]"):
+            load_run(clone)
+
+    @pytest.mark.parametrize("text,why", [("{", "is not valid JSON"),
+                                          ("[]", "is not a JSON object")],
+                             ids=["truncated", "list"])
+    def test_load_run_rejects_unreadable_manifest(self, tmp_path, two_runs, text, why):
+        clone = copy_run(two_runs[0], tmp_path / "clone")
+        (clone / "manifest_seed1.json").write_text(text)
+        with pytest.raises(ValidationError, match=rf"manifest_seed1\.json: manifest {why}"):
             load_run(clone)
 
     def test_compare_needs_two_runs(self, two_runs):
