@@ -90,6 +90,9 @@ class Td3Hyper:
             raise ValidationError("bad batch_size/warmup_transitions")
         if self.hidden < 1 or self.buffer_capacity < 1:
             raise ValidationError("bad hidden width or buffer capacity")
+        if self.buffer_capacity <= self.batch_size:  # learn() needs more than a batch stored
+            raise ValidationError(
+                f"buffer_capacity {self.buffer_capacity} must exceed batch_size {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,9 @@ class DqnHyper:
             raise ValidationError("bad batch_size/warmup_transitions")
         if self.hidden < 1 or self.buffer_capacity < 1:
             raise ValidationError("bad hidden width or buffer capacity")
+        if self.buffer_capacity <= self.batch_size:  # learn() needs more than a batch stored
+            raise ValidationError(
+                f"buffer_capacity {self.buffer_capacity} must exceed batch_size {self.batch_size}")
 
 
 def exploration_sigma(hyper: Td3Hyper, t: int) -> float:
@@ -389,20 +395,15 @@ class BaseKScheduler:
 
     kind = "basek"
     trainable = False
+    step_frac = 0.2
+    high_util = 0.8
+    low_util = 0.3
 
-    def __init__(self, initial: ActionVector, mode: str = "static",
-                 step_frac: float = 0.2, high_util: float = 0.8, low_util: float = 0.3):
+    def __init__(self, initial: ActionVector, mode: str = "static"):
         if mode not in ("static", "threshold"):
             raise ValidationError(f"unknown baseline mode {mode!r}")
-        if not (0.0 < step_frac < 1.0):
-            raise ValidationError("step_frac must be in (0, 1)")
-        if not (0.0 <= low_util < high_util <= 1.0):
-            raise ValidationError("need 0 <= low_util < high_util <= 1")
         self.initial = initial
         self.mode = mode
-        self.step_frac = step_frac
-        self.high_util = high_util
-        self.low_util = low_util
 
     def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
             rng: np.random.Generator) -> ActionVector:

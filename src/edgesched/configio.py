@@ -117,6 +117,9 @@ def config_hash(config: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # strict JSON reading
+# Each section is read from the dataclasses it fills. Their modules postpone
+# annotations, so a scalar field's type is one of these strings.
+_KINDS = {"float": float, "int": int, "str": str, "bool": bool}
 
 
 def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
@@ -125,9 +128,7 @@ def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
         raise ConfigError(f"{section}: unknown key(s) {unknown}")
 
 
-def _expect(doc: dict, key: str, kinds, section: str, default):
-    if key not in doc:
-        return default
+def _expect(doc: dict, key: str, kinds, section: str):
     value = doc[key]
     if kinds is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -144,110 +145,54 @@ def _expect(doc: dict, key: str, kinds, section: str, default):
     return value
 
 
-def _hyper_from(doc: dict, section: str, cls):
-    """Fill any dataclass of int/float fields from a JSON object."""
-    spec = {f.name: f.type for f in fields(cls)}
-    _reject_unknown(section, doc, set(spec))
-    kwargs = {}
-    for name in spec:
-        if name not in doc:
+def _read(doc: dict, section: str, *classes, nested: tuple[str, ...] = (),
+          derived: tuple[str, ...] = ()) -> list[dict]:
+    """Per class, the values `doc` gives for its scalar fields, type-checked.
+
+    Keys in `nested` are left to the caller. Any other key that names no
+    scalar field is an error, and so is a field in `derived`, which the
+    loader sets itself. Omitted fields keep their dataclass defaults.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section}: expected an object")
+    kinds = [{f.name: _KINDS[f.type] for f in fields(cls)
+              if f.type in _KINDS and f.name not in derived} for cls in classes]
+    _reject_unknown(section, doc, set(nested).union(*kinds))
+    return [{key: _expect(doc, key, kind, section) for key, kind in spec.items() if key in doc}
+            for spec in kinds]
+
+
+def _node_from(entry: dict, where: str, index: int) -> NodeSpec:
+    (values,) = _read(entry, where, NodeSpec)
+    if "tier" not in values:
+        raise ConfigError(f"{where}: missing 'tier'")
+    values.setdefault("node_id", index)
+    return make_node(**values)
+
+
+def _service_from(entry: dict, where: str, index: int) -> ServiceSpec:
+    (values,) = _read(entry, where, ServiceSpec, derived=("service_id",))
+    values["service_id"] = index
+    missing = sorted(f.name for f in fields(ServiceSpec) if f.name not in values)
+    if missing:
+        raise ConfigError(f"{where}: missing key(s) {missing}")
+    return ServiceSpec(**values)
+
+
+def _sim_from(doc: dict) -> SimConfig:
+    """SimConfig, with the latency-model and normalization fields beside its own."""
+    values, latency, norm = _read(doc, "sim", SimConfig, LatencyModel, NormalizationConfig,
+                                  nested=("nodes", "services"), derived=("episode_len",))
+    norm.setdefault("l_max", 2.0 * values.get("l_target", SimConfig.l_target))
+    for key, entry_from in (("nodes", _node_from), ("services", _service_from)):
+        if key not in doc:
             continue
-        current = getattr(cls(), name)
-        kind = float if isinstance(current, float) else int if isinstance(current, int) else str
-        if isinstance(current, bool):
-            kind = (bool,)
-        kwargs[name] = _expect(doc, name, kind, section, None)
-    return cls(**kwargs)
-
-
-def _nodes_from(items: list, section: str) -> list[NodeSpec]:
-    nodes = []
-    for i, entry in enumerate(items):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{section}[{i}]: expected an object")
-        where = f"{section}[{i}]"
-        _reject_unknown(where, entry,
-                        {"node_id", "tier", "cpu_capacity", "mem_capacity",
-                         "base_network_latency"})
-        if "tier" not in entry:
-            raise ConfigError(f"{where}: missing 'tier'")
-        nodes.append(make_node(
-            node_id=_expect(entry, "node_id", int, where, i),
-            tier=_expect(entry, "tier", str, where, None),
-            cpu_capacity=_expect(entry, "cpu_capacity", float, where, None),
-            mem_capacity=_expect(entry, "mem_capacity", float, where, None),
-            base_network_latency=_expect(entry, "base_network_latency", float, where, None),
-        ))
-    return nodes
-
-
-def _services_from(items: list, section: str) -> list[ServiceSpec]:
-    required = {"name", "home_node", "cpu_cost_per_request", "mem_floor",
-                "mem_per_qps", "initial_cpu_request", "initial_mem_request"}
-    services = []
-    for i, entry in enumerate(items):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{section}[{i}]: expected an object")
-        where = f"{section}[{i}]"
-        _reject_unknown(where, entry, required)
-        missing = sorted(required - set(entry))
-        if missing:
-            raise ConfigError(f"{where}: missing key(s) {missing}")
-        services.append(ServiceSpec(
-            service_id=i,
-            name=_expect(entry, "name", str, where, None),
-            home_node=_expect(entry, "home_node", int, where, None),
-            cpu_cost_per_request=_expect(entry, "cpu_cost_per_request", float, where, None),
-            mem_floor=_expect(entry, "mem_floor", float, where, None),
-            mem_per_qps=_expect(entry, "mem_per_qps", float, where, None),
-            initial_cpu_request=_expect(entry, "initial_cpu_request", float, where, None),
-            initial_mem_request=_expect(entry, "initial_mem_request", float, where, None),
-        ))
-    return services
-
-
-def _sim_from(doc: dict, steps_per_episode: int) -> SimConfig:
-    _reject_unknown("sim", doc, {
-        "l_target", "base_service_ms", "saturation_cap_ms", "mem_pressure_multiplier",
-        "jitter_sigma", "l_max", "q_max", "nodes", "services"})
-    base = SimConfig()
-    latency = LatencyModel(
-        base_service_ms=_expect(doc, "base_service_ms", float, "sim",
-                                base.latency.base_service_ms),
-        saturation_cap_ms=_expect(doc, "saturation_cap_ms", float, "sim",
-                                  base.latency.saturation_cap_ms),
-        mem_pressure_multiplier=_expect(doc, "mem_pressure_multiplier", float, "sim",
-                                        base.latency.mem_pressure_multiplier),
-        jitter_sigma=_expect(doc, "jitter_sigma", float, "sim",
-                             base.latency.jitter_sigma),
-    )
-    l_target = _expect(doc, "l_target", float, "sim", base.l_target)
-    norm = NormalizationConfig(
-        l_max=_expect(doc, "l_max", float, "sim", 2.0 * l_target),
-        q_max=_expect(doc, "q_max", float, "sim", base.normalization.q_max),
-    )
-    kwargs = dict(
-        l_target=l_target,
-        episode_len=steps_per_episode,
-        latency=latency,
-        normalization=norm,
-    )
-    if "nodes" in doc:
-        if not isinstance(doc["nodes"], list):
-            raise ConfigError("sim.nodes: expected a list")
-        kwargs["nodes"] = _nodes_from(doc["nodes"], "sim.nodes")
-    if "services" in doc:
-        if not isinstance(doc["services"], list):
-            raise ConfigError("sim.services: expected a list")
-        kwargs["services"] = _services_from(doc["services"], "sim.services")
-    return SimConfig(**kwargs)
-
-
-TOP_LEVEL_KEYS = {
-    "algorithm", "episodes", "steps_per_episode", "scenario", "seeds",
-    "output_dir", "workload_weights", "basek_mode", "sim", "reward",
-    "td3", "dqn",
-}
+        if not isinstance(doc[key], list):
+            raise ConfigError(f"sim.{key}: expected a list")
+        values[key] = [entry_from(entry, f"sim.{key}[{i}]", i)
+                       for i, entry in enumerate(doc[key])]
+    return SimConfig(latency=LatencyModel(**latency),
+                     normalization=NormalizationConfig(**norm), **values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -259,44 +204,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    _reject_unknown("config", doc, TOP_LEVEL_KEYS)
+    sections = {"sim": SimConfig, "reward": RewardWeights, "td3": Td3Hyper, "dqn": DqnHyper}
+    (values,) = _read(doc, "config", ExperimentConfig, nested=("seeds", *sections))
 
-    defaults = ExperimentConfig()
-    steps = _expect(doc, "steps_per_episode", int, "config", defaults.steps_per_episode)
-    seeds = doc.get("seeds", list(defaults.seeds))
-    if not isinstance(seeds, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigError("config.seeds: expected a list of integers")
+    if "seeds" in doc:
+        seeds = doc["seeds"]
+        if not isinstance(seeds, list) or not all(
+                isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+            raise ConfigError("config.seeds: expected a list of integers")
+        values["seeds"] = tuple(seeds)
 
-    scenario = _expect(doc, "scenario", str, "config", defaults.scenario)
-    if scenario.startswith(TRACE_PREFIX):
-        trace_path = Path(scenario[len(TRACE_PREFIX):])
-        if not trace_path.is_absolute():
-            trace_path = path.parent / trace_path
-        scenario = TRACE_PREFIX + str(trace_path)
+    scenario = values.get("scenario", "")
+    if scenario.startswith(TRACE_PREFIX):  # an absolute trace path survives the join
+        values["scenario"] = TRACE_PREFIX + str(path.parent / scenario[len(TRACE_PREFIX):])
 
-    for key in ("sim", "reward", "td3", "dqn"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise ConfigError(f"config.{key}: expected an object")
-
-    return ExperimentConfig(
-        algorithm=_expect(doc, "algorithm", str, "config", defaults.algorithm),
-        episodes=_expect(doc, "episodes", int, "config", defaults.episodes),
-        steps_per_episode=steps,
-        scenario=scenario,
-        seeds=tuple(seeds),
-        output_dir=_expect(doc, "output_dir", str, "config", defaults.output_dir),
-        workload_weights=_expect(doc, "workload_weights", str, "config",
-                                 defaults.workload_weights),
-        basek_mode=_expect(doc, "basek_mode", str, "config", defaults.basek_mode),
-        sim=_sim_from(doc.get("sim", {}), steps),
-        reward=_hyper_from(doc.get("reward", {}), "reward", RewardWeights),
-        td3=_hyper_from(doc.get("td3", {}), "td3", Td3Hyper),
-        dqn=_hyper_from(doc.get("dqn", {}), "dqn", DqnHyper),
-    )
+    try:
+        for key, cls in sections.items():
+            if key not in doc:
+                continue
+            if not isinstance(doc[key], dict):
+                raise ConfigError(f"config.{key}: expected an object")
+            values[key] = (_sim_from(doc[key]) if cls is SimConfig
+                           else cls(**_read(doc[key], key, cls)[0]))
+        return ExperimentConfig(**values)
+    except ValidationError as exc:  # a value a spec or hyperparameter class rejects, too
+        raise ConfigError(str(exc)) from exc

@@ -9,6 +9,7 @@ wall_time_s column, which measures real elapsed time.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import platform
@@ -83,7 +84,11 @@ def export_csv(rows: list[EpisodeRow], path: str | Path) -> None:
 
 def load_metrics(path: str | Path) -> list[EpisodeRow]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != METRICS_HEADER:
@@ -294,7 +299,7 @@ def load_run(run_dir: str | Path) -> RunSummary:
     for mpath in manifests:
         try:
             doc = json.loads(mpath.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError(f"{mpath}: manifest is not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ValidationError(f"{mpath}: manifest is not a JSON object")

@@ -209,12 +209,12 @@ class AdamState:
     a handful of vector operations into preallocated scratch.
     """
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float = 3e-4):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.timestep = 0
         n = _flat(params).size
         self.first_moment = np.zeros(n)

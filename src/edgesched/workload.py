@@ -10,6 +10,7 @@ down to emitting that schema.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,7 +146,11 @@ def load_trace(path: str | Path, n_services: int) -> list[TraceRecord]:
     """
     records: list[TraceRecord] = []
     seen: dict[tuple[int, int], int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):

@@ -421,6 +421,16 @@ class TestDqn:
         assert agent.learn(fill_buffer(count=16), rng).skipped
 
 
+@pytest.mark.parametrize("hyper_cls", [Td3Hyper, DqnHyper])
+def test_buffer_no_larger_than_batch_rejected(hyper_cls):
+    # learn() skips until the buffer holds more than one batch, so such a
+    # buffer would never learn
+    for capacity in (63, 64):
+        with pytest.raises(ValidationError, match="must exceed batch_size"):
+            hyper_cls(batch_size=64, buffer_capacity=capacity)
+    assert hyper_cls(batch_size=64, buffer_capacity=65).buffer_capacity == 65
+
+
 # ------------------------------------------------------------------- basek
 
 class TestBaseK:
@@ -468,10 +478,6 @@ class TestBaseK:
         iv = ActionVector(np.array([1.0]), np.array([1024.0]))
         with pytest.raises(ValidationError):
             BaseKScheduler(iv, mode="adaptive")
-        with pytest.raises(ValidationError):
-            BaseKScheduler(iv, step_frac=1.5)
-        with pytest.raises(ValidationError):
-            BaseKScheduler(iv, low_util=0.9, high_util=0.8)
 
 
 # ------------------------------------------------------------- divergence

@@ -97,6 +97,26 @@ class TestTrain:
         assert stderr.startswith("error: sim.l_target: expected a finite number")
         assert stderr.count("\n") == 1
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff{")
+        code, _, stderr = run_cli(
+            ["train", "--config", bad, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: invalid JSON")
+        assert stderr.count("\n") == 1
+
+    def test_non_utf8_trace_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "demand.csv"
+        trace.write_bytes(b"step_index,service_id,qps\n0,0,\xff\n")
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(dict(SMOKE, scenario="trace:demand.csv")), encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["train", "--config", cfg, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {trace}: not UTF-8 text at byte 30")
+        assert stderr.count("\n") == 1
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["train", "--config", tmp_path / "none.json", "--algo", "td3"], capsys)
@@ -210,13 +230,14 @@ class TestCompare:
         assert code == 2
         assert stderr == f"error: {manifest}: manifest lacks ['algorithm']\n"
 
-    @pytest.mark.parametrize("text,why", [("{", "is not valid JSON"),
-                                          ("[]", "is not a JSON object")],
-                             ids=["truncated", "list"])
-    def test_unreadable_manifest_exits_2(self, smoke_cfg, tmp_path, capsys, text, why):
+    @pytest.mark.parametrize("data,why", [(b"{", "is not valid JSON"),
+                                          (b"[]", "is not a JSON object"),
+                                          (b"\xff{", "is not valid JSON")],
+                             ids=["truncated", "list", "not-utf8"])
+    def test_unreadable_manifest_exits_2(self, smoke_cfg, tmp_path, capsys, data, why):
         a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
         manifest = b / "manifest_seed0.json"
-        manifest.write_text(text, encoding="utf-8")
+        manifest.write_bytes(data)
         code, _, stderr = run_cli(["compare", "--runs", a, b], capsys)
         assert code == 2
         assert stderr.startswith(f"error: {manifest}: manifest {why}")
@@ -234,6 +255,16 @@ class TestCompare:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith(f"error: {metrics}:3: non-finite value")
+        assert stderr.count("\n") == 1
+
+    def test_non_utf8_metrics_exits_2(self, smoke_cfg, tmp_path, capsys):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        metrics = a / "metrics_seed0.csv"
+        metrics.write_bytes(metrics.read_bytes() + b"\xff\n")
+        code, stdout, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {metrics}: not UTF-8 text")
         assert stderr.count("\n") == 1
 
     def test_compare_single_run_exits_2(self, smoke_cfg, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Strict config parsing: defaults, rejection of junk, scenario resolution."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,10 @@ from edgesched.configio import (
     config_hash,
     load_config,
 )
-from edgesched.domain import ValidationError
+from edgesched.agents import DqnHyper, Td3Hyper
+from edgesched.domain import NodeSpec, NormalizationConfig, ServiceSpec, ValidationError
+from edgesched.rewards import RewardWeights
+from edgesched.simulator import LatencyModel, SimConfig
 from edgesched.workload import TraceRecord, qps_at, write_trace
 
 
@@ -239,3 +244,122 @@ class TestHashing:
         a = write_cfg(tmp_path, {"episodes": 9, "algorithm": "ddpg"}, "a.json")
         b = write_cfg(tmp_path, {"algorithm": "ddpg", "episodes": 9}, "b.json")
         assert config_hash(load_config(a)) == config_hash(load_config(b))
+
+
+# Every key the loader accepts, section by section, each with a valid value
+# that is not its default. A key missing here, or one the loader accepts
+# beyond these, means the schema changed.
+SCHEMA = {
+    "config": {
+        "algorithm": "ddpg", "episodes": 3, "steps_per_episode": 5,
+        "scenario": "high_300", "seeds": [7, 8], "output_dir": "runs/schema",
+        "workload_weights": "front_heavy", "basek_mode": "threshold",
+        "sim": {}, "reward": {}, "td3": {}, "dqn": {},
+    },
+    "sim": {
+        "l_target": 100.0, "base_service_ms": 25.0, "saturation_cap_ms": 900.0,
+        "mem_pressure_multiplier": 3.0, "jitter_sigma": 0.05, "l_max": 250.0,
+        "q_max": 500.0, "nodes": [], "services": [],
+    },
+    "node": {
+        "node_id": 5, "tier": "cloud", "cpu_capacity": 6.0, "mem_capacity": 8192.0,
+        "base_network_latency": 30.0,
+    },
+    "service": {
+        "name": "api", "home_node": 5, "cpu_cost_per_request": 0.02, "mem_floor": 100.0,
+        "mem_per_qps": 1.5, "initial_cpu_request": 0.7, "initial_mem_request": 300.0,
+    },
+    "reward": {
+        "alpha": 0.4, "beta": 0.2, "lam": 0.3, "mu": 0.05,
+        "normalize_latency_excess": False,
+    },
+    "td3": {
+        "gamma": 0.95, "tau": 0.01, "policy_freq": 3, "smoothing_sigma": 0.1,
+        "smoothing_clip": 0.4, "sigma_init": 0.2, "tau_decay": 500.0, "batch_size": 32,
+        "warmup_transitions": 100, "hidden": 64, "actor_lr": 1e-3, "critic_lr": 2e-3,
+        "buffer_capacity": 5000,
+    },
+    "dqn": {
+        "gamma": 0.9, "levels": 5, "epsilon_start": 0.9, "epsilon_end": 0.1,
+        "epsilon_decay_steps": 300, "target_sync_every": 50, "batch_size": 16,
+        "warmup_transitions": 50, "hidden": 32, "lr": 1e-3, "buffer_capacity": 2000,
+    },
+}
+
+
+def schema_document():
+    """One document that sets every key of SCHEMA, nested where it belongs."""
+    doc = dict(SCHEMA["config"])
+    for section in ("sim", "reward", "td3", "dqn"):
+        doc[section] = dict(SCHEMA[section])
+    doc["sim"]["nodes"] = [dict(SCHEMA["node"])]
+    doc["sim"]["services"] = [dict(SCHEMA["service"])]
+    return doc
+
+
+def section_of(doc, section):
+    """The JSON object of `doc` that holds the keys of `section`."""
+    if section in ("node", "service"):
+        return doc["sim"][section + "s"][0]
+    return doc if section == "config" else doc[section]
+
+
+def field_of(cfg, section, key):
+    owners = {"config": [cfg], "node": [cfg.sim.nodes[0]], "service": [cfg.sim.services[0]],
+              "sim": [cfg.sim, cfg.sim.latency, cfg.sim.normalization],
+              "reward": [cfg.reward], "td3": [cfg.td3], "dqn": [cfg.dqn]}[section]
+    return getattr(next(o for o in owners if hasattr(o, key)), key)
+
+
+SCALAR_KEYS = [(section, key) for section, keys in SCHEMA.items()
+               for key, value in keys.items() if not isinstance(value, (dict, list))]
+
+
+class TestSchema:
+    def test_every_key_reaches_its_field(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, schema_document()))
+        default = load_config(write_cfg(tmp_path, {}, "default.json"))
+        assert field_of(cfg, "config", "seeds") == (7, 8)
+        for section, key in SCALAR_KEYS:
+            value = SCHEMA[section][key]
+            assert field_of(cfg, section, key) == value, (section, key)
+            assert field_of(default, section, key) != value, (section, key)
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s in SCHEMA for k in SCHEMA[s]])
+    def test_key_with_one_letter_changed_is_rejected(self, tmp_path, section, key):
+        typo = key[:-1] + ("x" if key[-1] != "x" else "y")
+        doc = schema_document()
+        section_of(doc, section)[typo] = SCHEMA[section][key]
+        with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{typo}'\]"):
+            load_config(write_cfg(tmp_path, doc))
+
+    @pytest.mark.parametrize("section", sorted(SCHEMA))
+    def test_other_field_names_are_rejected(self, tmp_path, section):
+        # among them the fields the loader sets itself (sim.episode_len, a
+        # service's service_id) and the objects sim reads flat (latency,
+        # normalization)
+        classes = (ExperimentConfig, SimConfig, LatencyModel, NormalizationConfig, NodeSpec,
+                   ServiceSpec, RewardWeights, Td3Hyper, DqnHyper)
+        names = {f.name for cls in classes for f in fields(cls)} - set(SCHEMA[section])
+        for name in sorted(names):
+            doc = schema_document()
+            section_of(doc, section)[name] = 1
+            with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{name}'\]"):
+                load_config(write_cfg(tmp_path, doc))
+
+    def test_example_config_names_every_scalar_key(self):
+        path = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        load_config(path)
+        missing = [(section, key) for section, key in SCALAR_KEYS
+                   if section not in ("node", "service") and key not in section_of(doc, section)]
+        assert missing == []
+
+
+@pytest.mark.parametrize("section", ["td3", "dqn"])
+@pytest.mark.parametrize("capacity", [32, 64])
+def test_buffer_no_larger_than_batch_rejected(tmp_path, section, capacity):
+    # learn() waits for more than a batch, so such a buffer would never learn
+    doc = {section: {"batch_size": 64, "buffer_capacity": capacity}}
+    with pytest.raises(ConfigError, match="buffer_capacity"):
+        load_config(write_cfg(tmp_path, doc))
