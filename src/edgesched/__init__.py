@@ -30,7 +30,7 @@ from .harness import compare_runs, run_evaluation, run_training
 from .replay import ReplayBuffer
 from .rewards import RewardWeights, episode_metrics, total_reward
 from .simulator import ClusterSim, LatencyModel, SimConfig
-from .workload import WorkloadSource, constant_source, load_trace, qps_at
+from .workload import constant_source, load_trace, qps_at
 
 __all__ = [
     "__version__",
@@ -52,7 +52,6 @@ __all__ = [
     "Td3Hyper",
     "Transition",
     "ValidationError",
-    "WorkloadSource",
     "build_agent",
     "build_workload",
     "compare_runs",

@@ -13,14 +13,7 @@ from .agents import AGENT_KINDS
 from .configio import load_config
 from .domain import ValidationError
 from .harness import METRICS_HEADER, compare_runs, run_evaluation, run_training
-from .workload import (
-    TraceRecord,
-    burst_source,
-    constant_source,
-    qps_at,
-    sinusoidal_source,
-    write_trace,
-)
+from .workload import TraceRecord, burst_source, constant_source, sinusoidal_source, write_trace
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -63,22 +56,19 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
         raise ValidationError("--steps must be >= 1")
     if args.services < 1:
         raise ValidationError("--services must be >= 1")
-    n = args.services
+    n, rows = args.services, args.steps
     if args.kind == "constant":
-        source = constant_source(args.rate, n)
+        rates = constant_source(args.rate, n, rows)
     elif args.kind == "sinusoidal":
         amplitude = 0.5 * args.rate if args.amplitude is None else args.amplitude
-        source = sinusoidal_source(args.rate, amplitude, args.period, n)
+        rates = sinusoidal_source(args.rate, amplitude, args.period, n, rows)
     else:
         burst_rate = 3.0 * args.rate if args.burst_rate is None else args.burst_rate
         burst_start = args.steps // 3 if args.burst_start is None else args.burst_start
         burst_len = max(1, args.steps // 5) if args.burst_len is None else args.burst_len
-        source = burst_source(args.rate, burst_rate, burst_start, burst_len, n)
-    records = []
-    for step in range(args.steps):
-        qps = qps_at(source, step)
-        records.extend(TraceRecord(step, i, float(qps[i])) for i in range(n))
-    write_trace(records, args.out)
+        rates = burst_source(args.rate, burst_rate, burst_start, burst_len, n, rows)
+    write_trace([TraceRecord(step, i, float(qps)) for step, row in enumerate(rates)
+                 for i, qps in enumerate(row)], args.out)
     print(f"wrote {args.out}: {args.steps} steps x {n} services ({args.kind})")
     return 0
 

@@ -13,6 +13,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .agents import AGENT_KINDS, DqnHyper, Td3Hyper
 from .domain import (
     NodeSpec,
@@ -23,13 +25,7 @@ from .domain import (
 )
 from .rewards import RewardWeights
 from .simulator import LatencyModel, SimConfig
-from .workload import (
-    WorkloadSource,
-    constant_source,
-    front_heavy_weights,
-    trace_source,
-    uniform_weights,
-)
+from .workload import constant_source, front_heavy_weights, trace_source, uniform_weights
 
 __all__ = [
     "ConfigError",
@@ -97,15 +93,15 @@ class ExperimentConfig:
                                replace(self.sim, episode_len=self.steps_per_episode))
 
 
-def build_workload(config: ExperimentConfig) -> WorkloadSource:
-    """Resolve the scenario string into a concrete request-rate source."""
-    n = config.sim.n_services
+def build_workload(config: ExperimentConfig) -> np.ndarray:
+    """Resolve the scenario string into the run's rate matrix, one row per window."""
+    n, rows = config.sim.n_services, config.sim.episode_len + 1
     if config.scenario.startswith(TRACE_PREFIX):
-        return trace_source(config.scenario[len(TRACE_PREFIX):], n)
+        return trace_source(config.scenario[len(TRACE_PREFIX):], n, rows)
     rate = SCENARIO_PRESETS[config.scenario]
     weights = (uniform_weights(n) if config.workload_weights == "uniform"
                else front_heavy_weights(n))
-    return constant_source(rate, n, weights)
+    return constant_source(rate, n, rows, weights)
 
 
 def config_hash(config: ExperimentConfig) -> str:

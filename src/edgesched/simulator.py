@@ -30,7 +30,7 @@ from .domain import (
     require_finite,
 )
 from .rng import stream
-from .workload import WorkloadSource, qps_at
+from .workload import qps_at
 
 __all__ = [
     "RHO_CAP",
@@ -130,11 +130,13 @@ class ClusterSim:
     deterministic per seed because all noise comes from one named stream.
     """
 
-    def __init__(self, config: SimConfig, workload: WorkloadSource):
-        if workload.n_services != config.n_services:
+    def __init__(self, config: SimConfig, workload: np.ndarray):
+        """`workload` is the rate matrix: one row per window 0..episode_len."""
+        expected = (config.episode_len + 1, config.n_services)
+        if np.shape(workload) != expected:
             raise DimensionError(
-                f"workload drives {workload.n_services} services, "
-                f"config has {config.n_services}")
+                f"workload has shape {np.shape(workload)}, config needs {expected} "
+                "(episode_len + 1 windows by n_services)")
         self.config = config
         self.workload = workload
         svcs = config.services

@@ -1,8 +1,10 @@
 """Per-step request rates driving the simulator.
 
-A WorkloadSource yields the per-service QPS vector for each 30-second
-decision window, either from a synthetic generator (constant, sinusoidal,
-burst) or from an ingested trace file. Trace files are plain CSV with a
+A workload is one read-only float64 matrix of shape (rows, n_services):
+row t holds the per-service QPS of 30-second decision window t. Each
+builder (constant, sinusoidal, burst, or an ingested trace) fills it once
+for a given number of rows, episode_len + 1 for a run, and the simulator
+reads one row per step through qps_at. Trace files are plain CSV with a
 `step,service,qps` header; a converter from richer cluster traces boils
 down to emitting that schema.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,6 @@ from .domain import ValidationError, require_finite
 
 __all__ = [
     "TraceRecord",
-    "WorkloadSource",
     "constant_source",
     "sinusoidal_source",
     "burst_source",
@@ -71,70 +72,69 @@ def _check_weights(weights: np.ndarray, n_services: int) -> np.ndarray:
         raise ValidationError("per-service weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValidationError(f"per-service weights must sum to 1, got {w.sum()!r}")
-    return w.copy()
+    return w
 
 
-@dataclass(frozen=True, eq=False)
-class WorkloadSource:
-    """One request-rate generator; read-only after construction.
-
-    kind-specific parameters live in `params`; use the factory functions
-    below rather than constructing directly.
-    """
-
-    kind: str  # constant | sinusoidal | burst | trace
-    n_services: int
-    weights: np.ndarray
-    params: dict = field(default_factory=dict)
-    trace: tuple[TraceRecord, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "sinusoidal", "burst", "trace"):
-            raise ValidationError(f"unknown workload kind {self.kind!r}")
-        object.__setattr__(self, "weights", _check_weights(self.weights, self.n_services))
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """The rate matrix clipped at 0, as a new read-only array."""
+    if len(matrix) < 1:
+        raise ValidationError("a workload needs at least one row")
+    matrix = np.clip(matrix, 0.0, None)
+    matrix.flags.writeable = False
+    return matrix
 
 
-def constant_source(rate: float, n_services: int, weights=None) -> WorkloadSource:
+def _rate_rows(rates: list[float], n_services: int, weights) -> np.ndarray:
+    """Row t is the aggregate rates[t] split across services by the weights."""
+    w = uniform_weights(n_services) if weights is None else weights
+    return _frozen(np.array(rates)[:, None] * _check_weights(w, n_services))
+
+
+def constant_source(rate: float, n_services: int, rows: int, weights=None) -> np.ndarray:
     require_finite("constant source", rate=rate)
     if rate < 0:
         raise ValidationError("constant rate must be >= 0")
-    w = uniform_weights(n_services) if weights is None else weights
-    return WorkloadSource("constant", n_services, w, {"rate": float(rate)})
+    return _rate_rows([float(rate)] * rows, n_services, weights)
 
 
 def sinusoidal_source(mean: float, amplitude: float, period_steps: int,
-                      n_services: int, weights=None) -> WorkloadSource:
+                      n_services: int, rows: int, weights=None) -> np.ndarray:
     require_finite("sinusoidal source", mean=mean, amplitude=amplitude)
     if period_steps < 1:
         raise ValidationError("period_steps must be >= 1")
-    w = uniform_weights(n_services) if weights is None else weights
-    return WorkloadSource("sinusoidal", n_services, w, {
-        "mean": float(mean), "amplitude": float(amplitude), "period_steps": int(period_steps)})
+    mean, amplitude, period_steps = float(mean), float(amplitude), int(period_steps)
+    return _rate_rows([mean + amplitude * math.sin(2.0 * math.pi * step / period_steps)
+                       for step in range(rows)], n_services, weights)
 
 
 def burst_source(base_rate: float, burst_rate: float, burst_start: int,
-                 burst_len: int, n_services: int, weights=None) -> WorkloadSource:
+                 burst_len: int, n_services: int, rows: int, weights=None) -> np.ndarray:
     require_finite("burst source", base_rate=base_rate, burst_rate=burst_rate)
     if base_rate < 0 or burst_rate < 0:
         raise ValidationError("rates must be >= 0")
     if burst_start < 0 or burst_len < 0:
         raise ValidationError("burst window must be >= 0")
-    w = uniform_weights(n_services) if weights is None else weights
-    return WorkloadSource("burst", n_services, w, {
-        "base_rate": float(base_rate), "burst_rate": float(burst_rate),
-        "burst_start": int(burst_start), "burst_len": int(burst_len)})
+    base_rate, burst_rate = float(base_rate), float(burst_rate)
+    return _rate_rows([burst_rate if burst_start <= step < burst_start + burst_len else base_rate
+                       for step in range(rows)], n_services, weights)
 
 
-def trace_source(path: str | Path, n_services: int) -> WorkloadSource:
+def trace_source(path: str | Path, n_services: int, rows: int) -> np.ndarray:
+    """The trace as a read-only (rows, n_services) matrix.
+
+    A step absent from the trace reads 0 for every service, and rows past
+    the trace's last step hold that step's values, so fixed-length
+    episodes never fail on short traces. Records at or beyond `rows` are
+    never read.
+    """
     records = load_trace(path, n_services)
-    # Pre-index step -> qps vector; missing services stay at 0.
-    vectors: dict[int, np.ndarray] = {}
+    matrix = np.zeros((rows, n_services))
     for rec in records:
-        vec = vectors.setdefault(rec.step_index, np.zeros(n_services))
-        vec[rec.service_id] = rec.qps
-    return WorkloadSource("trace", n_services, uniform_weights(n_services),
-                          {"path": str(path), "vectors": vectors},
-                          trace=tuple(records))
+        if rec.step_index < rows:
+            matrix[rec.step_index, rec.service_id] = rec.qps
+    if records and records[-1].step_index < rows - 1:
+        matrix[records[-1].step_index + 1:] = matrix[records[-1].step_index]
+    return _frozen(matrix)
 
 
 def load_trace(path: str | Path, n_services: int) -> list[TraceRecord]:
@@ -191,33 +191,8 @@ def write_trace(records: list[TraceRecord], path: str | Path) -> None:
             writer.writerow([rec.step_index, rec.service_id, repr(float(rec.qps))])
 
 
-def _aggregate_rate(source: WorkloadSource, step: int) -> float:
-    p = source.params
-    if source.kind == "constant":
-        return p["rate"]
-    if source.kind == "sinusoidal":
-        return p["mean"] + p["amplitude"] * math.sin(2.0 * math.pi * step / p["period_steps"])
-    if source.kind == "burst":
-        in_burst = p["burst_start"] <= step < p["burst_start"] + p["burst_len"]
-        return p["burst_rate"] if in_burst else p["base_rate"]
-    raise ValidationError(f"no aggregate rate for kind {source.kind!r}")
-
-
-def qps_at(source: WorkloadSource, step: int) -> np.ndarray:
-    """Per-service request rates at a step; a pure function of (source, step).
-
-    Trace sources hold their last step's values past the end, so
-    fixed-length episodes never fail on short traces.
-    """
-    if step < 0:
-        raise ValidationError("step must be >= 0")
-    if source.kind == "trace":
-        if not source.trace:
-            return np.zeros(source.n_services)
-        lookup = min(step, source.trace[-1].step_index)
-        vec = source.params["vectors"].get(lookup)
-        if vec is None:  # step absent from trace: every service at 0
-            return np.zeros(source.n_services)
-        return np.clip(vec.copy(), 0.0, None)
-    rate = _aggregate_rate(source, step)
-    return np.clip(rate * source.weights, 0.0, None)
+def qps_at(rates: np.ndarray, step: int) -> np.ndarray:
+    """Per-service request rates at a step: row `step` of the rate matrix."""
+    if not 0 <= step < len(rates):
+        raise ValidationError(f"step {step} outside the workload's rows [0, {len(rates)})")
+    return rates[step]

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN, ActionVector,
-                              NormalizationConfig, ServiceSpec, ValidationError,
-                              make_node)
+                              DimensionError, NormalizationConfig, ServiceSpec,
+                              ValidationError, make_node)
 from edgesched.simulator import RHO_CAP, ClusterSim, LatencyModel, SimConfig
 from edgesched.workload import TraceRecord, constant_source, trace_source, write_trace
 
@@ -43,7 +43,7 @@ def one_service_config(cpu_cost=0.1, episode_len=5, l_target=150.0,
 class TestReset:
     def test_installs_initial_requests(self):
         cfg = SimConfig(latency=quiet())
-        sim = ClusterSim(cfg, constant_source(100.0, cfg.n_services))
+        sim = ClusterSim(cfg, constant_source(100.0, cfg.n_services, cfg.episode_len + 1))
         state, obs, _ = sim.reset(seed=0)
         assert state.step == 0
         expected = cfg.initial_action()
@@ -54,7 +54,7 @@ class TestReset:
 
     def test_zero_rate_latency_at_floor(self):
         cfg = SimConfig(latency=quiet())
-        sim = ClusterSim(cfg, constant_source(0.0, cfg.n_services))
+        sim = ClusterSim(cfg, constant_source(0.0, cfg.n_services, cfg.episode_len + 1))
         state, _, _ = sim.reset(seed=3)
         np.testing.assert_allclose(state.cpu_used, 0.0)
         floors = np.array([20.0 + n.base_network_latency
@@ -63,7 +63,7 @@ class TestReset:
 
     def test_same_seed_bitwise_identical(self):
         cfg = SimConfig()  # default jitter on: determinism must still hold
-        wl = constant_source(100.0, cfg.n_services)
+        wl = constant_source(100.0, cfg.n_services, cfg.episode_len + 1)
         a = ClusterSim(cfg, wl)
         b = ClusterSim(cfg, wl)
         sa, oa, _ = a.reset(seed=11)
@@ -76,7 +76,7 @@ class TestLatencyFormula:
     def test_half_utilization_edge(self):
         # rho = 0.5 on an edge node: (20 + 5) / 0.5 = 50 ms
         cfg = one_service_config(cpu_cost=0.05)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         state, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx(50.0, abs=1e-12)
@@ -85,7 +85,7 @@ class TestLatencyFormula:
     def test_rho_capped_at_saturation(self):
         # demand / alloc = 2.0 clamps to rho_cap and the cap kicks in
         cfg = one_service_config(cpu_cost=0.2)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert RHO_CAP == 0.99
@@ -93,7 +93,7 @@ class TestLatencyFormula:
 
     def test_idle_service_at_floor(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(0.0, 1))
+        sim = ClusterSim(cfg, constant_source(0.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx(25.0)
@@ -101,7 +101,7 @@ class TestLatencyFormula:
 
     def test_cloud_network_floor(self):
         cfg = one_service_config(tier="cloud", cpu_cost=0.05)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx((20.0 + 40.0) / 0.5)
@@ -109,7 +109,7 @@ class TestLatencyFormula:
     def test_formula_oracle_grid(self):
         # sweep allocations and recompute the whole chain independently
         cfg = one_service_config(cpu_cost=0.08, mem_floor=256.0, mem_per_qps=4.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         for alloc in (0.2, 0.5, 0.9, 1.3, 2.0):
             for mem in (128.0, 300.0, 2048.0):
                 sim.reset(seed=0)
@@ -123,7 +123,7 @@ class TestLatencyFormula:
 
     def test_mem_pressure_multiplier(self):
         cfg = one_service_config(cpu_cost=0.05, mem_floor=600.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         # starved memory doubles the 50 ms queueing latency
@@ -135,7 +135,7 @@ class TestLatencyFormula:
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_allocation(self, lo, hi_delta, qps):
         cfg = one_service_config(cpu_cost=0.05, episode_len=3)
-        sim = ClusterSim(cfg, constant_source(qps, 1))
+        sim = ClusterSim(cfg, constant_source(qps, 1, cfg.episode_len + 1))
         hi = min(lo + hi_delta, 2.0)
         sim.reset(seed=0)
         _, _, raw_lo, _ = sim.step(ActionVector(cpu_alloc=[lo], mem_alloc=[512.0]))
@@ -146,7 +146,7 @@ class TestLatencyFormula:
     def test_jitter_respects_bounds(self):
         cfg = dataclasses.replace(one_service_config(cpu_cost=0.19),
                                   latency=LatencyModel(jitter_sigma=0.5))
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         for _ in range(cfg.episode_len):
             _, _, raw, done = sim.step(ActionVector(cpu_alloc=[2.0], mem_alloc=[512.0]))
@@ -158,7 +158,7 @@ class TestLatencyFormula:
 class TestEpisodeProtocol:
     def test_done_exactly_at_episode_len(self):
         cfg = one_service_config(episode_len=4)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         action = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         flags = [sim.step(action)[3] for _ in range(4)]
@@ -166,7 +166,7 @@ class TestEpisodeProtocol:
 
     def test_step_after_done_rejected(self):
         cfg = one_service_config(episode_len=1)
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         action = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         sim.step(action)
@@ -175,13 +175,13 @@ class TestEpisodeProtocol:
 
     def test_step_before_reset_rejected(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         with pytest.raises(ValidationError):
             sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
 
     def test_dimension_mismatch_rejected(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         with pytest.raises(ValidationError):
             sim.step(ActionVector(cpu_alloc=[1.0, 1.0], mem_alloc=[512.0, 512.0]))
@@ -189,14 +189,14 @@ class TestEpisodeProtocol:
     def test_nan_action_rejected(self):
         # ActionVector clamps inf into the box, but NaN passes the clamp
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         with pytest.raises(ValidationError, match="non-finite"):
             sim.step(ActionVector(cpu_alloc=[np.nan], mem_alloc=[512.0]))
 
     def test_trajectory_determinism(self):
         cfg = SimConfig()
-        wl = constant_source(200.0, cfg.n_services)
+        wl = constant_source(200.0, cfg.n_services, cfg.episode_len + 1)
         rng = np.random.default_rng(5)
         actions = [ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, 8),
                                 mem_alloc=rng.uniform(64, 2048, 8))
@@ -216,7 +216,7 @@ class TestEpisodeProtocol:
 
     def test_prev_alloc_tracks_requests(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         state0, _, _ = sim.reset(seed=0)
         a1 = ActionVector(cpu_alloc=[1.7], mem_alloc=[900.0])
         state1, _, _, _ = sim.step(a1)
@@ -225,7 +225,7 @@ class TestEpisodeProtocol:
 
     def test_observations_in_unit_box(self):
         cfg = SimConfig()
-        sim = ClusterSim(cfg, constant_source(350.0, cfg.n_services))
+        sim = ClusterSim(cfg, constant_source(350.0, cfg.n_services, cfg.episode_len + 1))
         sim.reset(seed=0)
         rng = np.random.default_rng(8)
         for _ in range(cfg.episode_len):
@@ -233,6 +233,15 @@ class TestEpisodeProtocol:
                              mem_alloc=rng.uniform(64, 2048, 8))
             _, obs, _, done = sim.step(a)
             assert np.all(obs.vec >= 0.0) and np.all(obs.vec <= 1.0)
+
+
+class TestWorkloadShape:
+    @pytest.mark.parametrize("rows,services", [(5, 1), (7, 1), (6, 2)],
+                             ids=["one-row-short", "one-row-long", "wrong-services"])
+    def test_rejects_rate_matrix_of_wrong_shape(self, rows, services):
+        cfg = one_service_config(episode_len=5)
+        with pytest.raises(DimensionError, match=r"needs \(6, 1\)"):
+            ClusterSim(cfg, constant_source(10.0, services, rows))
 
 
 class TestNodeCapacity:
@@ -246,7 +255,7 @@ class TestNodeCapacity:
 
     def test_proportional_scale_down(self):
         cfg = self._two_on_one_node(cpu_capacity=2.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
         request = ActionVector(cpu_alloc=[2.0, 2.0], mem_alloc=[256.0, 256.0])
         granted_cpu, granted_mem = sim.grant(request)
         np.testing.assert_allclose(granted_cpu, [1.0, 1.0])
@@ -254,7 +263,7 @@ class TestNodeCapacity:
     def test_refloor_after_scaling(self):
         # scaling can push a tiny request below the box floor; it re-floors
         cfg = self._two_on_one_node(cpu_capacity=0.2)
-        sim = ClusterSim(cfg, constant_source(10.0, 2))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
         request = ActionVector(cpu_alloc=[0.1, 2.0], mem_alloc=[256.0, 256.0])
         granted_cpu, _ = sim.grant(request)
         scale = 0.2 / 2.1
@@ -263,7 +272,7 @@ class TestNodeCapacity:
 
     def test_within_capacity_untouched(self):
         cfg = self._two_on_one_node(cpu_capacity=4.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
         request = ActionVector(cpu_alloc=[1.5, 1.5], mem_alloc=[256.0, 256.0])
         granted_cpu, granted_mem = sim.grant(request)
         np.testing.assert_allclose(granted_cpu, [1.5, 1.5])
@@ -271,7 +280,7 @@ class TestNodeCapacity:
 
     def test_granted_never_exceeds_requested(self):
         cfg = self._two_on_one_node(cpu_capacity=1.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
         rng = np.random.default_rng(3)
         for _ in range(50):
             req = ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, 2),
@@ -282,7 +291,7 @@ class TestNodeCapacity:
 
     def test_raw_metrics_carry_granted_alloc(self):
         cfg = self._two_on_one_node(cpu_capacity=2.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
         sim.reset(seed=0)
         state, _, raw, _ = sim.step(
             ActionVector(cpu_alloc=[2.0, 2.0], mem_alloc=[256.0, 256.0]))
@@ -386,9 +395,10 @@ class TestStepInvariants:
                 path = Path(tmp) / "trace.csv"
                 write_trace([TraceRecord(t, i, data.draw(qps_values))
                              for t in range(cfg.episode_len + 1) for i in range(n)], path)
-                workload = trace_source(path, n)
+                workload = trace_source(path, n, cfg.episode_len + 1)
             else:
-                workload = constant_source(data.draw(qps_values, label="rate"), n)
+                workload = constant_source(data.draw(qps_values, label="rate"), n,
+                                           cfg.episode_len + 1)
         sim = ClusterSim(cfg, workload)
         _, obs, raw = sim.reset(seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
         windows = [(obs, raw)]
