@@ -9,8 +9,11 @@ to the allocation box) whose rows are the fields.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +25,7 @@ __all__ = [
     "ValidationError",
     "DimensionError",
     "require_finite",
+    "csv_rows",
     "NodeSpec",
     "ServiceSpec",
     "NormalizationConfig",
@@ -54,6 +58,29 @@ def require_finite(owner: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValidationError(f"{owner}: {name} must be finite, got {value!r}")
+
+
+def csv_rows(path: str | Path, error: type[ValidationError]):
+    """Yield (line number, cells) for each record of a UTF-8 CSV file.
+
+    A path the OS cannot name, text that is not UTF-8 and a cell the csv
+    module refuses (one over its field size limit) raise `error`, naming
+    the path and, for the cell, the line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except ValueError as exc:  # an embedded null byte
+        raise error(f"{str(path)!r}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for cells in reader:
+            yield reader.line_num, cells
+    except csv.Error as exc:
+        raise error(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _freeze_rows(obj, lo=None, hi=None) -> None:

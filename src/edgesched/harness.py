@@ -9,7 +9,6 @@ wall_time_s column, which measures real elapsed time.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import platform
@@ -22,7 +21,7 @@ import numpy as np
 from . import __version__
 from .agents import build_agent
 from .configio import ExperimentConfig, build_workload, config_hash
-from .domain import ValidationError
+from .domain import ValidationError, csv_rows
 from .nets import load_mlp, save_mlp
 from .replay import ReplayBuffer
 from .rewards import episode_metrics, total_reward
@@ -84,26 +83,20 @@ def export_csv(rows: list[EpisodeRow], path: str | Path) -> None:
 
 def load_metrics(path: str | Path) -> list[EpisodeRow]:
     rows = []
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METRICS_HEADER:
-            raise ValidationError(f"{path}: unexpected metrics header {header}")
-        for line in reader:
-            if len(line) != len(METRICS_HEADER):
-                raise ValidationError(f"{path}:{reader.line_num}: malformed row {line}")
-            try:
-                values = [float(v) for v in line[2:]]
-                rows.append(EpisodeRow(int(line[0]), int(line[1]), *values))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{reader.line_num}: malformed row {line} ({exc})") from exc
-            if not all(map(math.isfinite, values)):
-                raise ValidationError(f"{path}:{reader.line_num}: non-finite value in row {line}")
+    lines = csv_rows(path, ValidationError)
+    _, header = next(lines, (0, None))
+    if header != METRICS_HEADER:
+        raise ValidationError(f"{path}: unexpected metrics header {header}")
+    for lineno, line in lines:
+        if len(line) != len(METRICS_HEADER):
+            raise ValidationError(f"{path}:{lineno}: malformed row {line}")
+        try:
+            values = [float(v) for v in line[2:]]
+            rows.append(EpisodeRow(int(line[0]), int(line[1]), *values))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed row {line} ({exc})") from exc
+        if not all(map(math.isfinite, values)):
+            raise ValidationError(f"{path}:{lineno}: non-finite value in row {line}")
     return rows
 
 
@@ -308,11 +301,15 @@ def load_run(run_dir: str | Path) -> RunSummary:
         missing = [key for key in ("algorithm", "scenario", "seed") if key not in doc]
         if missing:
             raise ValidationError(f"{mpath}: manifest lacks {missing}")
+        if not (isinstance(doc["algorithm"], str) and isinstance(doc["scenario"], str)):
+            raise ValidationError(f"{mpath}: manifest algorithm and scenario must be strings")
+        seed = doc["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValidationError(f"{mpath}: manifest seed must be an integer, got {seed!r}")
         if algorithm is None:
             algorithm, scenario = doc["algorithm"], doc["scenario"]
         elif (doc["algorithm"], doc["scenario"]) != (algorithm, scenario):
             raise ValidationError(f"{run_dir}: mixed algorithms/scenarios across seeds")
-        seed = doc["seed"]
         seeds.append(seed)
         by_seed[seed] = load_metrics(_metrics_path(run_dir, seed))
     return RunSummary(run_dir, algorithm, scenario, tuple(sorted(seeds)), by_seed)

@@ -12,14 +12,13 @@ down to emitting that schema.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .domain import ValidationError, require_finite
+from .domain import ValidationError, csv_rows, require_finite
 
 __all__ = [
     "TraceRecord",
@@ -146,39 +145,33 @@ def load_trace(path: str | Path, n_services: int) -> list[TraceRecord]:
     """
     records: list[TraceRecord] = []
     seen: dict[tuple[int, int], int] = {}
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceParseError(f"{path}: not UTF-8 text at byte {exc.start} ({exc.reason})") from exc
-    with io.StringIO(text, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1 and [c.strip().lower() for c in row] == TRACE_HEADER:
-                continue
-            if len(row) != 3:
-                raise TraceParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                step = int(row[0])
-                service = int(row[1])
-                qps = float(row[2])
-            except ValueError as exc:
-                raise TraceParseError(f"{path}:{lineno}: {exc}") from exc
-            if step < 0:
-                raise TraceParseError(f"{path}:{lineno}: step_index must be >= 0")
-            if not (0 <= service < n_services):
-                raise TraceParseError(
-                    f"{path}:{lineno}: service_id {service} outside [0, {n_services})")
-            if not math.isfinite(qps) or qps < 0:
-                raise TraceParseError(f"{path}:{lineno}: qps must be finite and >= 0")
-            key = (step, service)
-            if key in seen:
-                raise TraceParseError(
-                    f"{path}:{lineno}: duplicate entry for step {step}, service {service} "
-                    f"(first seen at line {seen[key]})")
-            seen[key] = lineno
-            records.append(TraceRecord(step, service, qps))
+    for lineno, row in csv_rows(path, TraceParseError):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if lineno == 1 and [c.strip().lower() for c in row] == TRACE_HEADER:
+            continue
+        if len(row) != 3:
+            raise TraceParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        try:
+            step = int(row[0])
+            service = int(row[1])
+            qps = float(row[2])
+        except ValueError as exc:
+            raise TraceParseError(f"{path}:{lineno}: {exc}") from exc
+        if step < 0:
+            raise TraceParseError(f"{path}:{lineno}: step_index must be >= 0")
+        if not (0 <= service < n_services):
+            raise TraceParseError(
+                f"{path}:{lineno}: service_id {service} outside [0, {n_services})")
+        if not math.isfinite(qps) or qps < 0:
+            raise TraceParseError(f"{path}:{lineno}: qps must be finite and >= 0")
+        key = (step, service)
+        if key in seen:
+            raise TraceParseError(
+                f"{path}:{lineno}: duplicate entry for step {step}, service {service} "
+                f"(first seen at line {seen[key]})")
+        seen[key] = lineno
+        records.append(TraceRecord(step, service, qps))
     records.sort(key=lambda r: (r.step_index, r.service_id))
     return records
 

@@ -117,6 +117,26 @@ class TestTrain:
         assert stderr.startswith(f"error: {trace}: not UTF-8 text at byte 30")
         assert stderr.count("\n") == 1
 
+    def test_null_byte_in_trace_path_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(dict(SMOKE, scenario="trace:a\u0000b")), encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["train", "--config", cfg, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        path = str(tmp_path / "a\0b")
+        assert code == 2
+        assert stderr == f"error: {path!r}: embedded null byte\n"
+
+    def test_oversized_trace_cell_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "demand.csv"
+        trace.write_text("step,service,qps\n0,0," + "1" * 131073 + "\n", encoding="utf-8")
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(dict(SMOKE, scenario="trace:demand.csv")), encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["train", "--config", cfg, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {trace}:2: field larger than field limit")
+        assert stderr.count("\n") == 1
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["train", "--config", tmp_path / "none.json", "--algo", "td3"], capsys)
@@ -256,6 +276,38 @@ class TestCompare:
         assert stdout == ""
         assert stderr.startswith(f"error: {metrics}:3: non-finite value")
         assert stderr.count("\n") == 1
+
+    def test_oversized_metrics_cell_exits_2(self, smoke_cfg, tmp_path, capsys):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        metrics = a / "metrics_seed0.csv"
+        lines = metrics.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[METRICS_HEADER.index("mean_latency_ms")] = "1" * 131073
+        lines[2] = ",".join(cells)
+        metrics.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, stdout, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {metrics}:3: field larger than field limit")
+        assert stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("name,key,value,shown", [
+        ("manifest_seed1.json", "seed", "1", "seed must be an integer, got '1'"),
+        ("manifest_seed0.json", "scenario", ["normal_100"],
+         "algorithm and scenario must be strings"),
+        ("manifest_seed0.json", "seed", [0], "seed must be an integer, got [0]"),
+    ], ids=["string-seed-beside-int", "list-scenario", "list-seed"])
+    def test_mistyped_manifest_field_exits_2(self, smoke_cfg, tmp_path, capsys,
+                                             name, key, value, shown):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        doc = json.loads((b / "manifest_seed0.json").read_text(encoding="utf-8"))
+        doc[key] = value
+        manifest = b / name
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        shutil.copy(b / "metrics_seed0.csv", b / "metrics_seed1.csv")
+        code, _, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stderr == f"error: {manifest}: manifest {shown}\n"
 
     def test_non_utf8_metrics_exits_2(self, smoke_cfg, tmp_path, capsys):
         a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
