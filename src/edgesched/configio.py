@@ -176,10 +176,12 @@ def _service_from(entry: dict, where: str, index: int) -> ServiceSpec:
 
 
 def _sim_from(doc: dict) -> SimConfig:
-    """SimConfig, with the latency-model and normalization fields beside its own."""
+    """SimConfig, with the latency-model and normalization fields beside its own.
+
+    Normalization keys override the divisors SimConfig derives from l_target.
+    """
     values, latency, norm = _read(doc, "sim", SimConfig, LatencyModel, NormalizationConfig,
                                   nested=("nodes", "services"), derived=("episode_len",))
-    norm.setdefault("l_max", 2.0 * values.get("l_target", SimConfig.l_target))
     for key, entry_from in (("nodes", _node_from), ("services", _service_from)):
         if key not in doc:
             continue
@@ -187,8 +189,8 @@ def _sim_from(doc: dict) -> SimConfig:
             raise ConfigError(f"sim.{key}: expected a list")
         values[key] = [entry_from(entry, f"sim.{key}[{i}]", i)
                        for i, entry in enumerate(doc[key])]
-    return SimConfig(latency=LatencyModel(**latency),
-                     normalization=NormalizationConfig(**norm), **values)
+    sim = SimConfig(latency=LatencyModel(**latency), **values)
+    return replace(sim, normalization=replace(sim.normalization, **norm))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -68,14 +68,18 @@ class LatencyModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Cluster layout plus dynamics constants for one environment."""
+    """Cluster layout plus dynamics constants for one environment.
+
+    Without a normalization, the default divisors apply with l_max twice
+    l_target, which puts the latency objective at mid-scale.
+    """
 
     services: list[ServiceSpec] = field(default_factory=default_services)
     nodes: list[NodeSpec] = field(default_factory=default_nodes)
     l_target: float = 150.0
     episode_len: int = 20
     latency: LatencyModel = field(default_factory=LatencyModel)
-    normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
+    normalization: NormalizationConfig | None = None
 
     def __post_init__(self):
         if not self.services or not self.nodes:
@@ -85,6 +89,9 @@ class SimConfig:
         require_finite("sim", l_target=self.l_target)
         if self.l_target <= 0:
             raise ValidationError("l_target must be positive")
+        if self.normalization is None:
+            object.__setattr__(self, "normalization",
+                               NormalizationConfig(l_max=2.0 * self.l_target))
         node_ids = {n.node_id for n in self.nodes}
         if len(node_ids) != len(self.nodes):
             raise ValidationError("duplicate node ids")

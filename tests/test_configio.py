@@ -83,6 +83,12 @@ class TestDefaultsAndOverrides:
         cfg = load_config(write_cfg(tmp_path, {"sim": {"l_target": 80.0}}))
         assert cfg.sim.normalization.l_max == pytest.approx(160.0)
 
+    def test_latency_norm_rule_same_in_code_and_json(self, tmp_path):
+        loaded = load_config(write_cfg(tmp_path, {"sim": {"l_target": 100.0}}))
+        built = ExperimentConfig(sim=SimConfig(l_target=100.0))
+        assert loaded.sim.normalization.l_max == built.sim.normalization.l_max == 200.0
+        assert config_hash(loaded) == config_hash(built)
+
     def test_custom_topology(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"sim": dict(MINIMAL_TOPOLOGY)}))
         assert cfg.sim.n_services == 1
