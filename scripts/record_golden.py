@@ -30,7 +30,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from edgesched.configio import TRACE_PREFIX, load_config
 from edgesched.domain import default_services, make_node
-from edgesched.harness import export_csv, run_evaluation, run_training
+from edgesched.harness import export_csv, run_campaign, run_evaluation
 from edgesched.workload import TraceRecord, front_heavy_weights, write_trace
 
 GOLDEN = ROOT / "tests" / "golden.json"
@@ -76,17 +76,14 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
     """Train and evaluate the matrix under work_dir; map '<group>/<algo>/<file>' to sha256."""
     base = load_config(ROOT / "configs" / "smoke.json")
     hashes = {}
-    for scenario in SCENARIOS:
-        for algo in ALGOS:
-            out = work_dir / scenario / algo
-            run_training(replace(base, algorithm=algo, scenario=scenario,
-                                 seeds=(SEED,), output_dir=str(out)))
-            hashes[f"{scenario}/{algo}/metrics_seed{SEED}.csv"] = \
-                _metrics_digest(out / f"metrics_seed{SEED}.csv")
-            params = out / f"params_seed{SEED}.bin"
-            if params.exists():
-                hashes[f"{scenario}/{algo}/{params.name}"] = \
-                    hashlib.sha256(params.read_bytes()).hexdigest()
+    for out in run_campaign([replace(base, algorithm=algo, scenario=scenario, seeds=(SEED,),
+                                     output_dir=str(work_dir / scenario / algo))
+                             for scenario in SCENARIOS for algo in ALGOS]):
+        run = f"{out.parent.name}/{out.name}"
+        hashes[f"{run}/metrics_seed{SEED}.csv"] = _metrics_digest(out / f"metrics_seed{SEED}.csv")
+        params = out / f"params_seed{SEED}.bin"
+        if params.exists():
+            hashes[f"{run}/{params.name}"] = hashlib.sha256(params.read_bytes()).hexdigest()
     config = eval_config(base, work_dir)
     for algo in EVAL_ALGOS:
         out = work_dir / "eval_shared_edge" / algo

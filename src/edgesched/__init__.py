@@ -26,7 +26,7 @@ from .domain import (
     Transition,
     ValidationError,
 )
-from .harness import compare_runs, run_evaluation, run_training
+from .harness import compare_runs, run_campaign, run_evaluation, run_training
 from .replay import ReplayBuffer
 from .rewards import RewardWeights, episode_metrics, total_reward
 from .simulator import ClusterSim, LatencyModel, SimConfig
@@ -60,6 +60,7 @@ __all__ = [
     "load_config",
     "load_trace",
     "qps_at",
+    "run_campaign",
     "run_evaluation",
     "run_training",
     "total_reward",

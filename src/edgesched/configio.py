@@ -202,7 +202,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer over 4300 digits
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc

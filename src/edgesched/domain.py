@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,7 @@ __all__ = [
     "DimensionError",
     "require_finite",
     "csv_rows",
+    "write_atomic",
     "NodeSpec",
     "ServiceSpec",
     "NormalizationConfig",
@@ -81,6 +83,16 @@ def csv_rows(path: str | Path, error: type[ValidationError]):
             yield reader.line_num, cells
     except csv.Error as exc:
         raise error(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace `path` by way of a temporary file, so no crash leaves it torn."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _freeze_rows(obj, lo=None, hi=None) -> None:

@@ -11,7 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import pickle
 import platform
+import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,7 +25,7 @@ import numpy as np
 from . import __version__
 from .agents import build_agent
 from .configio import ExperimentConfig, build_workload, config_hash
-from .domain import ValidationError, csv_rows
+from .domain import ValidationError, csv_rows, write_atomic
 from .nets import load_mlp, save_mlp
 from .replay import ReplayBuffer
 from .rewards import episode_metrics, total_reward
@@ -33,6 +37,7 @@ __all__ = [
     "METRICS_HEADER",
     "export_csv",
     "load_metrics",
+    "run_campaign",
     "run_training",
     "train_one_seed",
     "run_evaluation",
@@ -131,8 +136,8 @@ def _write_manifest(out_dir: Path, seed: int, config: ExperimentConfig,
     }
     if error is not None:
         doc["error"] = error
-    _manifest_path(out_dir, seed).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_atomic(_manifest_path(out_dir, seed),
+                 (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _agent_counters(agent, env_steps: int) -> dict:
@@ -226,13 +231,79 @@ def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[E
     return rows
 
 
+def _train_jobs(jobs: list[tuple[ExperimentConfig, int]]) -> None:
+    for config, seed in jobs:
+        train_one_seed(config, seed, Path(config.output_dir))
+
+
+def _lane_main() -> None:
+    """Worker lane: train the jobs pickled on stdin; pickle back None or the error.
+
+    stdin's EOF ends the lane: the caller closes it once it has the outcome or
+    gives up, and the OS closes it when the caller dies.
+    """
+    out, sys.stdout = sys.stdout.buffer, sys.stderr
+    jobs = pickle.load(sys.stdin.buffer)
+    threading.Thread(target=lambda: os.read(0, 1) or os._exit(1), daemon=True).start()
+    outcome = None
+    try:
+        _train_jobs(jobs)
+    except Exception as exc:
+        outcome = exc
+    try:  # an exception that cannot make the round trip goes as text
+        pickle.loads(data := pickle.dumps(outcome))
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
+    out.write(data)
+    out.flush()
+
+
+def _start_lane(jobs: list[tuple[ExperimentConfig, int]]):
+    import subprocess  # imported here, so a single-lane run does not pay for it
+
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from edgesched.harness import _lane_main; _lane_main()"],
+        bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
+    proc.stdin.write(pickle.dumps(jobs))  # stdin stays open until the outcome is in
+    return proc
+
+
+def run_campaign(configs: list[ExperimentConfig]) -> list[Path]:
+    """Train every (config, seed) job; return each config's run directory.
+
+    Lane k of min(jobs, usable CPUs) lanes trains jobs[k::lanes] in order.
+    The caller is lane 0; the others are worker processes with one BLAS
+    thread. A worker's exception is raised here, and every worker has
+    exited when this returns or raises.
+    """
+    jobs = [(config, seed) for config in configs for seed in config.seeds]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes, workers = max(1, min(len(jobs), cpus)), []
+    try:
+        for k in range(1, lanes):
+            workers.append(_start_lane(jobs[k::lanes]))
+        _train_jobs(jobs[::lanes])
+        for proc in workers:
+            data = proc.stdout.read()
+            if proc.wait() != 0 or not data:
+                raise RuntimeError(f"campaign worker exited with code {proc.returncode} "
+                                   "without sending an outcome")
+            if (outcome := pickle.loads(data)) is not None:
+                raise outcome
+    finally:
+        for proc in workers:  # EOF stops a lane still training
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.wait()
+    return [Path(config.output_dir) for config in configs]
+
+
 def run_training(config: ExperimentConfig) -> Path:
     """Full campaign over all configured seeds; returns the run directory."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for seed in config.seeds:
-        train_one_seed(config, seed, out_dir)
-    return out_dir
+    return run_campaign([config])[0]
 
 
 def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
@@ -292,7 +363,7 @@ def load_run(run_dir: str | Path) -> RunSummary:
     for mpath in manifests:
         try:
             doc = json.loads(mpath.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer over 4300 digits
             raise ValidationError(f"{mpath}: manifest is not valid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ValidationError(f"{mpath}: manifest is not a JSON object")
@@ -306,6 +377,8 @@ def load_run(run_dir: str | Path) -> RunSummary:
         seed = doc["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValidationError(f"{mpath}: manifest seed must be an integer, got {seed!r}")
+        if mpath != _manifest_path(run_dir, seed):
+            raise ValidationError(f"{mpath}: manifest seed {seed} differs from its file name")
         if algorithm is None:
             algorithm, scenario = doc["algorithm"], doc["scenario"]
         elif (doc["algorithm"], doc["scenario"]) != (algorithm, scenario):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import DimensionError, ValidationError
+from .domain import DimensionError, ValidationError, write_atomic
 
 __all__ = [
     "Mlp",
@@ -273,12 +273,11 @@ PARAM_VERSION = 1
 
 
 def save_mlp(net: Mlp, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(PARAM_MAGIC)
-        fh.write(struct.pack("<II", PARAM_VERSION, len(net.layer_sizes)))
-        fh.write(struct.pack(f"<{len(net.layer_sizes)}I", *net.layer_sizes))
-        fh.write(struct.pack("<B", _ACTIVATIONS.index(net.output_activation)))
-        fh.write(np.ascontiguousarray(net.flat, dtype="<f8").tobytes())
+    sizes = net.layer_sizes
+    header = struct.pack(f"<II{len(sizes)}IB", PARAM_VERSION, len(sizes), *sizes,
+                         _ACTIVATIONS.index(net.output_activation))
+    write_atomic(path, PARAM_MAGIC + header
+                 + np.ascontiguousarray(net.flat, dtype="<f8").tobytes())
 
 
 class ParamLoadError(ValidationError):

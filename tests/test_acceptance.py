@@ -40,8 +40,8 @@ from edgesched.domain import (
 from edgesched.harness import (
     METRICS_HEADER,
     load_run,
+    run_campaign,
     run_evaluation,
-    run_training,
     train_one_seed,
 )
 from edgesched.nets import Mlp, soft_update
@@ -398,18 +398,16 @@ CAMPAIGN_EPISODES = 60
 def campaign(tmp_path_factory):
     """Train every algorithm on both load scenarios, four seeds each."""
     root = tmp_path_factory.mktemp("campaign")
+    jobs = [(scenario, algo) for scenario in ("normal_100", "high_300")
+            for algo in ("td3", "ddpg", "dqn", "basek")]
     started = time.perf_counter()
-    dirs = {}
-    for scenario in ("normal_100", "high_300"):
-        for algo in ("td3", "ddpg", "dqn", "basek"):
-            out = root / scenario / algo
-            cfg = ExperimentConfig(algorithm=algo, episodes=CAMPAIGN_EPISODES,
-                                   steps_per_episode=20, scenario=scenario,
-                                   seeds=(0, 1, 2, 3), output_dir=str(out),
-                                   td3=CAMPAIGN_TD3, dqn=CAMPAIGN_DQN)
-            run_training(cfg)
-            dirs[(scenario, algo)] = out
-    return dirs, time.perf_counter() - started
+    dirs = run_campaign([
+        ExperimentConfig(algorithm=algo, episodes=CAMPAIGN_EPISODES,
+                         steps_per_episode=20, scenario=scenario,
+                         seeds=(0, 1, 2, 3), output_dir=str(root / scenario / algo),
+                         td3=CAMPAIGN_TD3, dqn=CAMPAIGN_DQN)
+        for scenario, algo in jobs])
+    return dict(zip(jobs, dirs)), time.perf_counter() - started
 
 
 def _last10(run_dir, metric):

@@ -106,6 +106,15 @@ class TestTrain:
         assert stderr.startswith(f"error: {bad}: invalid JSON")
         assert stderr.count("\n") == 1
 
+    def test_integer_over_digit_limit_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "long.json"
+        bad.write_text('{"episodes": ' + "7" * 5000 + "}", encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["train", "--config", bad, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {bad}: invalid JSON (Exceeds the limit (4300 digits)")
+        assert stderr.count("\n") == 1
+
     def test_non_utf8_trace_exits_2(self, tmp_path, capsys):
         trace = tmp_path / "demand.csv"
         trace.write_bytes(b"step_index,service_id,qps\n0,0,\xff\n")
@@ -296,7 +305,8 @@ class TestCompare:
         ("manifest_seed0.json", "scenario", ["normal_100"],
          "algorithm and scenario must be strings"),
         ("manifest_seed0.json", "seed", [0], "seed must be an integer, got [0]"),
-    ], ids=["string-seed-beside-int", "list-scenario", "list-seed"])
+        ("manifest_seed0.json", "seed", 7, "seed 7 differs from its file name"),
+    ], ids=["string-seed-beside-int", "list-scenario", "list-seed", "seed-not-file-seed"])
     def test_mistyped_manifest_field_exits_2(self, smoke_cfg, tmp_path, capsys,
                                              name, key, value, shown):
         a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)

@@ -1,10 +1,17 @@
 """Run orchestration: artifacts, reproducibility, evaluation, comparison."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edgesched
 from edgesched import harness
 from edgesched.agents import DqnHyper, Td3Agent, Td3Hyper
 from edgesched.configio import ExperimentConfig, config_hash
@@ -16,10 +23,12 @@ from edgesched.harness import (
     export_csv,
     load_metrics,
     load_run,
+    run_campaign,
     run_evaluation,
     run_training,
     train_one_seed,
 )
+from edgesched.nets import Mlp, save_mlp
 
 
 def tiny_config(**kw):
@@ -196,6 +205,199 @@ class TestTraining:
         rows = train_one_seed(cfg, 0, tmp_path)
         assert len(rows) == cfg.episodes
         assert (tmp_path / "params_seed0.bin").exists()
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    @pytest.mark.parametrize("name", ["params_seed0.bin", "manifest_seed0.json"])
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, name, fail_at):
+        cfg = tiny_config()
+        train_one_seed(cfg, 0, tmp_path)
+        target = tmp_path / name
+        before = target.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def torn_write(path, data):
+            write_bytes(path, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        def failed_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        if fail_at == "write":
+            monkeypatch.setattr(Path, "write_bytes", torn_write)
+        else:
+            monkeypatch.setattr(os, "replace", failed_replace)
+        with pytest.raises(OSError, match="No space left"):
+            if name == "params_seed0.bin":
+                save_mlp(Mlp([32, 8, 8, 16], "tanh"), target)
+            else:
+                harness._write_manifest(tmp_path, 0, cfg, {}, status="aborted")
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest_seed0.json", "metrics_seed0.csv", "params_seed0.bin"]
+
+
+CPUS = len(os.sched_getaffinity(0))
+pooled = pytest.mark.skipif(CPUS < 2, reason="a worker lane needs a second CPU")
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every process run_campaign starts, recorded as it is started."""
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return started
+
+
+def one_lane(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def two_by_two(root, **kw):
+    """Two configs x two seeds: four jobs, so lane 1 gets jobs 1 and 3 on two CPUs."""
+    return [tiny_config(algorithm=algo, seeds=(0, 1), output_dir=str(root / algo), **kw)
+            for algo in ("td3", "dqn")]
+
+
+def artifacts(root):
+    """Metrics (without wall_time_s) and params under root; manifests hash output_dir."""
+    return {p.relative_to(root).as_posix():
+            strip_wall_time(p) if p.suffix == ".csv" else p.read_bytes()
+            for p in sorted(root.rglob("*_seed*")) if p.suffix != ".json"}
+
+
+def broken_trace(tmp_path, kind):
+    path = tmp_path / f"{kind}.csv"
+    if kind == "malformed":
+        path.write_text("step_index,service_id,qps\n0,0,fast\n", encoding="utf-8")
+    return path
+
+
+def lane_process(code):
+    """A worker lane started as run_campaign starts one, after running `code`."""
+    src = str(Path(edgesched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", f"{code}\nfrom edgesched.harness import _lane_main; _lane_main()"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+class TestCampaign:
+    @pooled
+    def test_pooled_writes_single_lane_bytes(self, tmp_path, monkeypatch, workers):
+        dirs = run_campaign(two_by_two(tmp_path / "pooled"))
+        assert dirs == [tmp_path / "pooled" / "td3", tmp_path / "pooled" / "dqn"]
+        assert len(workers) == min(4, CPUS) - 1
+        assert all(proc.returncode == 0 for proc in workers)
+        one_lane(monkeypatch)
+        run_campaign(two_by_two(tmp_path / "single"))
+        assert len(workers) == min(4, CPUS) - 1
+        pooled_files, single_files = artifacts(tmp_path / "pooled"), artifacts(tmp_path / "single")
+        assert len(pooled_files) == 2 * 2 * 2
+        assert pooled_files == single_files
+
+    def test_single_lane_starts_no_process(self, tmp_path, monkeypatch, workers):
+        run_training(tiny_config(output_dir=str(tmp_path / "one_job")))  # one job
+        one_lane(monkeypatch)
+        run_campaign(two_by_two(tmp_path))
+        assert workers == []
+        assert len(artifacts(tmp_path)) == 2 + 2 * 2 * 2
+
+    @pooled
+    @pytest.mark.parametrize("kind, error", [("missing", FileNotFoundError),
+                                             ("malformed", ValidationError)])
+    def test_worker_error_is_raised_by_caller(self, tmp_path, workers, kind, error):
+        trace = broken_trace(tmp_path, kind)
+        configs = [tiny_config(output_dir=str(tmp_path / "good")),
+                   tiny_config(output_dir=str(tmp_path / "bad"), scenario=f"trace:{trace}")]
+        with pytest.raises(error, match=str(trace)):
+            run_campaign(configs)
+        assert len(workers) == 1 and workers[0].returncode == 0
+        assert (tmp_path / "good" / "manifest_seed0.json").exists()
+
+    @pooled
+    def test_caller_failure_stops_workers(self, tmp_path, workers):
+        trace = broken_trace(tmp_path, "missing")
+        configs = [tiny_config(output_dir=str(tmp_path / "bad"), scenario=f"trace:{trace}"),
+                   tiny_config(output_dir=str(tmp_path / "long"), episodes=10_000)]
+        started = time.perf_counter()
+        with pytest.raises(FileNotFoundError, match=str(trace)):
+            run_campaign(configs)
+        assert time.perf_counter() - started < 30
+        assert len(workers) == 1 and workers[0].returncode == 1  # stopped at stdin EOF
+        assert not (tmp_path / "long" / "manifest_seed0.json").exists()
+
+    @pooled
+    def test_interrupted_caller_waits_for_workers(self, tmp_path, monkeypatch, workers):
+        def interrupted(jobs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "_train_jobs", interrupted)  # lane 0 only
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(two_by_two(tmp_path, episodes=10_000))
+        assert workers and all(proc.returncode is not None for proc in workers)
+
+    @pooled
+    def test_worker_without_outcome_names_exit_code(self, tmp_path, monkeypatch, workers):
+        popen = subprocess.Popen
+
+        def dying_worker(args, **kwargs):  # reads its jobs, then exits 3 without a word
+            return popen([sys.executable, "-c",
+                          "import sys; sys.stdin.buffer.read(1); sys.exit(3)"], **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", dying_worker)
+        with pytest.raises(RuntimeError, match="exited with code 3 without sending an outcome"):
+            run_campaign(two_by_two(tmp_path))
+        assert [proc.returncode for proc in workers] == [3]
+        assert (tmp_path / "td3" / "manifest_seed0.json").exists()
+
+
+class TestLaneProtocol:
+    def _outcome(self, proc):
+        """Send the lane no jobs; return its outcome and what it wrote to stderr."""
+        proc.stdin.write(pickle.dumps([]))
+        proc.stdin.flush()
+        data, stderr = proc.stdout.read(), proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            pipe.close()
+        return pickle.loads(data), stderr
+
+    def test_prints_go_to_stderr(self):
+        proc = lane_process("import edgesched.harness as h\n"
+                            "h._train_jobs = lambda jobs: print('noise', jobs)")
+        assert self._outcome(proc) == (None, b"noise []\n")
+
+    def test_unpicklable_error_arrives_as_text(self):
+        proc = lane_process(
+            "import edgesched.harness as h\n"
+            "class Stubborn(Exception):\n"
+            "    def __init__(self, a, b):\n"
+            "        super().__init__(f'{a}/{b}')\n"
+            "def fail(jobs):\n"
+            "    raise Stubborn(1, 2)\n"
+            "h._train_jobs = fail")
+        outcome, _ = self._outcome(proc)
+        assert type(outcome) is RuntimeError
+        assert str(outcome) == "Stubborn: 1/2"
+
+    def test_stdin_eof_ends_a_busy_lane(self, tmp_path):
+        proc = lane_process("")
+        config = tiny_config(episodes=10_000, output_dir=str(tmp_path))
+        proc.stdin.write(pickle.dumps([(config, 0)]))
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stdout.read() == b""
+        proc.stdout.close()
+        proc.stderr.close()
+        assert not (tmp_path / "manifest_seed0.json").exists()
 
 
 class TestEvaluation:
