@@ -202,7 +202,7 @@ class Td3Agent:
     def smoothed_target_action(self, next_states: np.ndarray,
                                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
         """Target-actor batch output with clipped Gaussian smoothing noise."""
-        a, _ = self.target_actor.forward(next_states)
+        a, _ = self.target_actor.forward(next_states, reuse=True)
         noise = None
         if self.hyper.smoothing_sigma > 0:
             noise = np.clip(
@@ -216,12 +216,17 @@ class Td3Agent:
         """Bootstrapped targets y = r + gamma * min_i Q'_i(s', a') * (1 - done)."""
         a_next, _ = self.smoothed_target_action(next_states, rng)
         sa_next = np.concatenate([next_states, a_next], axis=1)
-        q_next = [tc.forward(sa_next)[0] for tc in self.target_critics]
+        q_next = [tc.forward(sa_next, reuse=True)[0] for tc in self.target_critics]
         q_min = q_next[0] if len(q_next) == 1 else np.minimum.reduce(q_next)
         return rewards[:, None] + self.hyper.gamma * q_min * (1.0 - dones)[:, None]
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
-        """One critic update, with a delayed actor/target update when due."""
+        """One critic update, with a delayed actor/target update when due.
+
+        Batch activations go into each network's kept arrays (forward with
+        reuse) and parameter gradients into each optimizer's grad vector, so
+        only the soft target updates allocate a network-sized temporary.
+        """
         if len(buffer) <= self.hyper.batch_size:
             return TrainStats(skipped=True)
         batch = buffer.sample(self.hyper.batch_size, rng)
@@ -231,10 +236,10 @@ class Td3Agent:
         sa = np.concatenate([batch.states, unit_actions], axis=1)
         losses = []
         for critic, opt in zip(self.critics, self.critic_opts):
-            q, cache = critic.forward(sa)
+            q, cache = critic.forward(sa, reuse=True)
             err = q - y
             loss = float(np.mean(err ** 2))
-            grads, _ = critic.backward(cache, 2.0 * err / b)
+            grads, _ = critic.backward(cache, 2.0 * err / b, out=opt.grad)
             opt.step(critic.params(), grads)
             critic.check_finite()
             losses.append(loss)
@@ -244,12 +249,15 @@ class Td3Agent:
             return TrainStats(critic_losses=tuple(losses))
 
         # delayed actor step: ascend mean Q_1(s, mu(s)) through the frozen critic
-        u, actor_cache = self.actor.forward(batch.states)
+        u, actor_cache = self.actor.forward(batch.states, reuse=True)
         sa_pi = np.concatenate([batch.states, u], axis=1)
-        q_pi, critic_cache = self.critics[0].forward(sa_pi)
+        q_pi, critic_cache = self.critics[0].forward(sa_pi, reuse=True)
         actor_loss = float(-np.mean(q_pi))
-        _, sa_grad = self.critics[0].backward(critic_cache, -np.ones((b, 1)) / b)
-        actor_grads, _ = self.actor.backward(actor_cache, sa_grad[:, self.state_dim:])
+        # critic 0's parameter gradients are discarded: its vector is free again
+        _, sa_grad = self.critics[0].backward(critic_cache, -np.ones((b, 1)) / b,
+                                              out=self.critic_opts[0].grad)
+        actor_grads, _ = self.actor.backward(actor_cache, sa_grad[:, self.state_dim:],
+                                             out=self.actor_opt.grad)
         self.actor_opt.step(self.actor.params(), actor_grads)
         self.actor.check_finite()
         self.actor_update_count += 1
@@ -345,7 +353,8 @@ class DqnAgent:
         return self.levels_to_action(levels)
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
-        """Per-head TD(0) update with a periodically hard-synced target net."""
+        """Per-head TD(0) update with a periodically hard-synced target net; its
+        activations and gradients reuse arrays as in Td3Agent.learn."""
         if len(buffer) <= self.hyper.batch_size:
             return TrainStats(skipped=True)
         batch = buffer.sample(self.hyper.batch_size, rng)
@@ -353,11 +362,11 @@ class DqnAgent:
         h, nl = self.n_heads, self.hyper.levels
         levels = self.action_to_levels(batch.actions)
 
-        q_next, _ = self.target_net.forward(batch.next_states)
+        q_next, _ = self.target_net.forward(batch.next_states, reuse=True)
         best_next = q_next.reshape(b, h, nl).max(axis=2)
         y = batch.rewards[:, None] + self.hyper.gamma * best_next * (1.0 - batch.dones)[:, None]
 
-        q_all, cache = self.q_net.forward(batch.states)
+        q_all, cache = self.q_net.forward(batch.states, reuse=True)
         q_grid = q_all.reshape(b, h, nl)
         rows = np.arange(b)[:, None]
         heads = np.arange(h)[None, :]
@@ -366,7 +375,7 @@ class DqnAgent:
         loss = float(np.mean(err ** 2))
         grad_grid = np.zeros((b, h, nl))
         grad_grid[rows, heads, levels] = 2.0 * err / (b * h)
-        grads, _ = self.q_net.backward(cache, grad_grid.reshape(b, h * nl))
+        grads, _ = self.q_net.backward(cache, grad_grid.reshape(b, h * nl), out=self.opt.grad)
         self.opt.step(self.q_net.params(), grads)
         self.q_net.check_finite()
         self.train_step_count += 1

@@ -80,7 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "on a simulated cloud-edge cluster.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="run a training campaign")
+    train = sub.add_parser(
+        "train", help="run a training campaign",
+        description="Train one seed per entry of the config's seeds list. Several seeds "
+                    "train side by side, one CPU lane each, and this process is lane 0. "
+                    "It cannot pin its BLAS threads once numpy is imported, so start it "
+                    "with OPENBLAS_NUM_THREADS=1 for the lanes to speed training up.")
     train.add_argument("--config", required=True, help="experiment JSON file")
     train.add_argument("--algo", required=True, choices=AGENT_KINDS,
                        help="policy to train")

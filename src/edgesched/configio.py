@@ -35,6 +35,7 @@ __all__ = [
     "config_hash",
     "SCENARIO_PRESETS",
     "TRACE_PREFIX",
+    "MAX_STEPS_PER_EPISODE",
 ]
 
 
@@ -48,6 +49,10 @@ SCENARIO_PRESETS = {"normal_100": 100.0, "high_300": 300.0}
 TRACE_PREFIX = "trace:"
 
 WEIGHT_SCHEMES = ("uniform", "front_heavy")
+
+# build_workload allocates one rate-matrix row per window, so T is capped
+# where that matrix would stop being small.
+MAX_STEPS_PER_EPISODE = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,9 @@ class ExperimentConfig:
                 f"unknown algorithm {self.algorithm!r}; expected one of {AGENT_KINDS}")
         if self.episodes < 1 or self.steps_per_episode < 1:
             raise ConfigError("episodes and steps_per_episode must be >= 1")
+        if self.steps_per_episode > MAX_STEPS_PER_EPISODE:
+            raise ConfigError(f"steps_per_episode must be <= {MAX_STEPS_PER_EPISODE}, "
+                              f"got {self.steps_per_episode}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if any(not isinstance(s, int) or s < 0 for s in self.seeds):

@@ -37,6 +37,7 @@ __all__ = [
     "METRICS_HEADER",
     "export_csv",
     "load_metrics",
+    "MetricsLoadError",
     "run_campaign",
     "run_training",
     "train_one_seed",
@@ -86,22 +87,29 @@ def export_csv(rows: list[EpisodeRow], path: str | Path) -> None:
         raise ValidationError(f"cannot write metrics to {path}: {exc.strerror or exc}") from exc
 
 
+class MetricsLoadError(ValidationError):
+    """Raised for unreadable, malformed or non-finite metrics files."""
+
+
 def load_metrics(path: str | Path) -> list[EpisodeRow]:
     rows = []
-    lines = csv_rows(path, ValidationError)
-    _, header = next(lines, (0, None))
+    lines = csv_rows(path, MetricsLoadError)
+    try:  # the first record reads the file
+        _, header = next(lines, (0, None))
+    except OSError as exc:
+        raise MetricsLoadError(f"{path}: {exc.strerror or exc}") from exc
     if header != METRICS_HEADER:
-        raise ValidationError(f"{path}: unexpected metrics header {header}")
+        raise MetricsLoadError(f"{path}: unexpected metrics header {header}")
     for lineno, line in lines:
         if len(line) != len(METRICS_HEADER):
-            raise ValidationError(f"{path}:{lineno}: malformed row {line}")
+            raise MetricsLoadError(f"{path}:{lineno}: malformed row {line}")
         try:
             values = [float(v) for v in line[2:]]
             rows.append(EpisodeRow(int(line[0]), int(line[1]), *values))
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed row {line} ({exc})") from exc
+            raise MetricsLoadError(f"{path}:{lineno}: malformed row {line} ({exc})") from exc
         if not all(map(math.isfinite, values)):
-            raise ValidationError(f"{path}:{lineno}: non-finite value in row {line}")
+            raise MetricsLoadError(f"{path}:{lineno}: non-finite value in row {line}")
     return rows
 
 

@@ -91,6 +91,7 @@ class Mlp:
         params = self._views(self.flat)
         self.weights = params[0::2]
         self.biases = params[1::2]
+        self._kept: tuple[list[np.ndarray], list[np.ndarray]] | None = None  # forward(reuse=True)
         if weights is not None:
             assert biases is not None
             if len(weights) != self.n_layers or len(biases) != self.n_layers:
@@ -138,9 +139,14 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, x, reuse: bool = False) -> tuple[np.ndarray, ForwardCache]:
         """Affine/activation composition; accepts (in,) or (B, in) input. Values are
-        not checked: each update checks the updated network's parameters once."""
+        not checked: each update checks the updated network's parameters once.
+
+        With reuse, the activations go into the arrays of this network's last
+        reuse call when the batch size matches, so that call's output and cache
+        are overwritten; every other call returns arrays of its own.
+        """
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         if squeeze:
@@ -148,29 +154,48 @@ class Mlp:
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with input size {self.layer_sizes[0]}")
+        kept = self._kept if reuse else None
+        if kept is not None and len(kept[0][0]) != len(x):
+            kept = None
         pre, post = [], []
         a = x
         for l in range(self.n_layers):
-            z = a @ self.weights[l] + self.biases[l]
+            if kept is None:  # @ beats np.matmul on the single rows that act() sends
+                z, into = a @ self.weights[l], None
+            else:
+                z, into = np.matmul(a, self.weights[l], out=kept[0][l]), kept[1][l]
+            z += self.biases[l]
             pre.append(z)
             if l < self.n_layers - 1:
-                a = np.maximum(z, 0.0)
+                a = np.maximum(z, 0.0, out=into)
             elif self.output_activation == "tanh":
-                a = np.tanh(z)
+                a = np.tanh(z, out=into)
             else:
                 a = z
             post.append(a)
+        if reuse:
+            self._kept = (pre, post)
         out = post[-1][0] if squeeze else post[-1]
         return out, ForwardCache(x=x, pre=pre, post=post, squeeze=squeeze)
 
-    def backward(self, cache: ForwardCache, output_gradient) -> tuple[list[np.ndarray], np.ndarray]:
+    def backward(self, cache: ForwardCache, output_gradient,
+                 out: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Exact gradients of sum(output_gradient * output).
 
         Returns (param_grads interleaved like params(), input_grad). The
-        cache must come from this network's matching forward call.
+        cache must come from this network's matching forward call. The
+        parameter gradients are views of `out`, a float64 vector laid out
+        like flat, when it is given, and of a fresh vector otherwise.
         """
         if len(cache.pre) != self.n_layers or cache.pre[-1].shape[1] != self.layer_sizes[-1]:
             raise ValidationError("cache does not match this network")
+        if out is None:  # callers may keep the gradients of several calls
+            out = np.empty(self.flat.size)
+        elif out.shape != self.flat.shape or out.dtype != np.float64 \
+                or not out.flags.c_contiguous:
+            raise DimensionError(
+                f"out must be a contiguous float64 vector of {self.flat.size} values, "
+                f"got {out.dtype} of shape {out.shape}")
         g = np.asarray(output_gradient, dtype=np.float64)
         if cache.squeeze and g.ndim == 1:
             g = g[None, :]
@@ -181,8 +206,7 @@ class Mlp:
             dz = g * (1.0 - cache.post[-1] ** 2)
         else:
             dz = g
-        # a fresh vector per call: callers may keep the gradients of several calls
-        param_grads = self._views(np.empty(self.flat.size))
+        param_grads = self._views(out)
         for l in range(self.n_layers - 1, -1, -1):
             a_prev = cache.x if l == 0 else cache.post[l - 1]
             np.matmul(a_prev.T, dz, out=param_grads[2 * l])
@@ -206,7 +230,9 @@ class AdamState:
 
     The parameters and gradients handed to step() must tile one vector each
     (Mlp.params() and Mlp.backward() gradients do), so the whole update is
-    a handful of vector operations into preallocated scratch.
+    a handful of vector operations into preallocated scratch. grad is the
+    network's gradient vector: passed to Mlp.backward as out, it lets every
+    update reuse one allocation.
     """
 
     beta1 = 0.9
@@ -220,6 +246,7 @@ class AdamState:
         self.first_moment = np.zeros(n)
         self.second_moment = np.zeros(n)
         self._scratch = (np.empty(n), np.empty(n))
+        self.grad = np.empty(n)
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         """One bias-corrected Adam update, mutating params in place. Gradients are
@@ -287,11 +314,16 @@ class ParamLoadError(ValidationError):
 def load_mlp(path: str | Path, expect_sizes: list[int] | None = None) -> Mlp:
     """Load a parameter file written by save_mlp; bit-exact round trip.
 
-    Raises ParamLoadError on corruption, truncation, version mismatch,
-    non-finite values, or (when expect_sizes is given) architecture
-    mismatch. No partial state escapes a failed load.
+    Raises ParamLoadError on an unreadable path, corruption, truncation,
+    version mismatch, non-finite values, or (when expect_sizes is given)
+    architecture mismatch. No partial state escapes a failed load.
     """
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParamLoadError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # an embedded null byte
+        raise ParamLoadError(f"{str(path)!r}: {exc}") from exc
     view = memoryview(data)
     pos = 0
 

@@ -23,7 +23,7 @@ from edgesched.domain import (
     ValidationError,
     action_from_unit,
 )
-from edgesched.nets import load_mlp, save_mlp
+from edgesched.nets import AdamState, Mlp, load_mlp, save_mlp
 from edgesched.replay import ReplayBuffer
 from edgesched.rng import stream
 
@@ -498,6 +498,53 @@ def test_non_finite_replay_column_caught_at_parameter_check(rng, kind, column):
         buf.add(s, action_from_unit(fill.uniform(-1, 1, 2)).vec, r[0], s2, False)
     with pytest.raises(ValidationError, match="non-finite parameters"):
         agent.learn(buf, rng)
+
+
+@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
+def test_learn_hands_each_optimizer_one_gradient_vector(rng, monkeypatch, kind):
+    # backward writes into the optimizer's own vector, so no update allocates one
+    handed = []
+    step = AdamState.step
+
+    def spy(opt, params, grads):
+        handed.append((opt, grads[0].base))
+        step(opt, params, grads)
+
+    monkeypatch.setattr(AdamState, "step", spy)
+    agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
+                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
+    buf = fill_buffer()
+    for _ in range(2):
+        assert not agent.learn(buf, rng).skipped
+    opts = [agent.opt] if kind == "dqn" else [*agent.critic_opts, agent.actor_opt]
+    for opt in opts:
+        vectors = [vec for owner, vec in handed if owner is opt]
+        assert len(vectors) == 2
+        assert all(vec is opt.grad for vec in vectors)
+    assert len(handed) == 2 * len(opts)
+
+
+@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
+def test_learn_reuses_each_network_activation_arrays(rng, monkeypatch, kind):
+    outputs = []
+    forward = Mlp.forward
+
+    def spy(net, x, reuse=False):
+        out, cache = forward(net, x, reuse=reuse)
+        outputs.append((net, reuse, cache.pre[0]))
+        return out, cache
+
+    monkeypatch.setattr(Mlp, "forward", spy)
+    agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
+                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
+    buf = fill_buffer()
+    agent.learn(buf, rng)
+    first = {id(net): pre for net, _, pre in outputs}
+    n_calls = len(outputs)
+    agent.learn(buf, rng)
+    assert len(outputs) == 2 * n_calls
+    assert all(reuse for _, reuse, _ in outputs)
+    assert all(pre is first[id(net)] for net, _, pre in outputs)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -146,6 +146,20 @@ class TestTrain:
         assert stderr.startswith(f"error: {trace}:2: field larger than field limit")
         assert stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("steps", [10**9, 10**30])
+    def test_steps_per_episode_over_limit_exits_2(self, tmp_path, capsys, steps):
+        # 10**30 used to overflow in build_workload; 10**9 asked for 10**9 rate rows
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps(dict(SMOKE, steps_per_episode=steps)), encoding="utf-8")
+        out = tmp_path / "run"
+        code, stdout, stderr = run_cli(
+            ["train", "--config", cfg, "--algo", "basek", "--out", out], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: steps_per_episode must be <= ")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["train", "--config", tmp_path / "none.json", "--algo", "td3"], capsys)
@@ -198,6 +212,25 @@ class TestEval:
         assert code == 2
         assert stdout == ""
         assert stderr == "error: seeds must be non-negative integers\n"
+
+    @pytest.mark.parametrize("steps", [10**9, 10**30])
+    def test_steps_per_episode_over_limit_exits_2(self, tmp_path, capsys, steps):
+        cfg = tmp_path / "long.json"
+        cfg.write_text(json.dumps(dict(SMOKE, algorithm="basek", steps_per_episode=steps)),
+                       encoding="utf-8")
+        code, stdout, stderr = run_cli(["eval", "--config", cfg, "--episodes", 1], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: steps_per_episode must be <= ")
+        assert stderr.count("\n") == 1
+
+    def test_missing_params_file_exits_2(self, smoke_cfg, tmp_path, capsys):
+        params = tmp_path / "absent.bin"
+        code, stdout, stderr = run_cli(
+            ["eval", "--config", smoke_cfg, "--params", params, "--episodes", 1], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {params}: No such file or directory\n"
 
     def test_eval_non_finite_params_exits_2(self, tmp_path, capsys):
         # argmax over NaN Q-values would quietly pick level 0 every step

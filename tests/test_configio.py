@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgesched.configio import (
+    MAX_STEPS_PER_EPISODE,
     SCENARIO_PRESETS,
     ConfigError,
     ExperimentConfig,
@@ -108,6 +109,12 @@ class TestRejection:
     def test_unknown_keys_fail_loudly(self, tmp_path, doc, needle):
         with pytest.raises(ConfigError, match=needle):
             load_config(write_cfg(tmp_path, doc))
+
+    def test_steps_per_episode_capped_at_named_limit(self, tmp_path):
+        assert ExperimentConfig(steps_per_episode=MAX_STEPS_PER_EPISODE).sim.episode_len \
+            == MAX_STEPS_PER_EPISODE
+        with pytest.raises(ConfigError, match="steps_per_episode"):
+            load_config(write_cfg(tmp_path, {"steps_per_episode": MAX_STEPS_PER_EPISODE + 1}))
 
     def test_unknown_keys_in_topology_entries(self, tmp_path):
         doc = {"sim": {"nodes": [{"node_id": 0, "tier": "edge", "gpus": 4}]}}

@@ -3,6 +3,7 @@
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from edgesched.domain import ValidationError
 from edgesched.harness import (
     METRICS_HEADER,
     EpisodeRow,
+    MetricsLoadError,
     compare_runs,
     export_csv,
     load_metrics,
@@ -85,6 +87,11 @@ class TestMetricsCsv:
         path.write_text(",".join(METRICS_HEADER) + "\n0,0,1,1,0,1,1\n1,0,fast,1,0,1,1\n",
                         encoding="utf-8")
         with pytest.raises(ValidationError, match=r"bad\.csv:3: malformed row"):
+            load_metrics(path)
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(MetricsLoadError, match=re.escape(f"{path}: No such file")):
             load_metrics(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

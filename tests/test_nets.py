@@ -5,6 +5,8 @@ re-implementation (dual-route arithmetic check) and central finite
 differences on every parameter and on the input (gradient oracle).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -420,3 +422,87 @@ class TestFlatParameters:
             getattr(net, tensor)[layer][..., -1] = np.nan if layer % 2 else np.inf
             with pytest.raises(ValidationError, match=f"layer {layer}"):
                 net.check_finite()
+
+
+class TestGradientBuffer:
+    """backward(..., out=v): gradients written into a caller's vector."""
+
+    @pytest.mark.parametrize("in_dim, h, h2, out_dim, act", CHECK_SHAPES)
+    def test_out_views_are_bit_equal_to_fresh(self, in_dim, h, h2, out_dim, act, rng):
+        net = Mlp([in_dim, h, h2, out_dim], act)
+        net.flat[...] = rng.normal(size=net.flat.size) * 0.5
+        _, cache = net.forward(rng.normal(size=(6, in_dim)))
+        g = rng.normal(size=(6, out_dim))
+        fresh, fresh_input = net.backward(cache, g)
+        out = np.full(net.flat.size, np.nan)  # every entry must be written
+        grads, input_grad = net.backward(cache, g, out=out)
+        for got, want in zip(grads, fresh):
+            assert got.base is out
+            assert np.array_equal(got, want)
+        assert np.array_equal(input_grad, fresh_input)
+        # a later call reuses the vector; the fresh result is untouched
+        net.backward(cache, 2.0 * g, out=out)
+        assert np.array_equal(grads[0], 2.0 * fresh[0])
+
+    @pytest.mark.parametrize("bad", [np.empty(10), np.empty(12), np.empty((1, 13)),
+                                     np.empty(13, dtype=np.float32), np.empty(26)[::2]])
+    def test_wrong_out_rejected(self, rng, bad):
+        net = Mlp([2, 3, 1], "linear")  # 13 parameters
+        _, cache = net.forward(rng.normal(size=2))
+        with pytest.raises(DimensionError, match="13 values"):
+            net.backward(cache, np.ones(1), out=bad)
+
+    def test_adam_takes_its_own_gradient_vector(self, rng):
+        net = Mlp.create(3, 8, 2, "tanh", rng)
+        twin = net.copy()
+        opt, twin_opt = (AdamState(n.params(), learning_rate=1e-2) for n in (net, twin))
+        assert opt.grad.shape == net.flat.shape
+        for _ in range(5):
+            x, g = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+            _, cache = net.forward(x)
+            opt.step(net.params(), net.backward(cache, g, out=opt.grad)[0])
+            _, cache = twin.forward(x)
+            twin_opt.step(twin.params(), twin.backward(cache, g)[0])
+        assert net.flat.tobytes() == twin.flat.tobytes()
+
+
+class TestForwardReuse:
+    """forward(x, reuse=True): activations written into the net's kept arrays."""
+
+    @pytest.mark.parametrize("in_dim, h, h2, out_dim, act", CHECK_SHAPES)
+    def test_reuse_is_bit_equal_and_overwrites_last_reuse(self, in_dim, h, h2, out_dim,
+                                                          act, rng):
+        net = Mlp.create(in_dim, h, out_dim, act, rng)
+        xs = [rng.normal(size=(5, in_dim)) for _ in range(3)]
+        fresh = [net.forward(x) for x in xs]
+        first_out, first = net.forward(xs[0], reuse=True)
+        out, cache = net.forward(xs[1], reuse=True)
+        for got, want in zip(cache.pre + cache.post, first.pre + first.post):
+            assert got is want  # the first reuse call's arrays, overwritten
+        assert out is first_out
+        for got, want in zip(cache.pre + cache.post, fresh[1][1].pre + fresh[1][1].post):
+            assert np.array_equal(got, want)
+        grads, input_grad = net.backward(cache, np.ones((5, out_dim)))
+        want_grads, want_input = net.backward(fresh[1][1], np.ones((5, out_dim)))
+        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+        assert np.array_equal(input_grad, want_input)
+
+    def test_plain_calls_and_other_batch_sizes_get_own_arrays(self, rng):
+        net = Mlp.create(3, 8, 2, "tanh", rng)
+        kept, _ = net.forward(rng.normal(size=(4, 3)), reuse=True)
+        snapshot = kept.copy()
+        plain, _ = net.forward(rng.normal(size=(4, 3)))
+        other, _ = net.forward(rng.normal(size=(6, 3)), reuse=True)
+        single, _ = net.forward(rng.normal(size=3), reuse=True)
+        assert plain is not kept and other is not kept
+        assert np.array_equal(kept, snapshot)
+        want, _ = net.forward(np.ones(3))
+        got, _ = net.forward(np.ones(3), reuse=True)  # a 1-row batch, as the last reuse
+        assert single.base is got.base
+        assert np.array_equal(got, want)
+
+
+def test_missing_parameter_file_names_path(tmp_path):
+    path = tmp_path / "absent.bin"
+    with pytest.raises(ParamLoadError, match=re.escape(f"{path}: No such file")):
+        load_mlp(path)
