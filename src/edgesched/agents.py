@@ -178,8 +178,8 @@ class Td3Agent:
                         for _ in range(n_critics)]
         self.target_actor = self.actor.copy()
         self.target_critics = [c.copy() for c in self.critics]
-        self.actor_opt = AdamState(self.actor.params(), learning_rate=hyper.actor_lr)
-        self.critic_opts = [AdamState(c.params(), learning_rate=hyper.critic_lr)
+        self.actor_opt = AdamState(self.actor.flat.size, learning_rate=hyper.actor_lr)
+        self.critic_opts = [AdamState(c.flat.size, learning_rate=hyper.critic_lr)
                             for c in self.critics]
         self.critic_update_count = 0
         self.actor_update_count = 0
@@ -239,8 +239,7 @@ class Td3Agent:
             q, cache = critic.forward(sa, reuse=True)
             err = q - y
             loss = float(np.mean(err ** 2))
-            grads, _ = critic.backward(cache, 2.0 * err / b, out=opt.grad)
-            opt.step(critic.params(), grads)
+            opt.step(critic.flat, critic.backward(cache, 2.0 * err / b, grad=opt.grad))
             critic.check_finite()
             losses.append(loss)
         self.critic_update_count += 1
@@ -253,12 +252,10 @@ class Td3Agent:
         sa_pi = np.concatenate([batch.states, u], axis=1)
         q_pi, critic_cache = self.critics[0].forward(sa_pi, reuse=True)
         actor_loss = float(-np.mean(q_pi))
-        # critic 0's parameter gradients are discarded: its vector is free again
-        _, sa_grad = self.critics[0].backward(critic_cache, -np.ones((b, 1)) / b,
-                                              out=self.critic_opts[0].grad)
-        actor_grads, _ = self.actor.backward(actor_cache, sa_grad[:, self.state_dim:],
-                                             out=self.actor_opt.grad)
-        self.actor_opt.step(self.actor.params(), actor_grads)
+        # only the input gradient of critic 0: its parameters stay frozen here
+        sa_grad = self.critics[0].backward(critic_cache, -np.ones((b, 1)) / b)
+        self.actor_opt.step(self.actor.flat, self.actor.backward(
+            actor_cache, sa_grad[:, self.state_dim:], grad=self.actor_opt.grad))
         self.actor.check_finite()
         self.actor_update_count += 1
 
@@ -315,7 +312,7 @@ class DqnAgent:
         self.q_net = Mlp.create(self.state_dim, hyper.hidden,
                                 self.n_heads * hyper.levels, "linear", init_rng)
         self.target_net = self.q_net.copy()
-        self.opt = AdamState(self.q_net.params(), learning_rate=hyper.lr)
+        self.opt = AdamState(self.q_net.flat.size, learning_rate=hyper.lr)
         self.train_step_count = 0
 
     def levels_to_action(self, levels: np.ndarray) -> ActionVector:
@@ -375,8 +372,8 @@ class DqnAgent:
         loss = float(np.mean(err ** 2))
         grad_grid = np.zeros((b, h, nl))
         grad_grid[rows, heads, levels] = 2.0 * err / (b * h)
-        grads, _ = self.q_net.backward(cache, grad_grid.reshape(b, h * nl), out=self.opt.grad)
-        self.opt.step(self.q_net.params(), grads)
+        self.opt.step(self.q_net.flat, self.q_net.backward(
+            cache, grad_grid.reshape(b, h * nl), grad=self.opt.grad))
         self.q_net.check_finite()
         self.train_step_count += 1
         synced = self.train_step_count % self.hyper.target_sync_every == 0

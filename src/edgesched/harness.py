@@ -285,9 +285,16 @@ def run_campaign(configs: list[ExperimentConfig]) -> list[Path]:
     Lane k of min(jobs, usable CPUs) lanes trains jobs[k::lanes] in order.
     The caller is lane 0; the others are worker processes with one BLAS
     thread. A worker's exception is raised here, and every worker has
-    exited when this returns or raises.
+    exited when this returns or raises. A (run directory, seed) job listed
+    twice is rejected before any lane starts: two lanes would write one
+    seed's files at once.
     """
     jobs = [(config, seed) for config in configs for seed in config.seeds]
+    seen = set()
+    for config, seed in jobs:
+        if (job := (Path(config.output_dir).resolve(), seed)) in seen:
+            raise ValidationError(f"{job[0]}: seed {seed} is listed twice for this directory")
+        seen.add(job)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     lanes, workers = max(1, min(len(jobs), cpus)), []
     try:

@@ -51,20 +51,6 @@ def _spans(layer_sizes: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
     return spans
 
 
-def _flat(tensors: list[np.ndarray]) -> np.ndarray:
-    """The contiguous vector that tensors tile, as a view.
-
-    Mlp.params() and backward() gradients are laid out this way; a list of
-    separate arrays is rejected rather than silently copied.
-    """
-    head = tensors[0]
-    vec = head if head.base is None else head.base
-    if not (vec.flags.c_contiguous and vec.size == sum(t.size for t in tensors)
-            and all(t is vec or t.base is vec for t in tensors)):
-        raise DimensionError("tensors must tile one contiguous vector, like Mlp.params()")
-    return vec.reshape(-1)
-
-
 class Mlp:
     """Fully connected network; weights[l] has shape (in_l, out_l).
 
@@ -103,7 +89,7 @@ class Mlp:
                 self.biases[l][...] = b
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """flat split into the interleaved tensors of params()."""
+        """A vector laid out like flat, split into its tensors W0, b0, W1, b1, ..."""
         return [flat[a:b].reshape(shape) for a, b, shape in self._spans]
 
     @classmethod
@@ -131,13 +117,6 @@ class Mlp:
         net = Mlp(self.layer_sizes, self.output_activation)
         net.flat[...] = self.flat
         return net
-
-    def params(self) -> list[np.ndarray]:
-        """Interleaved [W0, b0, W1, b1, ...]; live views of flat, not copies."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
 
     def forward(self, x, reuse: bool = False) -> tuple[np.ndarray, ForwardCache]:
         """Affine/activation composition; accepts (in,) or (B, in) input. Values are
@@ -179,23 +158,24 @@ class Mlp:
         return out, ForwardCache(x=x, pre=pre, post=post, squeeze=squeeze)
 
     def backward(self, cache: ForwardCache, output_gradient,
-                 out: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+                 grad: np.ndarray | None = None) -> np.ndarray:
         """Exact gradients of sum(output_gradient * output).
 
-        Returns (param_grads interleaved like params(), input_grad). The
-        cache must come from this network's matching forward call. The
-        parameter gradients are views of `out`, a float64 vector laid out
-        like flat, when it is given, and of a fresh vector otherwise.
+        With grad, a contiguous float64 vector laid out like flat, the
+        parameter gradients are written into grad and grad is returned;
+        the input gradient is not computed. Without grad, only the input
+        gradient is computed and returned. The cache must come from this
+        network's matching forward call.
         """
         if len(cache.pre) != self.n_layers or cache.pre[-1].shape[1] != self.layer_sizes[-1]:
             raise ValidationError("cache does not match this network")
-        if out is None:  # callers may keep the gradients of several calls
-            out = np.empty(self.flat.size)
-        elif out.shape != self.flat.shape or out.dtype != np.float64 \
-                or not out.flags.c_contiguous:
-            raise DimensionError(
-                f"out must be a contiguous float64 vector of {self.flat.size} values, "
-                f"got {out.dtype} of shape {out.shape}")
+        if grad is not None:
+            if grad.shape != self.flat.shape or grad.dtype != np.float64 \
+                    or not grad.flags.c_contiguous:
+                raise DimensionError(
+                    f"grad must be a contiguous float64 vector of {self.flat.size} values, "
+                    f"got {grad.dtype} of shape {grad.shape}")
+            param_grads = self._views(grad)
         g = np.asarray(output_gradient, dtype=np.float64)
         if cache.squeeze and g.ndim == 1:
             g = g[None, :]
@@ -206,16 +186,17 @@ class Mlp:
             dz = g * (1.0 - cache.post[-1] ** 2)
         else:
             dz = g
-        param_grads = self._views(out)
         for l in range(self.n_layers - 1, -1, -1):
-            a_prev = cache.x if l == 0 else cache.post[l - 1]
-            np.matmul(a_prev.T, dz, out=param_grads[2 * l])
-            np.sum(dz, axis=0, out=param_grads[2 * l + 1])
+            if grad is not None:
+                a_prev = cache.x if l == 0 else cache.post[l - 1]
+                np.matmul(a_prev.T, dz, out=param_grads[2 * l])
+                np.sum(dz, axis=0, out=param_grads[2 * l + 1])
+                if l == 0:
+                    return grad
             da = dz @ self.weights[l].T
             if l > 0:
                 dz = da * (cache.pre[l - 1] > 0.0)
-        input_grad = da[0] if cache.squeeze else da
-        return param_grads, input_grad
+        return da[0] if cache.squeeze else da
 
     def check_finite(self) -> None:
         if np.isfinite(self.flat).all():
@@ -226,33 +207,30 @@ class Mlp:
 
 
 class AdamState:
-    """Adam moments for one parameter list; updates in place.
+    """Adam moments for one flat parameter vector; updates in place.
 
-    The parameters and gradients handed to step() must tile one vector each
-    (Mlp.params() and Mlp.backward() gradients do), so the whole update is
-    a handful of vector operations into preallocated scratch. grad is the
-    network's gradient vector: passed to Mlp.backward as out, it lets every
-    update reuse one allocation.
+    step() takes the network's flat vector and a gradient vector of the same
+    size, so the whole update is a handful of vector operations into
+    preallocated scratch. grad is the network's gradient vector: passed to
+    Mlp.backward, it lets every update reuse one allocation.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     epsilon = 1e-8
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 3e-4):
+    def __init__(self, size: int, learning_rate: float = 3e-4):
         self.learning_rate = learning_rate
         self.timestep = 0
-        n = _flat(params).size
-        self.first_moment = np.zeros(n)
-        self.second_moment = np.zeros(n)
-        self._scratch = (np.empty(n), np.empty(n))
-        self.grad = np.empty(n)
+        self.first_moment = np.zeros(size)
+        self.second_moment = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
+        self.grad = np.empty(size)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """One bias-corrected Adam update, mutating params in place. Gradients are
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """One bias-corrected Adam update of the vector p, in place. Gradients are
         not checked: each update checks the updated network's parameters once."""
-        p, g = _flat(params), _flat(grads)
-        if p.size != self.first_moment.size or g.size != p.size:
+        if p.shape != self.first_moment.shape or g.shape != p.shape:
             raise DimensionError("parameter/gradient count mismatch")
         self.timestep += 1
         t = self.timestep

@@ -113,19 +113,19 @@ def test_criterion_02_gradient_check():
             x = rng.normal(size=in_dim)
             proj = rng.normal(size=out_dim)
             _, cache = net.forward(x)
-            grads, x_grad = net.backward(cache, proj)
-            for tensor, grad in zip(net.params(), grads):
-                flat_p, flat_g = tensor.reshape(-1), grad.reshape(-1)
-                for j in range(flat_p.size):
-                    orig = flat_p[j]
-                    flat_p[j] = orig + eps
-                    up = _fd_objective(net, x, proj)
-                    flat_p[j] = orig - eps
-                    dn = _fd_objective(net, x, proj)
-                    flat_p[j] = orig
-                    numeric = (up - dn) / (2 * eps)
-                    denom = max(abs(flat_g[j]), abs(numeric), 1e-8)
-                    worst = max(worst, abs(flat_g[j] - numeric) / denom)
+            flat_g = net.backward(cache, proj, grad=np.empty(net.flat.size))
+            x_grad = net.backward(cache, proj)
+            flat_p = net.flat
+            for j in range(flat_p.size):
+                orig = flat_p[j]
+                flat_p[j] = orig + eps
+                up = _fd_objective(net, x, proj)
+                flat_p[j] = orig - eps
+                dn = _fd_objective(net, x, proj)
+                flat_p[j] = orig
+                numeric = (up - dn) / (2 * eps)
+                denom = max(abs(flat_g[j]), abs(numeric), 1e-8)
+                worst = max(worst, abs(flat_g[j] - numeric) / denom)
             for j in range(in_dim):
                 bumped = x.copy()
                 bumped[j] += eps
@@ -252,10 +252,9 @@ def test_criterion_04_update_mechanics():
     # (d) soft update is the exact convex combination
     src = Mlp.create(3, 8, 2, "tanh", stream(6, "a"))
     tgt = Mlp.create(3, 8, 2, "tanh", stream(7, "b"))
-    old = [p.copy() for p in tgt.params()]
+    old = tgt.flat.copy()
     soft_update(tgt, src, 0.3)
-    soft_ok = all(np.allclose(t, 0.7 * o + 0.3 * s, atol=1e-12)
-                  for t, s, o in zip(tgt.params(), src.params(), old))
+    soft_ok = np.allclose(tgt.flat, 0.7 * old + 0.3 * src.flat, atol=1e-12)
 
     # (e) exploration noise closed form one decay constant in
     from edgesched.agents import exploration_sigma

@@ -55,11 +55,11 @@ def fill_buffer(n_services=1, count=32, reward=0.5, done=False, seed=3):
 
 
 def snapshot(net):
-    return [p.copy() for p in net.params()]
+    return net.flat.copy()
 
 
 def params_equal(net, snap):
-    return all(np.array_equal(p, q) for p, q in zip(net.params(), snap))
+    return np.array_equal(net.flat, snap)
 
 
 def target_qs(agent, next_states, rng):
@@ -106,8 +106,7 @@ class TestSchedules:
 class TestSelectAction:
     def test_zero_actor_greedy_is_box_midpoint(self, rng):
         agent = Td3Agent(2, small_hyper(), rng)
-        for p in agent.actor.params():
-            p[:] = 0.0
+        agent.actor.flat[:] = 0.0
         act = agent.act(make_state(2), None, t=0, explore=False, rng=rng)
         # tanh(0) = 0 maps to the center of each allocation range
         np.testing.assert_allclose(act.cpu_alloc, [1.05, 1.05], atol=1e-12)
@@ -208,10 +207,10 @@ class TestTrainStep:
     def test_small_buffer_is_a_noop(self, rng):
         agent = Td3Agent(1, small_hyper(batch_size=8), rng)
         buf = fill_buffer(count=8)  # size == batch_size: still skipped
-        before = snapshot(agent.actor) + snapshot(agent.critics[0])
+        before = [snapshot(agent.actor), snapshot(agent.critics[0])]
         stats = agent.learn(buf, rng)
         assert stats.skipped
-        after = snapshot(agent.actor) + snapshot(agent.critics[0])
+        after = [snapshot(agent.actor), snapshot(agent.critics[0])]
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_actor_delayed_by_policy_freq(self, rng):
@@ -261,8 +260,7 @@ class TestTrainStep:
         nets = [(agent.target_actor, agent.actor)] + list(
             zip(agent.target_critics, agent.critics))
         for (tgt, main), old in zip(nets, old_targets):
-            for t_p, m_p, o_p in zip(tgt.params(), main.params(), old):
-                np.testing.assert_allclose(t_p, 0.75 * o_p + 0.25 * m_p, atol=1e-12)
+            np.testing.assert_allclose(tgt.flat, 0.75 * old + 0.25 * main.flat, atol=1e-12)
 
     def test_twin_critics_are_independent(self, rng):
         agent = Td3Agent(1, small_hyper(), rng)
@@ -280,7 +278,7 @@ class TestTrainStep:
     def test_non_finite_loss_aborts(self, rng):
         agent = Td3Agent(1, small_hyper(), rng)
         buf = fill_buffer(count=32)
-        agent.critics[0].params()[0][:] = 1e200
+        agent.critics[0].weights[0][:] = 1e200
         with pytest.raises(ValidationError, match="non-finite"):
             agent.learn(buf, rng)
 
@@ -506,9 +504,9 @@ def test_learn_hands_each_optimizer_one_gradient_vector(rng, monkeypatch, kind):
     handed = []
     step = AdamState.step
 
-    def spy(opt, params, grads):
-        handed.append((opt, grads[0].base))
-        step(opt, params, grads)
+    def spy(opt, p, g):
+        handed.append((opt, p, g))
+        step(opt, p, g)
 
     monkeypatch.setattr(AdamState, "step", spy)
     agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
@@ -516,12 +514,38 @@ def test_learn_hands_each_optimizer_one_gradient_vector(rng, monkeypatch, kind):
     buf = fill_buffer()
     for _ in range(2):
         assert not agent.learn(buf, rng).skipped
+    nets = [agent.q_net] if kind == "dqn" else [*agent.critics, agent.actor]
     opts = [agent.opt] if kind == "dqn" else [*agent.critic_opts, agent.actor_opt]
-    for opt in opts:
-        vectors = [vec for owner, vec in handed if owner is opt]
+    for net, opt in zip(nets, opts):
+        vectors = [(p, g) for owner, p, g in handed if owner is opt]
         assert len(vectors) == 2
-        assert all(vec is opt.grad for vec in vectors)
+        assert all(p is net.flat and g is opt.grad for p, g in vectors)
     assert len(handed) == 2 * len(opts)
+
+
+@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
+def test_learn_asks_backward_only_for_gradients_it_reads(rng, monkeypatch, kind):
+    # the actor step reads only critic 0's input gradient, so it passes no vector;
+    # every other call fills its optimizer's vector and skips the input gradient
+    calls = []
+    backward = Mlp.backward
+
+    def spy(net, cache, output_gradient, grad=None):
+        calls.append((net, grad))
+        return backward(net, cache, output_gradient, grad)
+
+    monkeypatch.setattr(Mlp, "backward", spy)
+    agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
+                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
+    assert not agent.learn(fill_buffer(), rng).skipped
+    if kind == "dqn":
+        want = [(agent.q_net, agent.opt.grad)]
+    else:
+        want = [*((c, opt.grad) for c, opt in zip(agent.critics, agent.critic_opts)),
+                (agent.critics[0], None), (agent.actor, agent.actor_opt.grad)]
+    assert len(calls) == len(want)
+    assert all(net is want_net and grad is want_grad
+               for (net, grad), (want_net, want_grad) in zip(calls, want))
 
 
 @pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])

@@ -64,6 +64,16 @@ class TestTrain:
         assert (out / "metrics_seed5.csv").exists()
         assert not (out / "metrics_seed0.csv").exists()
 
+    def test_seed_listed_twice_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps(dict(SMOKE, seeds=[0, 0])), encoding="utf-8")
+        out = tmp_path / "run"
+        code, stdout, stderr = run_cli(["train", "--config", cfg, "--algo", "td3",
+                                        "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {out.resolve()}: seed 0 is listed twice for this directory\n"
+        assert not out.exists()
+
     def test_algo_flag_is_validated_by_argparse(self, smoke_cfg, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--config", str(smoke_cfg), "--algo", "a2c"])

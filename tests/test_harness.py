@@ -366,6 +366,23 @@ class TestCampaign:
         assert (tmp_path / "td3" / "manifest_seed0.json").exists()
 
 
+    @pytest.mark.parametrize("case", ["seed_twice", "shared_dir"])
+    def test_job_listed_twice_rejected_before_any_lane(self, tmp_path, workers, case):
+        # two lanes training one seed into one directory would interleave its files
+        out = tmp_path / "run"
+        if case == "seed_twice":
+            configs = [tiny_config(seeds=(1, 0, 0), output_dir=str(out))]
+        else:  # two spellings of one directory
+            configs = [tiny_config(seeds=(0, 1), output_dir=str(out)),
+                       tiny_config(algorithm="dqn", seeds=(2, 0),
+                                   output_dir=str(out / ".." / "run"))]
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{out.resolve()}: seed 0 is listed twice")):
+            run_campaign(configs)
+        assert workers == []
+        assert not out.exists()
+
+
 class TestLaneProtocol:
     def _outcome(self, proc):
         """Send the lane no jobs; return its outcome and what it wrote to stderr."""

@@ -5,6 +5,7 @@ re-implementation (dual-route arithmetic check) and central finite
 differences on every parameter and on the input (gradient oracle).
 """
 
+import math
 import re
 
 import numpy as np
@@ -34,14 +35,31 @@ def forward_oracle(net, x):
     return h
 
 
-def tiled(*arrays):
-    """Copies of arrays as views tiling one vector, the layout AdamState takes."""
-    flat = np.concatenate([np.ravel(a) for a in arrays])
-    out, pos = [], 0
-    for a in arrays:
-        out.append(flat[pos:pos + np.size(a)].reshape(np.shape(a)))
-        pos += np.size(a)
-    return out
+def split(net, vec):
+    """Copies of the tensors W0, b0, W1, b1, ... of a vector laid out like net.flat."""
+    shapes = [t.shape for pair in zip(net.weights, net.biases) for t in pair]
+    bounds = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(vec.copy(), bounds), shapes)]
+
+
+def joined(tensors):
+    return np.concatenate([t.ravel() for t in tensors])
+
+
+def full_backward(net, cache, g):
+    """(parameter gradient vector, input gradient) from every product of
+    backpropagation, in backward's order: the reference for the products that
+    backward skips."""
+    g = np.asarray(g, dtype=np.float64).reshape(cache.post[-1].shape)
+    dz = g * (1.0 - cache.post[-1] ** 2) if net.output_activation == "tanh" else g
+    grads = []
+    for l in range(net.n_layers - 1, -1, -1):
+        a_prev = cache.x if l == 0 else cache.post[l - 1]
+        grads[:0] = [a_prev.T @ dz, np.sum(dz, axis=0)]
+        da = dz @ net.weights[l].T
+        if l > 0:
+            dz = da * (cache.pre[l - 1] > 0.0)
+    return joined(grads), da[0] if cache.squeeze else da
 
 
 def scalar_objective(net, x, g):
@@ -109,20 +127,18 @@ class TestBackwardFiniteDifferences:
             x = rng.normal(size=in_dim)
             g = rng.normal(size=out_dim)
             _, cache = net.forward(x)
-            grads, _ = net.backward(cache, g)
+            flat_g = net.backward(cache, g, grad=np.empty(net.flat.size))
+            flat_p = net.flat
             worst = 0.0
-            for tensor, grad in zip(net.params(), grads):
-                flat_p = tensor.reshape(-1)
-                flat_g = grad.reshape(-1)
-                for j in range(flat_p.size):
-                    orig = flat_p[j]
-                    flat_p[j] = orig + eps
-                    up = scalar_objective(net, x, g)
-                    flat_p[j] = orig - eps
-                    dn = scalar_objective(net, x, g)
-                    flat_p[j] = orig
-                    numeric = (up - dn) / (2 * eps)
-                    worst = max(worst, self._relative_error(flat_g[j], numeric))
+            for j in range(flat_p.size):
+                orig = flat_p[j]
+                flat_p[j] = orig + eps
+                up = scalar_objective(net, x, g)
+                flat_p[j] = orig - eps
+                dn = scalar_objective(net, x, g)
+                flat_p[j] = orig
+                numeric = (up - dn) / (2 * eps)
+                worst = max(worst, self._relative_error(flat_g[j], numeric))
             assert worst < 1e-4, f"trial {trial}: max rel err {worst:.3e}"
 
     @pytest.mark.parametrize("in_dim,h,h2,out_dim,act", CHECK_SHAPES)
@@ -134,7 +150,7 @@ class TestBackwardFiniteDifferences:
             x = rng.normal(size=in_dim)
             g = rng.normal(size=out_dim)
             _, cache = net.forward(x)
-            _, input_grad = net.backward(cache, g)
+            input_grad = net.backward(cache, g)
             for j in range(in_dim):
                 bumped = x.copy(); bumped[j] += eps
                 up = scalar_objective(net, bumped, g)
@@ -146,10 +162,9 @@ class TestBackwardFiniteDifferences:
     def test_zero_output_gradient_zeroes_everything(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
         _, cache = net.forward(rng.normal(size=3))
-        grads, input_grad = net.backward(cache, np.zeros(2))
-        for g in grads:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
-        np.testing.assert_array_equal(input_grad, np.zeros(3))
+        grad = net.backward(cache, np.zeros(2), grad=np.empty(net.flat.size))
+        np.testing.assert_array_equal(grad, np.zeros_like(grad))
+        np.testing.assert_array_equal(net.backward(cache, np.zeros(2)), np.zeros(3))
 
     def test_batch_grad_is_sum_of_rows(self, rng):
         # batched backward must aggregate rows, matching summed singles
@@ -157,15 +172,12 @@ class TestBackwardFiniteDifferences:
         xs = rng.normal(size=(4, 3))
         gs = rng.normal(size=(4, 2))
         _, cache = net.forward(xs)
-        batch_grads, _ = net.backward(cache, gs)
-        summed = [np.zeros_like(p) for p in net.params()]
+        batch_grad = net.backward(cache, gs, grad=np.empty(net.flat.size))
+        summed = np.zeros(net.flat.size)
         for i in range(4):
             _, c = net.forward(xs[i])
-            grads, _ = net.backward(c, gs[i])
-            for acc, g in zip(summed, grads):
-                acc += g
-        for got, want in zip(batch_grads, summed):
-            np.testing.assert_allclose(got, want, atol=1e-10)
+            summed += net.backward(c, gs[i], grad=np.empty(net.flat.size))
+        np.testing.assert_allclose(batch_grad, summed, atol=1e-10)
 
 
 class TestInit:
@@ -183,53 +195,46 @@ class TestInit:
     def test_create_deterministic_per_stream(self):
         a = Mlp.create(3, 8, 2, "tanh", stream(7, "init"))
         b = Mlp.create(3, 8, 2, "tanh", stream(7, "init"))
-        for pa, pb in zip(a.params(), b.params()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
 
 class TestAdam:
     def test_first_step_scalar_oracle(self):
         # m_hat = g, v_hat = g^2 at t=1, so the step is -lr to within eps
-        p = [np.array([0.0])]
-        opt = AdamState(p, learning_rate=0.01)
-        opt.step(p, [np.array([1.0])])
+        p = np.array([0.0])
+        opt = AdamState(1, learning_rate=0.01)
+        opt.step(p, np.array([1.0]))
         expected = -0.01 * 1.0 / (1.0 + 1e-8)
-        assert p[0][0] == pytest.approx(expected, rel=1e-12)
+        assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gradient_keeps_params(self):
-        p = [np.array([1.5, -2.0])]
-        opt = AdamState(p, learning_rate=0.1)
-        opt.step(p, [np.zeros(2)])
-        np.testing.assert_array_equal(p[0], [1.5, -2.0])
+        p = np.array([1.5, -2.0])
+        opt = AdamState(2, learning_rate=0.1)
+        opt.step(p, np.zeros(2))
+        np.testing.assert_array_equal(p, [1.5, -2.0])
 
     def test_determinism(self, rng):
-        grads = tiled(rng.normal(size=(3, 2)), rng.normal(size=2))
-        p1 = tiled(np.ones((3, 2)), np.ones(2))
-        p2 = tiled(np.ones((3, 2)), np.ones(2))
-        o1 = AdamState(p1, learning_rate=0.05)
-        o2 = AdamState(p2, learning_rate=0.05)
+        grad = rng.normal(size=8)
+        p1, p2 = np.ones(8), np.ones(8)
+        o1 = AdamState(8, learning_rate=0.05)
+        o2 = AdamState(8, learning_rate=0.05)
         for _ in range(10):
-            o1.step(p1, grads)
-            o2.step(p2, grads)
-        for a, b in zip(p1, p2):
-            np.testing.assert_array_equal(a, b)
+            o1.step(p1, grad)
+            o2.step(p2, grad)
+        np.testing.assert_array_equal(p1, p2)
 
-    def test_separate_arrays_rejected(self):
-        # two stand-alone arrays tile no one vector; copying them would
-        # silently drop the in-place update
-        with pytest.raises(DimensionError):
-            AdamState([np.zeros(2), np.zeros(3)])
-        p = tiled(np.zeros(2), np.zeros(3))
-        with pytest.raises(DimensionError):
-            AdamState(p).step(p, [np.zeros(2), np.zeros(3)])
+    @pytest.mark.parametrize("p_size, g_size", [(3, 2), (2, 3), (3, 3)])
+    def test_size_mismatch_rejected(self, p_size, g_size):
+        with pytest.raises(DimensionError, match="count mismatch"):
+            AdamState(2).step(np.zeros(p_size), np.zeros(g_size))
 
     def test_quadratic_convergence(self):
         # minimize (p - 3)^2; gradient 2(p - 3)
-        p = [np.array([0.0])]
-        opt = AdamState(p, learning_rate=0.05)
+        p = np.array([0.0])
+        opt = AdamState(1, learning_rate=0.05)
         for _ in range(2000):
-            opt.step(p, [2.0 * (p[0] - 3.0)])
-        assert p[0][0] == pytest.approx(3.0, abs=1e-3)
+            opt.step(p, 2.0 * (p - 3.0))
+        assert p[0] == pytest.approx(3.0, abs=1e-3)
 
 
 class TestSoftUpdate:
@@ -247,25 +252,23 @@ class TestSoftUpdate:
     def test_tau_one_copies(self, rng):
         t, s = self._pair(rng)
         soft_update(t, s, 1.0)
-        for pt, ps in zip(t.params(), s.params()):
-            np.testing.assert_array_equal(pt, ps)
+        np.testing.assert_array_equal(t.flat, s.flat)
 
     def test_tau_zero_identity(self, rng):
         t, s = self._pair(rng)
-        before = [p.copy() for p in t.params()]
+        before = t.flat.copy()
         soft_update(t, s, 0.0)
-        for pt, pb in zip(t.params(), before):
-            np.testing.assert_array_equal(pt, pb)
+        np.testing.assert_array_equal(t.flat, before)
 
     def test_convex_combination(self, rng):
         t, s = self._pair(rng)
-        t_before = [p.copy() for p in t.params()]
+        pb = t.flat.copy()
         soft_update(t, s, 0.3)
-        for pt, pb, ps in zip(t.params(), t_before, s.params()):
-            lo = np.minimum(pb, ps) - 1e-15
-            hi = np.maximum(pb, ps) + 1e-15
-            assert np.all(pt >= lo) and np.all(pt <= hi)
-            np.testing.assert_allclose(pt, 0.7 * pb + 0.3 * ps, atol=1e-15)
+        pt, ps = t.flat, s.flat
+        lo = np.minimum(pb, ps) - 1e-15
+        hi = np.maximum(pb, ps) + 1e-15
+        assert np.all(pt >= lo) and np.all(pt <= hi)
+        np.testing.assert_allclose(pt, 0.7 * pb + 0.3 * ps, atol=1e-15)
 
     def test_architecture_mismatch(self, rng):
         t = Mlp.create(3, 8, 2, "tanh", rng)
@@ -275,10 +278,9 @@ class TestSoftUpdate:
 
     def test_source_untouched(self, rng):
         t, s = self._pair(rng)
-        before = [p.copy() for p in s.params()]
+        before = s.flat.copy()
         soft_update(t, s, 0.5)
-        for ps, pb in zip(s.params(), before):
-            np.testing.assert_array_equal(ps, pb)
+        np.testing.assert_array_equal(s.flat, before)
 
 
 class TestSerialization:
@@ -352,18 +354,16 @@ class TestTrainingFuzz:
     def test_10000_random_steps_stay_finite(self):
         rng = stream(5, "fuzz")
         net = Mlp.create(3, 8, 2, "tanh", rng)
-        opt = AdamState(net.params(), learning_rate=1e-3)
+        opt = AdamState(net.flat.size, learning_rate=1e-3)
         for i in range(10000):
             x = rng.normal(size=3) * 10.0
             g = rng.normal(size=2) * 10.0
             _, cache = net.forward(x)
-            grads, _ = net.backward(cache, g)
-            opt.step(net.params(), grads)
+            opt.step(net.flat, net.backward(cache, g, grad=opt.grad))
             if i % 1000 == 999:
                 net.check_finite()
         net.check_finite()
-        for p in net.params():
-            assert np.all(np.isfinite(p))
+        assert np.all(np.isfinite(net.flat))
 
 
 class TestFlatParameters:
@@ -390,29 +390,29 @@ class TestFlatParameters:
         rng = stream(21, "flat-ref")
         net = Mlp.create(5, 16, 3, "tanh", rng)
         target = net.copy()
-        ref = [p.copy() for p in net.params()]
+        ref = split(net, net.flat)
         ref_target = [p.copy() for p in ref]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
-        opt = AdamState(net.params(), learning_rate=5e-3)
+        opt = AdamState(net.flat.size, learning_rate=5e-3)
         for t in range(1, 51):
             x = rng.normal(size=(8, 5))
             _, cache = net.forward(x)
-            grads, _ = net.backward(cache, rng.normal(size=(8, 3)))
-            opt.step(net.params(), grads)
-            self.reference_adam(ref, [g.copy() for g in grads], m, v, t, 5e-3)
+            grad = net.backward(cache, rng.normal(size=(8, 3)), grad=opt.grad)
+            opt.step(net.flat, grad)
+            self.reference_adam(ref, split(net, grad), m, v, t, 5e-3)
             soft_update(target, net, 0.05)
             self.reference_soft_update(ref_target, ref, 0.05)
-            for got, want in zip(net.params(), ref):
-                assert got.tobytes() == want.tobytes(), f"Adam diverged at step {t}"
-            for got, want in zip(target.params(), ref_target):
-                assert got.tobytes() == want.tobytes(), f"soft update diverged at step {t}"
+            assert net.flat.tobytes() == joined(ref).tobytes(), f"Adam diverged at step {t}"
+            assert target.flat.tobytes() == joined(ref_target).tobytes(), \
+                f"soft update diverged at step {t}"
 
     def test_params_are_views_of_flat(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
-        assert net.flat.size == sum(p.size for p in net.params())
+        tensors = [*net.weights, *net.biases]
+        assert net.flat.size == sum(p.size for p in tensors)
         net.flat[...] = 0.0
-        for p in net.params():
+        for p in tensors:
             assert not p.any()
 
     def test_check_finite_names_layer(self, rng):
@@ -425,24 +425,22 @@ class TestFlatParameters:
 
 
 class TestGradientBuffer:
-    """backward(..., out=v): gradients written into a caller's vector."""
+    """backward(..., grad=v): parameter gradients written into a caller's vector."""
 
     @pytest.mark.parametrize("in_dim, h, h2, out_dim, act", CHECK_SHAPES)
-    def test_out_views_are_bit_equal_to_fresh(self, in_dim, h, h2, out_dim, act, rng):
+    def test_grad_vector_is_returned_and_fully_written(self, in_dim, h, h2, out_dim, act,
+                                                       rng):
         net = Mlp([in_dim, h, h2, out_dim], act)
         net.flat[...] = rng.normal(size=net.flat.size) * 0.5
         _, cache = net.forward(rng.normal(size=(6, in_dim)))
         g = rng.normal(size=(6, out_dim))
-        fresh, fresh_input = net.backward(cache, g)
-        out = np.full(net.flat.size, np.nan)  # every entry must be written
-        grads, input_grad = net.backward(cache, g, out=out)
-        for got, want in zip(grads, fresh):
-            assert got.base is out
-            assert np.array_equal(got, want)
-        assert np.array_equal(input_grad, fresh_input)
-        # a later call reuses the vector; the fresh result is untouched
-        net.backward(cache, 2.0 * g, out=out)
-        assert np.array_equal(grads[0], 2.0 * fresh[0])
+        fresh = net.backward(cache, g, grad=np.zeros(net.flat.size))
+        vec = np.full(net.flat.size, np.nan)  # every entry must be written
+        assert net.backward(cache, g, grad=vec) is vec
+        assert np.array_equal(vec, fresh)
+        # a later call overwrites the vector; the other one is untouched
+        net.backward(cache, 2.0 * g, grad=vec)
+        assert np.array_equal(vec, 2.0 * fresh)
 
     @pytest.mark.parametrize("bad", [np.empty(10), np.empty(12), np.empty((1, 13)),
                                      np.empty(13, dtype=np.float32), np.empty(26)[::2]])
@@ -450,20 +448,38 @@ class TestGradientBuffer:
         net = Mlp([2, 3, 1], "linear")  # 13 parameters
         _, cache = net.forward(rng.normal(size=2))
         with pytest.raises(DimensionError, match="13 values"):
-            net.backward(cache, np.ones(1), out=bad)
+            net.backward(cache, np.ones(1), grad=bad)
 
     def test_adam_takes_its_own_gradient_vector(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
         twin = net.copy()
-        opt, twin_opt = (AdamState(n.params(), learning_rate=1e-2) for n in (net, twin))
+        opt, twin_opt = (AdamState(n.flat.size, learning_rate=1e-2) for n in (net, twin))
         assert opt.grad.shape == net.flat.shape
         for _ in range(5):
             x, g = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
             _, cache = net.forward(x)
-            opt.step(net.params(), net.backward(cache, g, out=opt.grad)[0])
+            opt.step(net.flat, net.backward(cache, g, grad=opt.grad))
             _, cache = twin.forward(x)
-            twin_opt.step(twin.params(), twin.backward(cache, g)[0])
+            twin_opt.step(twin.flat, twin.backward(cache, g, grad=np.empty(twin.flat.size)))
         assert net.flat.tobytes() == twin.flat.tobytes()
+
+
+class TestSkippedProducts:
+    """backward computes either the parameter or the input gradient, never both."""
+
+    @pytest.mark.parametrize("in_dim, h, h2, out_dim, act", CHECK_SHAPES)
+    @pytest.mark.parametrize("batch", [None, 1, 7])
+    def test_bit_equal_to_full_backpropagation(self, in_dim, h, h2, out_dim, act, batch,
+                                               rng):
+        net = Mlp.create(in_dim, h, out_dim, act, rng)
+        rows = () if batch is None else (batch,)
+        _, cache = net.forward(rng.normal(size=(*rows, in_dim)))
+        g = rng.normal(size=(*rows, out_dim))
+        want_grad, want_input = full_backward(net, cache, g)
+        input_grad = net.backward(cache, g)
+        assert input_grad.shape == (*rows, in_dim)
+        assert np.array_equal(input_grad, want_input)
+        assert np.array_equal(net.backward(cache, g, grad=np.empty(net.flat.size)), want_grad)
 
 
 class TestForwardReuse:
@@ -482,10 +498,10 @@ class TestForwardReuse:
         assert out is first_out
         for got, want in zip(cache.pre + cache.post, fresh[1][1].pre + fresh[1][1].post):
             assert np.array_equal(got, want)
-        grads, input_grad = net.backward(cache, np.ones((5, out_dim)))
-        want_grads, want_input = net.backward(fresh[1][1], np.ones((5, out_dim)))
-        assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
-        assert np.array_equal(input_grad, want_input)
+        ones = np.ones((5, out_dim))
+        assert np.array_equal(net.backward(cache, ones), net.backward(fresh[1][1], ones))
+        assert np.array_equal(net.backward(cache, ones, grad=np.empty(net.flat.size)),
+                              net.backward(fresh[1][1], ones, grad=np.empty(net.flat.size)))
 
     def test_plain_calls_and_other_batch_sizes_get_own_arrays(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
