@@ -3,10 +3,12 @@
 
 The matrix is 4 algorithms x 2 scenarios x seed 0 at configs/smoke.json
 sizes, plus greedy evaluations of each algorithm's trained high_300 policy
-(the threshold rule for the baseline) on a shared-edge topology under a
-burst trace, where node grants are scaled down and memory pressure sets
-in. Each metrics or evaluation CSV is hashed without its wall_time_s
-column; each params_seed0.bin is hashed as written. tests/test_golden.py
+(the threshold rule for the baseline) under a burst trace on two
+topologies: a shared-edge one, where node grants are scaled down and
+memory pressure sets in, and a crowded-edge one, where one node hosts five
+services and the others two and one, so grants are summed and scaled over
+nodes of several member counts. Each metrics or evaluation CSV is hashed without
+its wall_time_s column; each params_seed0.bin is hashed as written. tests/test_golden.py
 re-creates the artifacts and compares them against these hashes, so a
 refactor that changes any output byte fails there. Re-record only when
 a change to the outputs is intended:
@@ -38,6 +40,8 @@ ALGOS = ("td3", "ddpg", "dqn", "basek")
 SCENARIOS = ("normal_100", "high_300")
 SEED = 0
 EVAL_ALGOS = ("td3", "ddpg", "dqn", "basek")
+EVAL_TOPOLOGIES = ("shared_edge", "crowded_edge")
+CROWDED_HOMES = (0, 1, 0, 2, 0, 1, 0, 0)  # home node of each default service
 
 
 def build_key() -> dict:
@@ -54,16 +58,28 @@ def _metrics_digest(path: Path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def eval_config(base, work_dir: Path):
-    """base on 2 edge + 2 cloud nodes under a burst trace written to work_dir.
+def eval_config(base, work_dir: Path, topology: str):
+    """base on the named evaluation topology under a burst trace written to work_dir.
 
-    Two services share each 2-core edge node, so mid-box CPU requests are
-    scaled down; the burst pushes the heavy services' memory demand past
-    their grants.
+    shared_edge: 2 edge + 2 cloud nodes with two services on each, so
+    mid-box CPU requests are scaled down on the 2-core edge nodes.
+    crowded_edge: services 0, 2, 4, 6 and 7 on an edge node of 3 cores and
+    3000 MB, 1 and 5 on a stock edge node and 3 on a cloud node, so node 0's
+    grants are scaled down over five interleaved members. Node 0 is sized so
+    its lighter services run below saturation: their latency then follows
+    the last bits of the scaled grants, so a reordered sum shows in the CSVs.
+    The burst pushes the heavy services' memory demand past their grants.
     """
-    nodes = [make_node(0, "edge"), make_node(1, "edge"),
-             make_node(2, "cloud"), make_node(3, "cloud")]
-    sim = replace(base.sim, nodes=nodes, services=default_services(nodes))
+    if topology == "shared_edge":
+        nodes = [make_node(0, "edge"), make_node(1, "edge"),
+                 make_node(2, "cloud"), make_node(3, "cloud")]
+        services = default_services(nodes)
+    else:
+        nodes = [make_node(0, "edge", cpu_capacity=3.0, mem_capacity=3000.0),
+                 make_node(1, "edge"), make_node(2, "cloud")]
+        services = [replace(s, home_node=home)
+                    for s, home in zip(default_services(), CROWDED_HOMES)]
+    sim = replace(base.sim, nodes=nodes, services=services)
     weights = front_heavy_weights(sim.n_services)
     trace = work_dir / "burst.csv"
     write_trace([TraceRecord(step, i, (800.0 if step in (2, 3) else 100.0) * w)
@@ -84,16 +100,17 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
         params = out / f"params_seed{SEED}.bin"
         if params.exists():
             hashes[f"{run}/{params.name}"] = hashlib.sha256(params.read_bytes()).hexdigest()
-    config = eval_config(base, work_dir)
-    for algo in EVAL_ALGOS:
-        out = work_dir / "eval_shared_edge" / algo
-        out.mkdir(parents=True)
-        rows = run_evaluation(replace(config, algorithm=algo),
-                              work_dir / "high_300" / algo / f"params_seed{SEED}.bin",
-                              episodes=base.episodes, seeds=(SEED,))
-        export_csv(rows, out / f"eval_seed{SEED}.csv")
-        hashes[f"eval_shared_edge/{algo}/eval_seed{SEED}.csv"] = \
-            _metrics_digest(out / f"eval_seed{SEED}.csv")
+    for topology in EVAL_TOPOLOGIES:
+        config = eval_config(base, work_dir, topology)
+        for algo in EVAL_ALGOS:
+            out = work_dir / f"eval_{topology}" / algo
+            out.mkdir(parents=True)
+            rows = run_evaluation(replace(config, algorithm=algo),
+                                  work_dir / "high_300" / algo / f"params_seed{SEED}.bin",
+                                  episodes=base.episodes, seeds=(SEED,))
+            export_csv(rows, out / f"eval_seed{SEED}.csv")
+            hashes[f"eval_{topology}/{algo}/eval_seed{SEED}.csv"] = \
+                _metrics_digest(out / f"eval_seed{SEED}.csv")
     return hashes
 
 

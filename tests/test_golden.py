@@ -31,19 +31,23 @@ def test_artifacts_match_golden_hashes(tmp_path):
 
 
 def test_eval_matrix_scales_grants_and_pressures_memory(tmp_path, monkeypatch):
-    """The shared-edge evaluations reach the grant scale-down and memory-pressure branches."""
-    seen = {"scaled_down": 0, "mem_pressured": 0}
+    """Both evaluation topologies reach the grant scale-down and memory-pressure
+    branches; the crowded one scales the grants of its five-service node 0."""
+    seen = {"shared_edge": [0, 0], "crowded_edge": [0, 0]}
     window = simulator.ClusterSim._window
 
     def counting_window(sim, step_index, action, prev_action):
         state, raw = window(sim, step_index, action, prev_action)
-        if len(sim.config.nodes) == 4:  # the shared-edge topology, not the training one
-            seen["scaled_down"] += bool(np.any(raw.cpu_alloc < action.cpu_alloc))
-            seen["mem_pressured"] += bool(np.any(raw.mem_used >= raw.mem_alloc))
+        topology = {4: "shared_edge", 3: "crowded_edge"}.get(len(sim.config.nodes))
+        if topology is not None:  # an evaluation topology, not the training one
+            crowded = (np.array(RECORDER["CROWDED_HOMES"]) == 0 if topology == "crowded_edge"
+                       else slice(None))
+            seen[topology][0] += bool(np.any(raw.cpu_alloc[crowded] < action.cpu_alloc[crowded]))
+            seen[topology][1] += bool(np.any(raw.mem_used >= raw.mem_alloc))
         return state, raw
 
     monkeypatch.setattr(simulator.ClusterSim, "_window", counting_window)
     hashes = RECORDER["artifact_hashes"](tmp_path)
-    assert {"eval_shared_edge/td3/eval_seed0.csv",
-            "eval_shared_edge/basek/eval_seed0.csv"} <= hashes.keys()
-    assert seen["scaled_down"] > 0 and seen["mem_pressured"] > 0, seen
+    assert {f"eval_{topology}/{algo}/eval_seed0.csv" for topology in seen
+            for algo in ("td3", "basek")} <= hashes.keys()
+    assert all(scaled > 0 and pressured > 0 for scaled, pressured in seen.values()), seen
