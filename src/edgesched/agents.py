@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (
+    _BOX_LO,
+    _BOX_SPAN,
     CPU_MAX,
     CPU_MIN,
     MEM_MAX,
@@ -21,6 +23,7 @@ from .domain import (
     RawMetrics,
     StateVector,
     ValidationError,
+    _adopt,
     action_from_unit,
 )
 from .nets import AdamState, Mlp, soft_update
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 AGENT_KINDS = ("td3", "ddpg", "dqn", "basek")
+_GRID_ROWS = np.array([[0], [1]])  # picks the cpu grid for row 0, the mem grid for row 1
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ class Td3Agent:
         if explore:
             sigma = exploration_sigma(self.hyper, t)
             u = u + sigma * rng.standard_normal(self.action_dim)
-        return action_from_unit(np.clip(u, -1.0, 1.0))
+        return action_from_unit(u)
 
     def smoothed_target_action(self, next_states: np.ndarray,
                                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
@@ -307,8 +311,9 @@ class DqnAgent:
         self.state_dim = 4 * n_services
         self.n_heads = 2 * n_services
         self.hyper = hyper
-        self.cpu_grid = CPU_MIN + np.arange(hyper.levels) * (CPU_MAX - CPU_MIN) / (hyper.levels - 1)
-        self.mem_grid = MEM_MIN + np.arange(hyper.levels) * (MEM_MAX - MEM_MIN) / (hyper.levels - 1)
+        # row 0 the cpu levels, row 1 the mem levels, each spanning its box
+        self._grids = _BOX_LO + np.arange(hyper.levels) * _BOX_SPAN / (hyper.levels - 1)
+        self.cpu_grid, self.mem_grid = self._grids
         self.q_net = Mlp.create(self.state_dim, hyper.hidden,
                                 self.n_heads * hyper.levels, "linear", init_rng)
         self.target_net = self.q_net.copy()
@@ -316,9 +321,8 @@ class DqnAgent:
         self.train_step_count = 0
 
     def levels_to_action(self, levels: np.ndarray) -> ActionVector:
-        n = self.n_services
-        return ActionVector(cpu_alloc=self.cpu_grid[levels[:n]],
-                            mem_alloc=self.mem_grid[levels[n:]])
+        """The grid values of 2N level indices: N cpu levels, then N mem levels."""
+        return _adopt(ActionVector, self._grids[_GRID_ROWS, levels.reshape(2, -1)])
 
     def action_to_levels(self, actions: np.ndarray) -> np.ndarray:
         """Nearest grid index per dimension for a (B, 2N) domain-unit batch."""
@@ -415,17 +419,12 @@ class BaseKScheduler:
             rng: np.random.Generator) -> ActionVector:
         if self.mode == "static":
             return self.initial
-        up, down = 1.0 + self.step_frac, 1.0 - self.step_frac
-
-        def adjust(alloc: np.ndarray, used: np.ndarray) -> np.ndarray:
-            util = used / alloc
-            out = alloc.copy()
-            out[util > self.high_util] *= up
-            out[util < self.low_util] *= down
-            return out
-
-        return ActionVector(cpu_alloc=adjust(raw.cpu_alloc, raw.cpu_used),
-                            mem_alloc=adjust(raw.mem_alloc, raw.mem_used))
+        rows = raw._block
+        alloc = rows[1:4:2].copy()  # rows: cpu, mem
+        util = rows[0:4:2] / alloc
+        alloc[util > self.high_util] *= 1.0 + self.step_frac
+        alloc[util < self.low_util] *= 1.0 - self.step_frac
+        return _adopt(ActionVector, alloc)
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
         return TrainStats(skipped=True)

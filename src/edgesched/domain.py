@@ -1,10 +1,11 @@
 """Cluster, service, state, and action vocabulary.
 
-All types are immutable value objects. Specs check their values when built
-and ClusterSim.step checks each action, so RawMetrics, StateVector and
-ActionVector, built from checked values in the step loop, only stack their
-fields into one read-only float64 block (states clipped to [0, 1], actions
-to the allocation box) whose rows are the fields.
+All types are immutable value objects. RawMetrics, StateVector and
+ActionVector hold one read-only float64 block whose rows are the fields
+(states clipped to [0, 1], actions to the allocation box). Their public
+constructors stack and check the given fields; the step path, which
+computes each block whole from checked values, hands it over with _adopt
+instead, so the block is built once and not copied again.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
 CPU_MIN, CPU_MAX = 0.1, 2.0
 MEM_MIN, MEM_MAX = 64.0, 2048.0
 _BOX_LO, _BOX_HI = np.array([[CPU_MIN], [MEM_MIN]]), np.array([[CPU_MAX], [MEM_MAX]])
+_BOX_SPAN = _BOX_HI - _BOX_LO
 
 
 class ValidationError(ValueError):
@@ -95,9 +97,8 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _freeze_rows(obj, lo=None, hi=None) -> None:
-    """Stack the dataclass fields into one new float64 block, clip it to
-    [lo, hi] when given, and make each field a read-only row view of it."""
+def _freeze_rows(obj) -> None:
+    """Stack the dataclass fields into one new float64 block and make it obj's rows."""
     names = obj.__dataclass_fields__
     try:
         block = np.array([getattr(obj, name) for name in names], dtype=np.float64)
@@ -106,12 +107,28 @@ def _freeze_rows(obj, lo=None, hi=None) -> None:
     if block is None or block.ndim != 2:
         raise DimensionError(
             f"{type(obj).__name__} fields must be numeric 1-D vectors of one length")
-    if lo is not None:
-        np.clip(block, lo, hi, out=block)
+    _own_rows(obj, block)
+
+
+def _own_rows(obj, block: np.ndarray) -> None:
+    """Clip block in place to obj's range, if its class has one, and make
+    each field a read-only row view of it."""
+    if obj._range is not None:
+        block.clip(*obj._range, out=block)
     block.setflags(write=False)
-    object.__setattr__(obj, "_block", block)
-    for name, row in zip(names, block):
-        object.__setattr__(obj, name, row)
+    # the dataclass is frozen, so the fields go straight into the instance dict
+    vars(obj).update(zip(obj.__dataclass_fields__, block), _block=block)
+
+
+def _adopt(cls, block: np.ndarray):
+    """A cls whose fields are the rows of block, without copying or checking it.
+
+    block must be a fresh C-ordered 2-D float64 array with one row per
+    field, which no one else writes to; it is clipped like a constructed one.
+    """
+    obj = object.__new__(cls)
+    _own_rows(obj, block)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -258,6 +275,8 @@ class RawMetrics:
     latency_ms: np.ndarray
     qps: np.ndarray
 
+    _range = None
+
     def __post_init__(self):
         _freeze_rows(self)
 
@@ -275,8 +294,10 @@ class StateVector:
     latency_norm: np.ndarray
     qps_norm: np.ndarray
 
+    _range = (0.0, 1.0)
+
     def __post_init__(self):
-        _freeze_rows(self, 0.0, 1.0)
+        _freeze_rows(self)
 
     @property
     def n_services(self) -> int:
@@ -295,8 +316,10 @@ class ActionVector:
     cpu_alloc: np.ndarray  # cores in [CPU_MIN, CPU_MAX]
     mem_alloc: np.ndarray  # MB in [MEM_MIN, MEM_MAX]
 
+    _range = (_BOX_LO, _BOX_HI)
+
     def __post_init__(self):
-        _freeze_rows(self, _BOX_LO, _BOX_HI)
+        _freeze_rows(self)
 
     @property
     def n_services(self) -> int:
@@ -331,12 +354,12 @@ class Transition:
 
 def normalize_state(raw: RawMetrics, norm: NormalizationConfig) -> StateVector:
     """Map raw per-service metrics into the clamped [0, 1] state blocks."""
-    return StateVector(
-        cpu_util=raw.cpu_used / raw.cpu_alloc,
-        mem_util=raw.mem_used / raw.mem_alloc,
-        latency_norm=raw.latency_ms / norm.l_max,
-        qps_norm=raw.qps / norm.q_max,
-    )
+    rows = raw._block
+    block = np.empty((4, rows.shape[1]))
+    np.divide(rows[0:4:2], rows[1:4:2], out=block[:2])  # used / alloc for cpu and mem
+    np.divide(rows[4], norm.l_max, out=block[2])
+    np.divide(rows[5], norm.q_max, out=block[3])
+    return _adopt(StateVector, block)
 
 
 def action_from_unit(u) -> ActionVector:
@@ -349,10 +372,9 @@ def action_from_unit(u) -> ActionVector:
     if u.ndim != 1 or u.size % 2 != 0 or u.size == 0:
         raise DimensionError(f"unit action must be a 1-D vector of even positive length, "
                              f"got shape {u.shape}")
-    n = u.size // 2
-    u = np.clip(u, -1.0, 1.0)
-    half = (u + 1.0) / 2.0
-    return ActionVector(
-        cpu_alloc=CPU_MIN + half[:n] * (CPU_MAX - CPU_MIN),
-        mem_alloc=MEM_MIN + half[n:] * (MEM_MAX - MEM_MIN),
-    )
+    block = u.clip(-1.0, 1.0).reshape(2, -1)
+    block += 1.0
+    block /= 2.0
+    block *= _BOX_SPAN
+    block += _BOX_LO
+    return _adopt(ActionVector, block)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN, ActionVector,
-                     DimensionError, RawMetrics, ValidationError)
+from .domain import _BOX_SPAN, ActionVector, DimensionError, RawMetrics, ValidationError
 
 __all__ = [
     "RewardWeights",
@@ -66,7 +65,7 @@ def latency_penalty(latency_ms, l_target: float, normalize: bool = True) -> floa
     lat = np.asarray(latency_ms, dtype=np.float64)
     excess = np.maximum(0.0, lat - l_target)
     if normalize:
-        excess = excess / l_target
+        excess /= l_target
     return float(-excess.sum())
 
 
@@ -76,13 +75,9 @@ def resource_waste(cpu_alloc, mem_alloc, cpu_used, mem_used) -> float:
     Usage is capped at allocation: demand above allocation is a latency
     problem, not negative waste.
     """
-    cpu_alloc = np.asarray(cpu_alloc, dtype=np.float64)
-    mem_alloc = np.asarray(mem_alloc, dtype=np.float64)
-    cpu_used = np.asarray(cpu_used, dtype=np.float64)
-    mem_used = np.asarray(mem_used, dtype=np.float64)
-    cpu_frac = np.clip((cpu_alloc - cpu_used) / cpu_alloc, 0.0, 1.0)
-    mem_frac = np.clip((mem_alloc - mem_used) / mem_alloc, 0.0, 1.0)
-    return float(-(cpu_frac + mem_frac).sum())
+    alloc = np.array([cpu_alloc, mem_alloc], dtype=np.float64)
+    frac = ((alloc - np.array([cpu_used, mem_used], dtype=np.float64)) / alloc).clip(0.0, 1.0)
+    return float(-(frac[0] + frac[1]).sum())
 
 
 def slo_satisfaction(latency_ms, l_target: float) -> float:
@@ -99,9 +94,8 @@ def migration_cost(action: ActionVector, prev_action: ActionVector) -> float:
     """
     if action.n_services != prev_action.n_services:
         raise DimensionError("action and prev_action dimensions differ")
-    cpu_delta = np.abs(action.cpu_alloc - prev_action.cpu_alloc) / (CPU_MAX - CPU_MIN)
-    mem_delta = np.abs(action.mem_alloc - prev_action.mem_alloc) / (MEM_MAX - MEM_MIN)
-    return float(-(cpu_delta + mem_delta).sum())
+    delta = np.abs(action._block - prev_action._block) / _BOX_SPAN  # rows: cpu, mem
+    return float(-(delta[0] + delta[1]).sum())
 
 
 def total_reward(raw: RawMetrics, action: ActionVector, prev_action: ActionVector,

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import (
-    CPU_MIN,
-    MEM_MIN,
+    _BOX_LO,
     ActionVector,
     DimensionError,
     NodeSpec,
@@ -24,6 +23,7 @@ from .domain import (
     ServiceSpec,
     StateVector,
     ValidationError,
+    _adopt,
     default_nodes,
     default_services,
     normalize_state,
@@ -148,19 +148,31 @@ class ClusterSim:
         self.workload = workload
         svcs = config.services
         nodes_by_id = {n.node_id: n for n in config.nodes}
-        self._cpu_cost = np.array([s.cpu_cost_per_request for s in svcs])
-        self._mem_floor = np.array([s.mem_floor for s in svcs])
-        self._mem_per_qps = np.array([s.mem_per_qps for s in svcs])
+        # per window and service, the action-independent demands: row 0 cores
+        # (qps * cost per request), row 1 megabytes (floor + per-qps * qps)
+        cpu_cost = np.array([s.cpu_cost_per_request for s in svcs])
+        mem_floor = np.array([s.mem_floor for s in svcs])
+        mem_per_qps = np.array([s.mem_per_qps for s in svcs])
+        self._demand = np.stack([workload * cpu_cost, mem_floor + mem_per_qps * workload],
+                                axis=1)
         # latency floor per service: service time plus its node's network hop
         self._floor_ms = np.array(
             [config.latency.base_service_ms + nodes_by_id[s.home_node].base_network_latency
              for s in svcs])
-        self._node_members = {
-            n.node_id: np.array([i for i, s in enumerate(svcs) if s.home_node == n.node_id],
-                                dtype=int)
-            for n in config.nodes
-        }
-        self._nodes_by_id = nodes_by_id
+        # occupied nodes grouped by member count: (G, k) member indices and
+        # the (2, G, 1) cpu/mem capacities of each group's G nodes
+        members: dict[int, list[int]] = {}
+        for i, s in enumerate(svcs):
+            members.setdefault(s.home_node, []).append(i)
+        by_count: dict[int, list[int]] = {}
+        for node_id, idx in members.items():
+            by_count.setdefault(len(idx), []).append(node_id)
+        self._node_groups = [
+            (np.array([members[n] for n in node_ids]),
+             np.array([[nodes_by_id[n].cpu_capacity for n in node_ids],
+                       [nodes_by_id[n].mem_capacity for n in node_ids]])[:, :, None])
+            for node_ids in by_count.values()]
+        self._initial = config.initial_action()
         self._rng: np.random.Generator | None = None
         self.state: SimState | None = None
         self._done = True
@@ -169,55 +181,47 @@ class ClusterSim:
         """Node over-subscription check: proportional scale-down per resource.
 
         Never raises an allocation; scaled values are re-floored at the box
-        minimum so downstream ratios stay well defined.
+        minimum so downstream ratios stay well defined. Each node's members
+        are summed from a contiguous gather, which adds them in the order a
+        per-node loop over cpu[members].sum() does.
         """
-        cpu = action.cpu_alloc.copy()
-        mem = action.mem_alloc.copy()
-        for node_id, members in self._node_members.items():
-            if members.size == 0:
-                continue
-            node = self._nodes_by_id[node_id]
-            total_cpu = cpu[members].sum()
-            if total_cpu > node.cpu_capacity:
-                cpu[members] *= node.cpu_capacity / total_cpu
-            total_mem = mem[members].sum()
-            if total_mem > node.mem_capacity:
-                mem[members] *= node.mem_capacity / total_mem
-        return np.maximum(cpu, CPU_MIN), np.maximum(mem, MEM_MIN)
+        block = action._block.copy()
+        for idx, cap in self._node_groups:
+            requested = np.ascontiguousarray(block[:, idx])
+            total = requested.sum(axis=2, keepdims=True)
+            block[:, idx] = requested * np.where(total > cap, cap / total, 1.0)
+        np.maximum(block, _BOX_LO, out=block)
+        return block[0], block[1]
 
     def _window(self, step_index: int, action: ActionVector,
                 prev_action: ActionVector) -> tuple[SimState, RawMetrics]:
+        """Fill the window's raw block row by row (RawMetrics field order) and adopt it."""
         lm = self.config.latency
-        granted_cpu, granted_mem = self.grant(action)
-        qps = qps_at(self.workload, step_index)
-        demand = qps * self._cpu_cost
-        rho = np.minimum(demand / granted_cpu, RHO_CAP)
-        latency = np.minimum(self._floor_ms / (1.0 - rho), lm.saturation_cap_ms)
-        mem_demand = self._mem_floor + self._mem_per_qps * qps
-        pressured = granted_mem < mem_demand
-        latency = np.where(
-            pressured,
-            np.minimum(latency * lm.mem_pressure_multiplier, lm.saturation_cap_ms),
-            latency)
+        block = np.empty((6, self.config.n_services))
+        block[1], block[3] = self.grant(action)
+        block[5] = qps_at(self.workload, step_index)
+        demand, granted = self._demand[step_index], block[1:4:2]
+        np.minimum(demand, granted, out=block[0:4:2])  # cpu_used, mem_used
+        rho = np.minimum(demand[0] / granted[0], RHO_CAP)
+        latency = np.divide(self._floor_ms, 1.0 - rho, out=block[4])
+        # memory pressure multiplies the latency, then the cap applies; as the
+        # multiplier is >= 1 this equals capping both before and after it
+        latency *= np.where(granted[1] < demand[1], lm.mem_pressure_multiplier, 1.0)
+        np.minimum(latency, lm.saturation_cap_ms, out=latency)
         if lm.jitter_sigma > 0:
             assert self._rng is not None
-            latency = latency * (1.0 + lm.jitter_sigma * self._rng.standard_normal(qps.size))
-            latency = np.clip(latency, self._floor_ms, lm.saturation_cap_ms)
-        cpu_used = np.minimum(demand, granted_cpu)
-        mem_used = np.minimum(mem_demand, granted_mem)
-        raw = RawMetrics(cpu_used=cpu_used, cpu_alloc=granted_cpu,
-                         mem_used=mem_used, mem_alloc=granted_mem,
-                         latency_ms=latency, qps=qps)
+            latency *= 1.0 + lm.jitter_sigma * self._rng.standard_normal(latency.size)
+            latency.clip(self._floor_ms, lm.saturation_cap_ms, out=latency)
+        raw = _adopt(RawMetrics, block)
         state = SimState(step=step_index, alloc=action, prev_alloc=prev_action,
-                         qps=qps, cpu_used=cpu_used, mem_used=mem_used,
-                         latency=latency)
+                         qps=raw.qps, cpu_used=raw.cpu_used, mem_used=raw.mem_used,
+                         latency=raw.latency_ms)
         return state, raw
 
     def reset(self, seed: int) -> tuple[SimState, StateVector, RawMetrics]:
         """Window 0 under the services' initial requests."""
         self._rng = stream(seed, "env")
-        initial = self.config.initial_action()
-        self.state, raw = self._window(0, initial, initial)
+        self.state, raw = self._window(0, self._initial, self._initial)
         self._done = False
         return self.state, normalize_state(raw, self.config.normalization), raw
 

@@ -37,5 +37,15 @@ def make_raw(n=2, latency=100.0, cpu_used=0.5, cpu_alloc=1.0,
                       latency_ms=full(latency), qps=full(qps))
 
 
+def assert_equals_constructed(obj):
+    """obj's rows are read-only and equal, sign bits included, those of the
+    object its public constructor builds from the same fields."""
+    built = type(obj)(**{name: getattr(obj, name) for name in obj.__dataclass_fields__})
+    for name in obj.__dataclass_fields__:
+        row, want = getattr(obj, name), getattr(built, name)
+        assert not row.flags.writeable, name
+        assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want)), name
+
+
 def make_action(n=2, cpu=1.0, mem=1024.0):
     return ActionVector(cpu_alloc=np.full(n, cpu), mem_alloc=np.full(n, mem))

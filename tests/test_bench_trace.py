@@ -50,9 +50,10 @@ def test_traced_training_counts(tmp_path):
     assert calls["simulator.reset"] == EPISODES
     for key in ("simulator.step", "agents.act", "replay.add", "agents.learn"):
         assert calls[key] == steps, key
-    # per episode: a reset builds raw, state and the initial action, and each
-    # step builds the action, raw and state; +1 is the setup's initial action
-    assert calls["domain.objects"] == 3 * EPISODES * (STEPS + 1) + 1
+    # the step path adopts each raw, state and action block without running a
+    # public constructor, and the simulator builds its initial action once, so
+    # only set-up builds objects: the simulator's and the agent's initial action
+    assert calls["domain.objects"] == 2
     # learn() applies an update once the buffer holds more than a batch: from
     # step BATCH + 1 on. Each update steps both critics (a backward and an Adam
     # step each); every POLICY_FREQ-th also steps the actor, with a backward

@@ -14,9 +14,19 @@ from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ValidationError, action_from_unit,
                               default_nodes, default_services,
                               normalize_state)
-from tests.conftest import make_raw
+from tests.conftest import assert_equals_constructed, make_raw
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def rows_of(obj) -> list:
+    return [getattr(obj, name) for name in obj.__dataclass_fields__]
+
+
+def assert_same_bits(got_rows, want_rows):
+    """Equal values and sign bits, so a -0.0 cannot stand in for a +0.0."""
+    for x, y in zip(got_rows, want_rows, strict=True):
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
 class TestClusterDefaults:
@@ -85,6 +95,47 @@ class TestNormalizeState:
                        latency=latency, qps=qps)
         v = normalize_state(raw, NormalizationConfig()).vec
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+
+class TestAdoptedBlocks:
+    """normalize_state and action_from_unit build one block and adopt it; the
+    result matches the public constructors given the per-field expressions."""
+
+    @given(n=st.integers(1, 6), data=st.data())
+    @settings(max_examples=200, derandomize=True)
+    def test_normalize_state_matches_constructor(self, n, data):
+        def row(lo, hi, signed_zero=True):  # -0.0 shows whether a clip keeps the sign
+            values = st.floats(lo, hi)
+            if signed_zero:
+                values = st.one_of(st.just(-0.0), values)
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        raw = RawMetrics(cpu_used=row(-1.0, 50.0), cpu_alloc=row(0.1, 50.0, False),
+                         mem_used=row(-1.0, 1e5), mem_alloc=row(64.0, 1e5, False),
+                         latency_ms=row(-1.0, 1e5), qps=row(-1.0, 1e5))
+        norm = NormalizationConfig(l_max=data.draw(st.floats(1.0, 1e3)),
+                                   q_max=data.draw(st.floats(1.0, 1e3)))
+        state = normalize_state(raw, norm)
+        fields = [raw.cpu_used / raw.cpu_alloc, raw.mem_used / raw.mem_alloc,
+                  raw.latency_ms / norm.l_max, raw.qps / norm.q_max]
+        assert_same_bits(rows_of(state), rows_of(StateVector(*fields)))
+        # np.clip keeps a -0.0 that np.maximum would turn into +0.0
+        assert_same_bits(rows_of(state), np.clip(np.array(fields), 0.0, 1.0))
+        assert_equals_constructed(state)
+        assert_equals_constructed(raw)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), finite_floats),
+        min_size=2 * n, max_size=2 * n)))
+    @settings(max_examples=200, derandomize=True)
+    def test_action_from_unit_matches_constructor(self, u):
+        n = len(u) // 2
+        half = (np.clip(u, -1.0, 1.0) + 1.0) / 2.0
+        fields = [CPU_MIN + half[:n] * (CPU_MAX - CPU_MIN), MEM_MIN + half[n:] * (MEM_MAX - MEM_MIN)]
+        action = action_from_unit(u)
+        assert_same_bits(rows_of(action), rows_of(ActionVector(*fields)))
+        assert_same_bits(rows_of(action), np.clip(np.array(fields), [[CPU_MIN], [MEM_MIN]],
+                                                  [[CPU_MAX], [MEM_MAX]]))
+        assert_equals_constructed(action)
 
 
 class TestActionBox:
