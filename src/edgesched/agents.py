@@ -422,8 +422,8 @@ class BaseKScheduler:
         rows = raw._block
         alloc = rows[1:4:2].copy()  # rows: cpu, mem
         util = rows[0:4:2] / alloc
-        alloc[util > self.high_util] *= 1.0 + self.step_frac
-        alloc[util < self.low_util] *= 1.0 - self.step_frac
+        np.multiply(alloc, 1.0 + self.step_frac, out=alloc, where=util > self.high_util)
+        np.multiply(alloc, 1.0 - self.step_frac, out=alloc, where=util < self.low_util)
         return _adopt(ActionVector, alloc)
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:

@@ -62,8 +62,8 @@ def latency_penalty(latency_ms, l_target: float, normalize: bool = True) -> floa
     With normalize=True the excess is divided by l_target, so one objective
     unit of excess costs 1.
     """
-    lat = np.asarray(latency_ms, dtype=np.float64)
-    excess = np.maximum(0.0, lat - l_target)
+    excess = np.asarray(latency_ms, dtype=np.float64) - l_target
+    np.maximum(0.0, excess, out=excess)
     if normalize:
         excess /= l_target
     return float(-excess.sum())
@@ -137,11 +137,11 @@ def episode_metrics(trajectory: list[tuple[RawMetrics, float]],
     """
     if not trajectory:
         raise ValidationError("trajectory must be non-empty")
-    # (T, N) and (T, 2, N) stacks; each step's mean is a per-row reduction
-    lat = np.array([raw.latency_ms for raw, _ in trajectory]).mean(axis=1)
-    util = np.clip(np.array([(raw.cpu_used, raw.mem_used) for raw, _ in trajectory])
-                   / np.array([(raw.cpu_alloc, raw.mem_alloc) for raw, _ in trajectory]),
-                   0.0, 1.0)
+    # one (T, 6, N) stack of the raw blocks; each step's mean is a reduction
+    # over the contiguous service axis, as on a (T, N) array of its own
+    blocks = np.array([raw._block for raw, _ in trajectory])
+    lat = blocks[:, 4].mean(axis=1)
+    util = (blocks[:, 0:4:2] / blocks[:, 1:4:2]).clip(0.0, 1.0)  # used / alloc: cpu, mem
     step_efficiency = ((util[:, 0] + util[:, 1]) / 2.0).mean(axis=1)
     reward_sum = 0.0
     for _, reward in trajectory:  # summed in step order, as the bytes depend on it

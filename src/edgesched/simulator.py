@@ -159,16 +159,18 @@ class ClusterSim:
         self._floor_ms = np.array(
             [config.latency.base_service_ms + nodes_by_id[s.home_node].base_network_latency
              for s in svcs])
-        # occupied nodes grouped by member count: (G, k) member indices and
-        # the (2, G, 1) cpu/mem capacities of each group's G nodes
+        # occupied nodes grouped by member count k: for a group of G nodes, the
+        # (2, G, k) positions of their members' cpu and mem requests in the
+        # flattened (2, N) action block, and the (2, G, 1) cpu/mem capacities
         members: dict[int, list[int]] = {}
         for i, s in enumerate(svcs):
             members.setdefault(s.home_node, []).append(i)
         by_count: dict[int, list[int]] = {}
         for node_id, idx in members.items():
             by_count.setdefault(len(idx), []).append(node_id)
+        rows = np.array([0, len(svcs)])[:, None, None]
         self._node_groups = [
-            (np.array([members[n] for n in node_ids]),
+            (rows + np.array([members[n] for n in node_ids]),
              np.array([[nodes_by_id[n].cpu_capacity for n in node_ids],
                        [nodes_by_id[n].mem_capacity for n in node_ids]])[:, :, None])
             for node_ids in by_count.values()]
@@ -182,14 +184,15 @@ class ClusterSim:
 
         Never raises an allocation; scaled values are re-floored at the box
         minimum so downstream ratios stay well defined. Each node's members
-        are summed from a contiguous gather, which adds them in the order a
-        per-node loop over cpu[members].sum() does.
+        are summed from a contiguous gather (take), which adds them in the
+        order a per-node loop over cpu[members].sum() does.
         """
         block = action._block.copy()
-        for idx, cap in self._node_groups:
-            requested = np.ascontiguousarray(block[:, idx])
+        for pos, cap in self._node_groups:
+            requested = block.take(pos)
             total = requested.sum(axis=2, keepdims=True)
-            block[:, idx] = requested * np.where(total > cap, cap / total, 1.0)
+            np.multiply(requested, cap / total, out=requested, where=total > cap)
+            block.put(pos, requested)
         np.maximum(block, _BOX_LO, out=block)
         return block[0], block[1]
 
@@ -206,7 +209,8 @@ class ClusterSim:
         latency = np.divide(self._floor_ms, 1.0 - rho, out=block[4])
         # memory pressure multiplies the latency, then the cap applies; as the
         # multiplier is >= 1 this equals capping both before and after it
-        latency *= np.where(granted[1] < demand[1], lm.mem_pressure_multiplier, 1.0)
+        np.multiply(latency, lm.mem_pressure_multiplier, out=latency,
+                    where=granted[1] < demand[1])
         np.minimum(latency, lm.saturation_cap_ms, out=latency)
         if lm.jitter_sigma > 0:
             assert self._rng is not None

@@ -37,14 +37,22 @@ def make_raw(n=2, latency=100.0, cpu_used=0.5, cpu_alloc=1.0,
                       latency_ms=full(latency), qps=full(qps))
 
 
+def rows_of(obj) -> list:
+    """The field rows of a RawMetrics, StateVector or ActionVector, in field order."""
+    return [getattr(obj, name) for name in obj.__dataclass_fields__]
+
+
+def assert_same_bits(got_rows, want_rows):
+    """Equal values and sign bits, so a -0.0 cannot stand in for a +0.0."""
+    for x, y in zip(got_rows, want_rows, strict=True):
+        assert np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
 def assert_equals_constructed(obj):
     """obj's rows are read-only and equal, sign bits included, those of the
     object its public constructor builds from the same fields."""
-    built = type(obj)(**{name: getattr(obj, name) for name in obj.__dataclass_fields__})
-    for name in obj.__dataclass_fields__:
-        row, want = getattr(obj, name), getattr(built, name)
-        assert not row.flags.writeable, name
-        assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want)), name
+    assert not any(row.flags.writeable for row in rows_of(obj))
+    assert_same_bits(rows_of(obj), rows_of(type(obj)(*rows_of(obj))))
 
 
 def make_action(n=2, cpu=1.0, mem=1024.0):
