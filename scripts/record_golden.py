@@ -8,7 +8,12 @@ topologies: a shared-edge one, where node grants are scaled down and
 memory pressure sets in, and a crowded-edge one, where one node hosts five
 services and the others two and one, so grants are summed and scaled over
 nodes of several member counts. Each metrics or evaluation CSV is hashed without
-its wall_time_s column; each params_seed0.bin is hashed as written. tests/test_golden.py
+its wall_time_s column; each params_seed0.bin is hashed as written. Each run also
+gets a per-step digest (steps_seed0): one sha256 over the bytes of every window's
+raw metrics, every action passed to ClusterSim.step and every reward total, in
+step order, so a last-bit change that the per-episode aggregates round away
+still shows. The training runs go one at a time in this process, so the
+hooks that feed the digest see every step. tests/test_golden.py
 re-creates the artifacts and compares them against these hashes, so a
 refactor that changes any output byte fails there. Re-record only when
 a change to the outputs is intended:
@@ -20,9 +25,11 @@ import csv
 import hashlib
 import json
 import platform
+import struct
 import sys
 import tempfile
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +37,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from edgesched import harness
 from edgesched.configio import TRACE_PREFIX, load_config
-from edgesched.domain import default_services, make_node
-from edgesched.harness import export_csv, run_campaign, run_evaluation
+from edgesched.domain import RawMetrics, default_services, make_node
+from edgesched.harness import export_csv, run_evaluation, train_one_seed
+from edgesched.simulator import ClusterSim
 from edgesched.workload import TraceRecord, front_heavy_weights, write_trace
 
 GOLDEN = ROOT / "tests" / "golden.json"
@@ -56,6 +65,44 @@ def _metrics_digest(path: Path) -> str:
     keep = [i for i, name in enumerate(rows[0]) if name != "wall_time_s"]
     text = "\n".join(",".join(row[i] for i in keep) for row in rows)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _rows_bytes(obj) -> bytes:
+    """The bytes of a value object's field rows, in field order."""
+    return b"".join(getattr(obj, f.name).tobytes() for f in fields(obj))
+
+
+@contextmanager
+def step_digest():
+    """Yield a sha256 fed, while the block runs, with each window's raw metrics,
+    each action passed to ClusterSim.step and each reward total, in call order.
+
+    The raw metrics are found by type in the reset and step results, so the
+    digest does not depend on where in the result they sit.
+    """
+    digest = hashlib.sha256()
+    reset, step, reward = ClusterSim.reset, ClusterSim.step, harness.total_reward
+
+    def add_raw(result):
+        digest.update(_rows_bytes(next(x for x in result if isinstance(x, RawMetrics))))
+        return result
+
+    def hashed_step(sim, action):
+        digest.update(_rows_bytes(action))
+        return add_raw(step(sim, action))
+
+    def hashed_reward(*args, **kwargs):
+        breakdown = reward(*args, **kwargs)
+        digest.update(struct.pack("<d", breakdown.total))
+        return breakdown
+
+    ClusterSim.reset = lambda sim, *args, **kwargs: add_raw(reset(sim, *args, **kwargs))
+    ClusterSim.step = hashed_step
+    harness.total_reward = hashed_reward
+    try:
+        yield digest
+    finally:
+        ClusterSim.reset, ClusterSim.step, harness.total_reward = reset, step, reward
 
 
 def eval_config(base, work_dir: Path, topology: str):
@@ -92,22 +139,28 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
     """Train and evaluate the matrix under work_dir; map '<group>/<algo>/<file>' to sha256."""
     base = load_config(ROOT / "configs" / "smoke.json")
     hashes = {}
-    for out in run_campaign([replace(base, algorithm=algo, scenario=scenario, seeds=(SEED,),
-                                     output_dir=str(work_dir / scenario / algo))
-                             for scenario in SCENARIOS for algo in ALGOS]):
-        run = f"{out.parent.name}/{out.name}"
-        hashes[f"{run}/metrics_seed{SEED}.csv"] = _metrics_digest(out / f"metrics_seed{SEED}.csv")
-        params = out / f"params_seed{SEED}.bin"
-        if params.exists():
-            hashes[f"{run}/{params.name}"] = hashlib.sha256(params.read_bytes()).hexdigest()
+    for scenario in SCENARIOS:
+        for algo in ALGOS:
+            out, run = work_dir / scenario / algo, f"{scenario}/{algo}"
+            with step_digest() as digest:
+                train_one_seed(replace(base, algorithm=algo, scenario=scenario, seeds=(SEED,),
+                                       output_dir=str(out)), SEED, out)
+            hashes[f"{run}/steps_seed{SEED}"] = digest.hexdigest()
+            hashes[f"{run}/metrics_seed{SEED}.csv"] = \
+                _metrics_digest(out / f"metrics_seed{SEED}.csv")
+            params = out / f"params_seed{SEED}.bin"
+            if params.exists():
+                hashes[f"{run}/{params.name}"] = hashlib.sha256(params.read_bytes()).hexdigest()
     for topology in EVAL_TOPOLOGIES:
         config = eval_config(base, work_dir, topology)
         for algo in EVAL_ALGOS:
             out = work_dir / f"eval_{topology}" / algo
             out.mkdir(parents=True)
-            rows = run_evaluation(replace(config, algorithm=algo),
-                                  work_dir / "high_300" / algo / f"params_seed{SEED}.bin",
-                                  episodes=base.episodes, seeds=(SEED,))
+            with step_digest() as digest:
+                rows = run_evaluation(replace(config, algorithm=algo),
+                                      work_dir / "high_300" / algo / f"params_seed{SEED}.bin",
+                                      episodes=base.episodes, seeds=(SEED,))
+            hashes[f"eval_{topology}/{algo}/steps_seed{SEED}"] = digest.hexdigest()
             export_csv(rows, out / f"eval_seed{SEED}.csv")
             hashes[f"eval_{topology}/{algo}/eval_seed{SEED}.csv"] = \
                 _metrics_digest(out / f"eval_seed{SEED}.csv")
