@@ -178,12 +178,12 @@ def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
     length stays right when a step raises.
     """
     t_start = time.perf_counter()
-    state, obs, raw = env.reset(child_seed(seed, reset_stream, episode))
-    prev_action = state.alloc
+    obs, raw = env.reset(child_seed(seed, reset_stream, episode))
+    prev_action = env.initial_action
     done = False
     while not done:
         action = agent.act(obs, raw, t + len(trajectory), buffer is not None, rng)
-        _, next_obs, raw, done = env.step(action)
+        next_obs, done, raw = env.step(action)
         reward = total_reward(raw, action, prev_action, env.config.l_target,
                               config.reward).total
         if buffer is not None:

@@ -36,7 +36,6 @@ __all__ = [
     "RHO_CAP",
     "LatencyModel",
     "SimConfig",
-    "SimState",
     "ClusterSim",
 ]
 
@@ -111,25 +110,12 @@ class SimConfig:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SimState:
-    """Snapshot of one decision window, pre-normalization.
-
-    alloc/prev_alloc hold the controller's clamped requests; the granted
-    (possibly node-scaled) allocations live in the step's RawMetrics.
-    """
-
-    step: int
-    alloc: ActionVector
-    prev_alloc: ActionVector
-    qps: np.ndarray
-    cpu_used: np.ndarray
-    mem_used: np.ndarray
-    latency: np.ndarray
-
-
 class ClusterSim:
     """Mutable environment: reset(seed) then step(action) until done.
+
+    reset returns (obs, raw) and step returns (obs, done, raw): the window's
+    normalized observation first and its raw metrics last. Window 0 runs
+    under initial_action, the services' initial requests.
 
     One instance is single-threaded; run independent instances for
     parallel seeds. With jitter_sigma = 0 trajectories are a pure function
@@ -174,10 +160,9 @@ class ClusterSim:
              np.array([[nodes_by_id[n].cpu_capacity for n in node_ids],
                        [nodes_by_id[n].mem_capacity for n in node_ids]])[:, :, None])
             for node_ids in by_count.values()]
-        self._initial = config.initial_action()
+        self.initial_action = config.initial_action()
         self._rng: np.random.Generator | None = None
-        self.state: SimState | None = None
-        self._done = True
+        self._t: int | None = None  # the last window's index; None before reset
 
     def grant(self, action: ActionVector) -> tuple[np.ndarray, np.ndarray]:
         """Node over-subscription check: proportional scale-down per resource.
@@ -196,8 +181,7 @@ class ClusterSim:
         np.maximum(block, _BOX_LO, out=block)
         return block[0], block[1]
 
-    def _window(self, step_index: int, action: ActionVector,
-                prev_action: ActionVector) -> tuple[SimState, RawMetrics]:
+    def _window(self, step_index: int, action: ActionVector) -> RawMetrics:
         """Fill the window's raw block row by row (RawMetrics field order) and adopt it."""
         lm = self.config.latency
         block = np.empty((6, self.config.n_services))
@@ -216,24 +200,20 @@ class ClusterSim:
             assert self._rng is not None
             latency *= 1.0 + lm.jitter_sigma * self._rng.standard_normal(latency.size)
             latency.clip(self._floor_ms, lm.saturation_cap_ms, out=latency)
-        raw = _adopt(RawMetrics, block)
-        state = SimState(step=step_index, alloc=action, prev_alloc=prev_action,
-                         qps=raw.qps, cpu_used=raw.cpu_used, mem_used=raw.mem_used,
-                         latency=raw.latency_ms)
-        return state, raw
+        return _adopt(RawMetrics, block)
 
-    def reset(self, seed: int) -> tuple[SimState, StateVector, RawMetrics]:
-        """Window 0 under the services' initial requests."""
+    def reset(self, seed: int) -> tuple[StateVector, RawMetrics]:
+        """Window 0 under initial_action."""
         self._rng = stream(seed, "env")
-        self.state, raw = self._window(0, self._initial, self._initial)
-        self._done = False
-        return self.state, normalize_state(raw, self.config.normalization), raw
+        raw = self._window(0, self.initial_action)
+        self._t = 0
+        return normalize_state(raw, self.config.normalization), raw
 
-    def step(self, action: ActionVector) -> tuple[SimState, StateVector, RawMetrics, bool]:
+    def step(self, action: ActionVector) -> tuple[StateVector, bool, RawMetrics]:
         """Advance one window under the given (clamped) allocation request."""
-        if self.state is None:
+        if self._t is None:
             raise ValidationError("step before reset")
-        if self._done:
+        if self._t == self.config.episode_len:
             raise ValidationError("episode is complete; call reset")
         if action.n_services != self.config.n_services:
             raise DimensionError(
@@ -241,10 +221,7 @@ class ClusterSim:
                 f"config has {self.config.n_services}")
         if not np.isfinite(action.vec).all():
             raise ValidationError("action contains non-finite values")
-        new_step = self.state.step + 1
-        prev = self.state.alloc
-        self.state, raw = self._window(new_step, action, prev)
-        done = new_step == self.config.episode_len
-        self._done = done
-        obs = normalize_state(raw, self.config.normalization)
-        return self.state, obs, raw, done
+        raw = self._window(self._t + 1, action)
+        self._t += 1
+        return (normalize_state(raw, self.config.normalization),
+                self._t == self.config.episode_len, raw)

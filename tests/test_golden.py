@@ -36,15 +36,15 @@ def test_eval_matrix_scales_grants_and_pressures_memory(tmp_path, monkeypatch):
     seen = {"shared_edge": [0, 0], "crowded_edge": [0, 0]}
     window = simulator.ClusterSim._window
 
-    def counting_window(sim, step_index, action, prev_action):
-        state, raw = window(sim, step_index, action, prev_action)
+    def counting_window(sim, step_index, action):
+        raw = window(sim, step_index, action)
         topology = {4: "shared_edge", 3: "crowded_edge"}.get(len(sim.config.nodes))
         if topology is not None:  # an evaluation topology, not the training one
             crowded = (np.array(RECORDER["CROWDED_HOMES"]) == 0 if topology == "crowded_edge"
                        else slice(None))
             seen[topology][0] += bool(np.any(raw.cpu_alloc[crowded] < action.cpu_alloc[crowded]))
             seen[topology][1] += bool(np.any(raw.mem_used >= raw.mem_alloc))
-        return state, raw
+        return raw
 
     monkeypatch.setattr(simulator.ClusterSim, "_window", counting_window)
     hashes = RECORDER["artifact_hashes"](tmp_path)

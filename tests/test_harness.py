@@ -118,6 +118,33 @@ class TestTraining:
         back = load_metrics(tmp_path / "metrics_seed5.csv")
         assert back == rows
 
+    def test_reward_sees_the_previous_action(self, tmp_path, monkeypatch):
+        """Each episode's first reward gets the simulator's initial action as
+        the previous action; every later one gets the action before it."""
+        envs, steps = [], []
+        setup, reward = harness._setup, harness.total_reward
+
+        def spy_setup(*args):
+            env, agent = setup(*args)
+            envs.append(env)
+            return env, agent
+
+        def spy_reward(raw, action, prev_action, *args):
+            steps.append((action, prev_action))
+            return reward(raw, action, prev_action, *args)
+
+        monkeypatch.setattr(harness, "_setup", spy_setup)
+        monkeypatch.setattr(harness, "total_reward", spy_reward)
+        cfg = tiny_config()
+        train_one_seed(cfg, 0, tmp_path)
+        (env,) = envs
+        assert len(steps) == cfg.episodes * cfg.steps_per_episode
+        n = cfg.steps_per_episode
+        for episode in range(cfg.episodes):
+            actions, prevs = zip(*steps[episode * n:(episode + 1) * n])
+            assert prevs[0] is env.initial_action
+            assert all(prev is action for prev, action in zip(prevs[1:], actions))
+
     def test_manifest_contents(self, tmp_path):
         cfg = tiny_config()
         train_one_seed(cfg, 0, tmp_path)

@@ -45,31 +45,31 @@ class TestReset:
     def test_installs_initial_requests(self):
         cfg = SimConfig(latency=quiet())
         sim = ClusterSim(cfg, constant_source(100.0, cfg.n_services, cfg.episode_len + 1))
-        state, obs, _ = sim.reset(seed=0)
-        assert state.step == 0
+        obs, raw = sim.reset(seed=0)
         expected = cfg.initial_action()
-        np.testing.assert_allclose(state.alloc.cpu_alloc, expected.cpu_alloc)
-        np.testing.assert_allclose(state.alloc.mem_alloc, expected.mem_alloc)
-        np.testing.assert_allclose(state.prev_alloc.vec, state.alloc.vec)
+        np.testing.assert_array_equal(sim.initial_action.vec, expected.vec)
+        # one service per node: window 0 grants the initial requests in full
+        np.testing.assert_allclose(raw.cpu_alloc, expected.cpu_alloc)
+        np.testing.assert_allclose(raw.mem_alloc, expected.mem_alloc)
         assert obs.vec.shape == (4 * cfg.n_services,)
 
     def test_zero_rate_latency_at_floor(self):
         cfg = SimConfig(latency=quiet())
         sim = ClusterSim(cfg, constant_source(0.0, cfg.n_services, cfg.episode_len + 1))
-        state, _, _ = sim.reset(seed=3)
-        np.testing.assert_allclose(state.cpu_used, 0.0)
+        _, raw = sim.reset(seed=3)
+        np.testing.assert_allclose(raw.cpu_used, 0.0)
         floors = np.array([20.0 + n.base_network_latency
                            for n in cfg.nodes])[[s.home_node for s in cfg.services]]
-        np.testing.assert_allclose(state.latency, floors)
+        np.testing.assert_allclose(raw.latency_ms, floors)
 
     def test_same_seed_bitwise_identical(self):
         cfg = SimConfig()  # default jitter on: determinism must still hold
         wl = constant_source(100.0, cfg.n_services, cfg.episode_len + 1)
         a = ClusterSim(cfg, wl)
         b = ClusterSim(cfg, wl)
-        sa, oa, _ = a.reset(seed=11)
-        sb, ob, _ = b.reset(seed=11)
-        np.testing.assert_array_equal(sa.latency, sb.latency)
+        oa, ra = a.reset(seed=11)
+        ob, rb = b.reset(seed=11)
+        np.testing.assert_array_equal(ra.latency_ms, rb.latency_ms)
         np.testing.assert_array_equal(oa.vec, ob.vec)
 
 
@@ -79,16 +79,16 @@ class TestLatencyFormula:
         cfg = one_service_config(cpu_cost=0.05)
         sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
-        state, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
+        _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx(50.0, abs=1e-12)
-        assert state.cpu_used[0] == pytest.approx(0.5)
+        assert raw.cpu_used[0] == pytest.approx(0.5)
 
     def test_rho_capped_at_saturation(self):
         # demand / alloc = 2.0 clamps to rho_cap and the cap kicks in
         cfg = one_service_config(cpu_cost=0.2)
         sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
-        _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
+        _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert RHO_CAP == 0.99
         assert raw.latency_ms[0] == cfg.latency.saturation_cap_ms
 
@@ -96,7 +96,7 @@ class TestLatencyFormula:
         cfg = one_service_config()
         sim = ClusterSim(cfg, constant_source(0.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
-        _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
+        _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx(25.0)
         assert raw.cpu_used[0] == 0.0
 
@@ -104,7 +104,7 @@ class TestLatencyFormula:
         cfg = one_service_config(tier="cloud", cpu_cost=0.05)
         sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
-        _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
+        _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx((20.0 + 40.0) / 0.5)
 
     def test_formula_oracle_grid(self):
@@ -114,7 +114,7 @@ class TestLatencyFormula:
         for alloc in (0.2, 0.5, 0.9, 1.3, 2.0):
             for mem in (128.0, 300.0, 2048.0):
                 sim.reset(seed=0)
-                _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[alloc], mem_alloc=[mem]))
+                _, _, raw = sim.step(ActionVector(cpu_alloc=[alloc], mem_alloc=[mem]))
                 demand = 10.0 * 0.08
                 rho = min(demand / alloc, RHO_CAP)
                 expected = min(25.0 / (1.0 - rho), 1000.0)
@@ -126,7 +126,7 @@ class TestLatencyFormula:
         cfg = one_service_config(cpu_cost=0.05, mem_floor=600.0)
         sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
-        _, _, raw, _ = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
+        _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         # starved memory doubles the 50 ms queueing latency
         assert raw.latency_ms[0] == pytest.approx(100.0)
         assert raw.mem_used[0] == pytest.approx(512.0)  # capped at alloc
@@ -139,9 +139,9 @@ class TestLatencyFormula:
         sim = ClusterSim(cfg, constant_source(qps, 1, cfg.episode_len + 1))
         hi = min(lo + hi_delta, 2.0)
         sim.reset(seed=0)
-        _, _, raw_lo, _ = sim.step(ActionVector(cpu_alloc=[lo], mem_alloc=[512.0]))
+        _, _, raw_lo = sim.step(ActionVector(cpu_alloc=[lo], mem_alloc=[512.0]))
         sim.reset(seed=0)
-        _, _, raw_hi, _ = sim.step(ActionVector(cpu_alloc=[hi], mem_alloc=[512.0]))
+        _, _, raw_hi = sim.step(ActionVector(cpu_alloc=[hi], mem_alloc=[512.0]))
         assert raw_hi.latency_ms[0] <= raw_lo.latency_ms[0] + 1e-12
 
     def test_jitter_respects_bounds(self):
@@ -150,7 +150,7 @@ class TestLatencyFormula:
         sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         for _ in range(cfg.episode_len):
-            _, _, raw, done = sim.step(ActionVector(cpu_alloc=[2.0], mem_alloc=[512.0]))
+            _, done, raw = sim.step(ActionVector(cpu_alloc=[2.0], mem_alloc=[512.0]))
             assert 25.0 <= raw.latency_ms[0] <= 1000.0
             if done:
                 sim.reset(seed=1)
@@ -162,7 +162,7 @@ class TestEpisodeProtocol:
         sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
         sim.reset(seed=0)
         action = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
-        flags = [sim.step(action)[3] for _ in range(4)]
+        flags = [sim.step(action)[1] for _ in range(4)]
         assert flags == [False, False, False, True]
 
     def test_step_after_done_rejected(self):
@@ -207,22 +207,13 @@ class TestEpisodeProtocol:
             sim.reset(seed=77)
             out = []
             for a in actions:
-                state, obs, raw, done = sim.step(a)
+                obs, done, raw = sim.step(a)
                 out.append((obs.vec.copy(), raw.latency_ms.copy(), done))
             return out
         for (va, la, da), (vb, lb, db) in zip(rollout(), rollout()):
             np.testing.assert_array_equal(va, vb)
             np.testing.assert_array_equal(la, lb)
             assert da == db
-
-    def test_prev_alloc_tracks_requests(self):
-        cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
-        state0, _, _ = sim.reset(seed=0)
-        a1 = ActionVector(cpu_alloc=[1.7], mem_alloc=[900.0])
-        state1, _, _, _ = sim.step(a1)
-        np.testing.assert_allclose(state1.prev_alloc.vec, state0.alloc.vec)
-        np.testing.assert_allclose(state1.alloc.vec, a1.vec)
 
     def test_observations_in_unit_box(self):
         cfg = SimConfig()
@@ -232,7 +223,7 @@ class TestEpisodeProtocol:
         for _ in range(cfg.episode_len):
             a = ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, 8),
                              mem_alloc=rng.uniform(64, 2048, 8))
-            _, obs, _, done = sim.step(a)
+            obs, done, _ = sim.step(a)
             assert np.all(obs.vec >= 0.0) and np.all(obs.vec <= 1.0)
 
 
@@ -294,10 +285,8 @@ class TestNodeCapacity:
         cfg = self._two_on_one_node(cpu_capacity=2.0)
         sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
         sim.reset(seed=0)
-        state, _, raw, _ = sim.step(
-            ActionVector(cpu_alloc=[2.0, 2.0], mem_alloc=[256.0, 256.0]))
-        np.testing.assert_allclose(raw.cpu_alloc, [1.0, 1.0])  # granted
-        np.testing.assert_allclose(state.alloc.cpu_alloc, [2.0, 2.0])  # requested
+        _, _, raw = sim.step(ActionVector(cpu_alloc=[2.0, 2.0], mem_alloc=[256.0, 256.0]))
+        np.testing.assert_allclose(raw.cpu_alloc, [1.0, 1.0])  # granted: half the request
         # utilization and usage follow the grant
         demand = 10.0 / 2 * 0.05
         np.testing.assert_allclose(raw.cpu_used, [min(demand, 1.0)] * 2)
@@ -452,13 +441,13 @@ class TestStepInvariants:
                 workload = constant_source(data.draw(qps_values, label="rate"), n,
                                            cfg.episode_len + 1)
         sim = ClusterSim(cfg, workload)
-        _, obs, raw = sim.reset(seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        obs, raw = sim.reset(seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
         windows = [(obs, raw)]
         for _ in range(cfg.episode_len):
             action = ActionVector(
                 cpu_alloc=data.draw(st.lists(box_cpu, min_size=n, max_size=n)),
                 mem_alloc=data.draw(st.lists(box_mem, min_size=n, max_size=n)))
-            _, obs, raw, _ = sim.step(action)
+            obs, _, raw = sim.step(action)
             windows.append((obs, raw))
         for obs, raw in windows:
             # the step path adopts these blocks; they match the public constructors
