@@ -15,10 +15,6 @@ import numpy as np
 from .domain import (
     _BOX_LO,
     _BOX_SPAN,
-    CPU_MAX,
-    CPU_MIN,
-    MEM_MAX,
-    MEM_MIN,
     ActionVector,
     RawMetrics,
     StateVector,
@@ -144,14 +140,14 @@ def epsilon_at(hyper: DqnHyper, t: int) -> float:
     return hyper.epsilon_start - (hyper.epsilon_start - hyper.epsilon_end) * frac
 
 
+def _box_view(actions: np.ndarray) -> np.ndarray:
+    """A (..., 2N) array of allocations as (..., 2, N): cpu row, then mem row."""
+    return actions.reshape(*actions.shape[:-1], 2, -1)
+
+
 def batch_units_from_domain(actions: np.ndarray) -> np.ndarray:
     """Map a (B, 2N) array of core/MB allocations into the [-1, 1] unit box."""
-    n = actions.shape[-1] // 2
-    cpu = actions[..., :n]
-    mem = actions[..., n:]
-    u_cpu = (cpu - CPU_MIN) / (CPU_MAX - CPU_MIN) * 2.0 - 1.0
-    u_mem = (mem - MEM_MIN) / (MEM_MAX - MEM_MIN) * 2.0 - 1.0
-    return np.concatenate([u_cpu, u_mem], axis=-1)
+    return ((_box_view(actions) - _BOX_LO) / _BOX_SPAN * 2.0 - 1.0).reshape(actions.shape)
 
 
 class Td3Agent:
@@ -326,13 +322,8 @@ class DqnAgent:
 
     def action_to_levels(self, actions: np.ndarray) -> np.ndarray:
         """Nearest grid index per dimension for a (B, 2N) domain-unit batch."""
-        n = self.n_services
-        k_cpu = np.rint((actions[..., :n] - CPU_MIN) * (self.hyper.levels - 1)
-                        / (CPU_MAX - CPU_MIN))
-        k_mem = np.rint((actions[..., n:] - MEM_MIN) * (self.hyper.levels - 1)
-                        / (MEM_MAX - MEM_MIN))
-        k = np.concatenate([k_cpu, k_mem], axis=-1)
-        return np.clip(k, 0, self.hyper.levels - 1).astype(int)
+        k = np.rint((_box_view(actions) - _BOX_LO) * (self.hyper.levels - 1) / _BOX_SPAN)
+        return np.clip(k.reshape(actions.shape), 0, self.hyper.levels - 1).astype(int)
 
     def greedy_levels(self, state: StateVector) -> np.ndarray:
         q, _ = self.q_net.forward(state.vec)

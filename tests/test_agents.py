@@ -18,6 +18,10 @@ from edgesched.agents import (
     exploration_sigma,
 )
 from edgesched.domain import (
+    CPU_MAX,
+    CPU_MIN,
+    MEM_MAX,
+    MEM_MIN,
     ActionVector,
     StateVector,
     ValidationError,
@@ -430,6 +434,47 @@ def test_buffer_no_larger_than_batch_rejected(hyper_cls):
 
 
 # ------------------------------------------------------------------- basek
+
+def split_units(actions):
+    """batch_units_from_domain as written on the cpu and mem halves."""
+    n = actions.shape[-1] // 2
+    u_cpu = (actions[..., :n] - CPU_MIN) / (CPU_MAX - CPU_MIN) * 2.0 - 1.0
+    u_mem = (actions[..., n:] - MEM_MIN) / (MEM_MAX - MEM_MIN) * 2.0 - 1.0
+    return np.concatenate([u_cpu, u_mem], axis=-1)
+
+
+def split_levels(actions, levels):
+    """DqnAgent.action_to_levels as written on the cpu and mem halves."""
+    n = actions.shape[-1] // 2
+    k_cpu = np.rint((actions[..., :n] - CPU_MIN) * (levels - 1) / (CPU_MAX - CPU_MIN))
+    k_mem = np.rint((actions[..., n:] - MEM_MIN) * (levels - 1) / (MEM_MAX - MEM_MIN))
+    return np.clip(np.concatenate([k_cpu, k_mem], axis=-1), 0, levels - 1).astype(int)
+
+
+@pytest.mark.parametrize("shape", [(2,), (6,), (1, 6), (64, 16), (3, 5, 4)])
+def test_box_conversions_match_split_halves_bit_for_bit(shape):
+    """The broadcast box maps give the bytes of the per-half expressions,
+    signs included, inside and outside the box, for 1-D input and batches."""
+    rng = np.random.default_rng(sum(shape))
+    n = shape[-1] // 2
+    lo = np.repeat([CPU_MIN, MEM_MIN], n)
+    hi = np.repeat([CPU_MAX, MEM_MAX], n)
+    agent = DqnAgent(n, DqnHyper(hidden=8, levels=7), rng)
+    for _ in range(50):
+        actions = lo + rng.uniform(-0.6, 1.6, shape) * (hi - lo)
+        # the box edges, signed zeros, and the midpoints between grid levels,
+        # where rint reads the last bit
+        midpoint = lo + (rng.integers(0, 6, 2 * n) + 0.5) * (hi - lo) / 6
+        edges = rng.choice(np.stack([lo, hi, np.zeros(2 * n), np.full(2 * n, -0.0), midpoint]),
+                           axis=0, size=shape[:-1])
+        np.copyto(actions, edges, where=rng.random(shape) < 0.2)
+        units = batch_units_from_domain(actions)
+        assert units.shape == shape
+        assert units.tobytes() == split_units(actions).tobytes()
+        levels = agent.action_to_levels(actions)
+        assert levels.shape == shape
+        assert levels.tobytes() == split_levels(actions, 7).tobytes()
+
 
 class TestBaseK:
     def test_static_is_constant(self, rng):
