@@ -67,14 +67,16 @@ def require_finite(owner: str, **values: float) -> None:
 def csv_rows(path: str | Path, error: type[ValidationError]):
     """Yield (line number, cells) for each record of a UTF-8 CSV file.
 
-    A path the OS cannot name, text that is not UTF-8 and a cell the csv
-    module refuses (one over its field size limit) raise `error`, naming
-    the path and, for the cell, the line.
+    A path the OS cannot name or read, text that is not UTF-8 and a cell
+    the csv module refuses (one over its field size limit) raise `error`,
+    naming the path and, for the cell, the line.
     """
     try:
         data = Path(path).read_bytes()
     except ValueError as exc:  # an embedded null byte
         raise error(f"{str(path)!r}: {exc}") from exc
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -94,10 +94,7 @@ class MetricsLoadError(ValidationError):
 def load_metrics(path: str | Path) -> list[EpisodeRow]:
     rows = []
     lines = csv_rows(path, MetricsLoadError)
-    try:  # the first record reads the file
-        _, header = next(lines, (0, None))
-    except OSError as exc:
-        raise MetricsLoadError(f"{path}: {exc.strerror or exc}") from exc
+    _, header = next(lines, (0, None))
     if header != METRICS_HEADER:
         raise MetricsLoadError(f"{path}: unexpected metrics header {header}")
     for lineno, line in lines:

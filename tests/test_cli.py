@@ -145,6 +145,20 @@ class TestTrain:
         assert code == 2
         assert stderr == f"error: {path!r}: embedded null byte\n"
 
+    @pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                              ("directory", "Is a directory")],
+                             ids=["missing", "directory"])
+    def test_unreadable_trace_exits_2(self, tmp_path, capsys, kind, reason):
+        trace = tmp_path / "demand.csv"
+        if kind == "directory":
+            trace.mkdir()
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(dict(SMOKE, scenario="trace:demand.csv")), encoding="utf-8")
+        code, _, stderr = run_cli(
+            ["train", "--config", cfg, "--algo", "basek", "--out", tmp_path / "run"], capsys)
+        assert code == 2
+        assert stderr == f"error: {trace}: {reason}\n"
+
     def test_oversized_trace_cell_exits_2(self, tmp_path, capsys):
         trace = tmp_path / "demand.csv"
         trace.write_text("step,service,qps\n0,0," + "1" * 131073 + "\n", encoding="utf-8")

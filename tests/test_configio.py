@@ -20,7 +20,7 @@ from edgesched.agents import DqnHyper, Td3Hyper
 from edgesched.domain import NodeSpec, NormalizationConfig, ServiceSpec, ValidationError
 from edgesched.rewards import RewardWeights
 from edgesched.simulator import LatencyModel, SimConfig
-from edgesched.workload import TraceRecord, qps_at, write_trace
+from edgesched.workload import TraceParseError, TraceRecord, qps_at, write_trace
 
 
 def write_cfg(tmp_path, doc, name="exp.json"):
@@ -233,7 +233,7 @@ class TestScenarios:
 
     def test_missing_trace_fails_at_build(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"scenario": "trace:nowhere.csv"}))
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(TraceParseError, match="nowhere.csv: No such file"):
             build_workload(cfg)
 
 

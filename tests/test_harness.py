@@ -31,6 +31,7 @@ from edgesched.harness import (
     train_one_seed,
 )
 from edgesched.nets import Mlp, save_mlp
+from edgesched.workload import TraceParseError
 
 
 def tiny_config(**kw):
@@ -345,7 +346,7 @@ class TestCampaign:
         assert len(artifacts(tmp_path)) == 2 + 2 * 2 * 2
 
     @pooled
-    @pytest.mark.parametrize("kind, error", [("missing", FileNotFoundError),
+    @pytest.mark.parametrize("kind, error", [("missing", TraceParseError),
                                              ("malformed", ValidationError)])
     def test_worker_error_is_raised_by_caller(self, tmp_path, workers, kind, error):
         trace = broken_trace(tmp_path, kind)
@@ -362,7 +363,7 @@ class TestCampaign:
         configs = [tiny_config(output_dir=str(tmp_path / "bad"), scenario=f"trace:{trace}"),
                    tiny_config(output_dir=str(tmp_path / "long"), episodes=10_000)]
         started = time.perf_counter()
-        with pytest.raises(FileNotFoundError, match=str(trace)):
+        with pytest.raises(TraceParseError, match=str(trace)):
             run_campaign(configs)
         assert time.perf_counter() - started < 30
         assert len(workers) == 1 and workers[0].returncode == 1  # stopped at stdin EOF
