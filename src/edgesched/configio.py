@@ -95,15 +95,11 @@ class ExperimentConfig:
                 f"{sorted(SCENARIO_PRESETS)} or '{TRACE_PREFIX}<path>'")
         if self.basek_mode not in ("static", "threshold"):
             raise ConfigError(f"unknown basek_mode {self.basek_mode!r}")
-        # the simulator's episode length always follows T
-        if self.sim.episode_len != self.steps_per_episode:
-            object.__setattr__(self, "sim",
-                               replace(self.sim, episode_len=self.steps_per_episode))
 
 
 def build_workload(config: ExperimentConfig) -> np.ndarray:
     """Resolve the scenario string into the run's rate matrix, one row per window."""
-    n, rows = config.sim.n_services, config.sim.episode_len + 1
+    n, rows = config.sim.n_services, config.steps_per_episode + 1
     if config.scenario.startswith(TRACE_PREFIX):
         return trace_source(config.scenario[len(TRACE_PREFIX):], n, rows)
     rate = SCENARIO_PRESETS[config.scenario]
@@ -149,18 +145,16 @@ def _expect(doc: dict, key: str, kinds, section: str):
     return value
 
 
-def _read(doc: dict, section: str, *classes, nested: tuple[str, ...] = (),
-          derived: tuple[str, ...] = ()) -> list[dict]:
+def _read(doc: dict, section: str, *classes, nested: tuple[str, ...] = ()) -> list[dict]:
     """Per class, the values `doc` gives for its scalar fields, type-checked.
 
     Keys in `nested` are left to the caller. Any other key that names no
-    scalar field is an error, and so is a field in `derived`, which the
-    loader sets itself. Omitted fields keep their dataclass defaults.
+    scalar field is an error. Omitted fields keep their dataclass defaults.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{section}: expected an object")
-    kinds = [{f.name: _KINDS[f.type] for f in fields(cls)
-              if f.type in _KINDS and f.name not in derived} for cls in classes]
+    kinds = [{f.name: _KINDS[f.type] for f in fields(cls) if f.type in _KINDS}
+             for cls in classes]
     _reject_unknown(section, doc, set(nested).union(*kinds))
     return [{key: _expect(doc, key, kind, section) for key, kind in spec.items() if key in doc}
             for spec in kinds]
@@ -175,8 +169,7 @@ def _node_from(entry: dict, where: str, index: int) -> NodeSpec:
 
 
 def _service_from(entry: dict, where: str, index: int) -> ServiceSpec:
-    (values,) = _read(entry, where, ServiceSpec, derived=("service_id",))
-    values["service_id"] = index
+    (values,) = _read(entry, where, ServiceSpec)
     missing = sorted(f.name for f in fields(ServiceSpec) if f.name not in values)
     if missing:
         raise ConfigError(f"{where}: missing key(s) {missing}")
@@ -189,7 +182,7 @@ def _sim_from(doc: dict) -> SimConfig:
     Normalization keys override the divisors SimConfig derives from l_target.
     """
     values, latency, norm = _read(doc, "sim", SimConfig, LatencyModel, NormalizationConfig,
-                                  nested=("nodes", "services"), derived=("episode_len",))
+                                  nested=("nodes", "services"))
     for key, entry_from in (("nodes", _node_from), ("services", _service_from)):
         if key not in doc:
             continue

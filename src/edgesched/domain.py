@@ -182,7 +182,6 @@ class ServiceSpec:
     is mem_floor + mem_per_qps * qps megabytes.
     """
 
-    service_id: int
     name: str
     home_node: int
     cpu_cost_per_request: float
@@ -236,7 +235,6 @@ def default_services(nodes: list[NodeSpec] | None = None) -> list[ServiceSpec]:
     services = []
     for i, (name, cost, floor, per_qps, cpu0, mem0) in enumerate(_DEFAULT_ROSTER):
         services.append(ServiceSpec(
-            service_id=i,
             name=name,
             home_node=nodes[i % len(nodes)].node_id,
             cpu_cost_per_request=cost,

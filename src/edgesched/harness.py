@@ -156,11 +156,11 @@ def _agent_counters(agent, env_steps: int) -> dict:
 
 def _setup(config: ExperimentConfig, workload, seed: int):
     """The seed's simulator and freshly initialised agent."""
+    env = ClusterSim(config.sim, workload)
     agent = build_agent(config.algorithm, config.sim.n_services, stream(seed, "init"),
-                        td3=config.td3, dqn=config.dqn,
-                        initial_action=config.sim.initial_action(),
+                        td3=config.td3, dqn=config.dqn, initial_action=env.initial_action,
                         basek_mode=config.basek_mode)
-    return ClusterSim(config.sim, workload), agent
+    return env, agent
 
 
 def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,

@@ -76,15 +76,12 @@ class SimConfig:
     services: list[ServiceSpec] = field(default_factory=default_services)
     nodes: list[NodeSpec] = field(default_factory=default_nodes)
     l_target: float = 150.0
-    episode_len: int = 20
     latency: LatencyModel = field(default_factory=LatencyModel)
     normalization: NormalizationConfig | None = None
 
     def __post_init__(self):
         if not self.services or not self.nodes:
             raise ValidationError("need at least one service and one node")
-        if self.episode_len < 1:
-            raise ValidationError(f"episode_len must be >= 1, got {self.episode_len}")
         require_finite("sim", l_target=self.l_target)
         if self.l_target <= 0:
             raise ValidationError("l_target must be positive")
@@ -103,12 +100,6 @@ class SimConfig:
     def n_services(self) -> int:
         return len(self.services)
 
-    def initial_action(self) -> ActionVector:
-        return ActionVector(
-            cpu_alloc=np.array([s.initial_cpu_request for s in self.services]),
-            mem_alloc=np.array([s.initial_mem_request for s in self.services]),
-        )
-
 
 class ClusterSim:
     """Mutable environment: reset(seed) then step(action) until done.
@@ -124,14 +115,16 @@ class ClusterSim:
     """
 
     def __init__(self, config: SimConfig, workload: np.ndarray):
-        """`workload` is the rate matrix: one row per window 0..episode_len."""
-        expected = (config.episode_len + 1, config.n_services)
-        if np.shape(workload) != expected:
+        """`workload` is the rate matrix, one row per window; the episode runs
+        episode_len = rows - 1 steps after window 0."""
+        shape = np.shape(workload)
+        if len(shape) != 2 or shape[0] < 2 or shape[1] != config.n_services:
             raise DimensionError(
-                f"workload has shape {np.shape(workload)}, config needs {expected} "
-                "(episode_len + 1 windows by n_services)")
+                f"workload has shape {shape}, config needs (rows >= 2, {config.n_services}) "
+                "(window 0 plus at least one step, by n_services)")
         self.config = config
         self.workload = workload
+        self.episode_len = shape[0] - 1
         svcs = config.services
         nodes_by_id = {n.node_id: n for n in config.nodes}
         # per window and service, the action-independent demands: row 0 cores
@@ -160,7 +153,8 @@ class ClusterSim:
              np.array([[nodes_by_id[n].cpu_capacity for n in node_ids],
                        [nodes_by_id[n].mem_capacity for n in node_ids]])[:, :, None])
             for node_ids in by_count.values()]
-        self.initial_action = config.initial_action()
+        self.initial_action = ActionVector(cpu_alloc=[s.initial_cpu_request for s in svcs],
+                                           mem_alloc=[s.initial_mem_request for s in svcs])
         self._rng: np.random.Generator | None = None
         self._t: int | None = None  # the last window's index; None before reset
 
@@ -213,7 +207,7 @@ class ClusterSim:
         """Advance one window under the given (clamped) allocation request."""
         if self._t is None:
             raise ValidationError("step before reset")
-        if self._t == self.config.episode_len:
+        if self._t == self.episode_len:
             raise ValidationError("episode is complete; call reset")
         if action.n_services != self.config.n_services:
             raise DimensionError(
@@ -224,4 +218,4 @@ class ClusterSim:
         raw = self._window(self._t + 1, action)
         self._t += 1
         return (normalize_state(raw, self.config.normalization),
-                self._t == self.config.episode_len, raw)
+                self._t == self.episode_len, raw)

@@ -3,7 +3,7 @@
 A workload is one read-only float64 matrix of shape (rows, n_services):
 row t holds the per-service QPS of 30-second decision window t. Each
 builder (constant, sinusoidal, burst, or an ingested trace) fills it once
-for a given number of rows, episode_len + 1 for a run, and the simulator
+for a given number of rows, steps_per_episode + 1 for a run, and the simulator
 reads one row per step through qps_at. Trace files are plain CSV with a
 `step,service,qps` header; a converter from richer cluster traces boils
 down to emitting that schema.

@@ -347,7 +347,7 @@ def _threshold_sim():
     sits at the box floor and can never add pressure.
     """
     node = make_node(0, "edge")
-    svc = ServiceSpec(service_id=0, name="solo", home_node=0,
+    svc = ServiceSpec(name="solo", home_node=0,
                       cpu_cost_per_request=0.04, mem_floor=64.0, mem_per_qps=0.0,
                       initial_cpu_request=0.5, initial_mem_request=256.0)
     return SimConfig(services=[svc], nodes=[node], l_target=150.0,

@@ -85,9 +85,9 @@ def test_traced_training_counts(tmp_path):
     for key in ("simulator.step", "agents.act", "replay.add", "agents.learn"):
         assert calls[key] == steps, key
     # the step path adopts each raw, state and action block without running a
-    # public constructor, and the simulator builds its initial action once, so
-    # only set-up builds objects: the simulator's and the agent's initial action
-    assert calls["domain.objects"] == 2
+    # public constructor, so only set-up builds an object: the simulator's
+    # initial action, which the agent shares
+    assert calls["domain.objects"] == 1
     # learn() applies an update once the buffer holds more than a batch: from
     # step BATCH + 1 on. Each update steps both critics (a backward and an Adam
     # step each); every POLICY_FREQ-th also steps the actor, with a backward

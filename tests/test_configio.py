@@ -17,9 +17,10 @@ from edgesched.configio import (
     load_config,
 )
 from edgesched.agents import DqnHyper, Td3Hyper
-from edgesched.domain import NodeSpec, NormalizationConfig, ServiceSpec, ValidationError
+from edgesched.domain import (NodeSpec, NormalizationConfig, ServiceSpec, ValidationError,
+                              make_node)
 from edgesched.rewards import RewardWeights
-from edgesched.simulator import LatencyModel, SimConfig
+from edgesched.simulator import ClusterSim, LatencyModel, SimConfig
 from edgesched.workload import TraceParseError, TraceRecord, qps_at, write_trace
 
 
@@ -75,10 +76,10 @@ class TestDefaultsAndOverrides:
     def test_episode_len_follows_steps(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {
             "steps_per_episode": 7, "sim": {"l_target": 200.0}}))
-        assert cfg.sim.episode_len == 7
-        # and directly constructed configs resync too
+        assert ClusterSim(cfg.sim, build_workload(cfg)).episode_len == 7
+        # and directly constructed configs too
         direct = ExperimentConfig(steps_per_episode=9)
-        assert direct.sim.episode_len == 9
+        assert ClusterSim(direct.sim, build_workload(direct)).episode_len == 9
 
     def test_latency_norm_defaults_to_twice_target(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"sim": {"l_target": 80.0}}))
@@ -88,6 +89,12 @@ class TestDefaultsAndOverrides:
         loaded = load_config(write_cfg(tmp_path, {"sim": {"l_target": 100.0}}))
         built = ExperimentConfig(sim=SimConfig(l_target=100.0))
         assert loaded.sim.normalization.l_max == built.sim.normalization.l_max == 200.0
+        assert config_hash(loaded) == config_hash(built)
+        # a custom topology hashes alike too: no field is set by the loader alone
+        loaded = load_config(write_cfg(tmp_path, {"sim": dict(MINIMAL_TOPOLOGY)}))
+        built = ExperimentConfig(sim=SimConfig(
+            nodes=[make_node(**MINIMAL_TOPOLOGY["nodes"][0])],
+            services=[ServiceSpec(**MINIMAL_TOPOLOGY["services"][0])]))
         assert config_hash(loaded) == config_hash(built)
 
     def test_custom_topology(self, tmp_path):
@@ -111,8 +118,8 @@ class TestRejection:
             load_config(write_cfg(tmp_path, doc))
 
     def test_steps_per_episode_capped_at_named_limit(self, tmp_path):
-        assert ExperimentConfig(steps_per_episode=MAX_STEPS_PER_EPISODE).sim.episode_len \
-            == MAX_STEPS_PER_EPISODE
+        capped = ExperimentConfig(steps_per_episode=MAX_STEPS_PER_EPISODE)
+        assert build_workload(capped).shape == (MAX_STEPS_PER_EPISODE + 1, capped.sim.n_services)
         with pytest.raises(ConfigError, match="steps_per_episode"):
             load_config(write_cfg(tmp_path, {"steps_per_episode": MAX_STEPS_PER_EPISODE + 1}))
 
@@ -348,12 +355,13 @@ class TestSchema:
 
     @pytest.mark.parametrize("section", sorted(SCHEMA))
     def test_other_field_names_are_rejected(self, tmp_path, section):
-        # among them the fields the loader sets itself (sim.episode_len, a
-        # service's service_id) and the objects sim reads flat (latency,
-        # normalization)
+        # among them the objects sim reads flat (latency, normalization), and
+        # two names the config no longer holds: the simulator takes the episode
+        # length from the rate matrix's rows and a service's id from its position
         classes = (ExperimentConfig, SimConfig, LatencyModel, NormalizationConfig, NodeSpec,
                    ServiceSpec, RewardWeights, Td3Hyper, DqnHyper)
-        names = {f.name for cls in classes for f in fields(cls)} - set(SCHEMA[section])
+        names = ({f.name for cls in classes for f in fields(cls)}
+                 | {"episode_len", "service_id"}) - set(SCHEMA[section])
         for name in sorted(names):
             doc = schema_document()
             section_of(doc, section)[name] = 1

@@ -28,25 +28,30 @@ def quiet(**kwargs):
     return LatencyModel(jitter_sigma=0.0, **kwargs)
 
 
-def one_service_config(cpu_cost=0.1, episode_len=5, l_target=150.0,
+# rate-matrix rows: window 0 plus 5 steps, or plus the stock 20 steps
+ROWS = 6
+STOCK_ROWS = 21
+
+
+def one_service_config(cpu_cost=0.1, l_target=150.0,
                        latency=None, init_cpu=1.0, init_mem=512.0,
                        mem_floor=64.0, mem_per_qps=0.0, tier="edge"):
     node = make_node(0, tier)
-    svc = ServiceSpec(service_id=0, name="svc", home_node=0,
+    svc = ServiceSpec(name="svc", home_node=0,
                       cpu_cost_per_request=cpu_cost, mem_floor=mem_floor,
                       mem_per_qps=mem_per_qps, initial_cpu_request=init_cpu,
                       initial_mem_request=init_mem)
     return SimConfig(services=[svc], nodes=[node], l_target=l_target,
-                     episode_len=episode_len,
                      latency=latency if latency is not None else quiet())
 
 
 class TestReset:
     def test_installs_initial_requests(self):
         cfg = SimConfig(latency=quiet())
-        sim = ClusterSim(cfg, constant_source(100.0, cfg.n_services, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(100.0, cfg.n_services, STOCK_ROWS))
         obs, raw = sim.reset(seed=0)
-        expected = cfg.initial_action()
+        expected = ActionVector(cpu_alloc=[s.initial_cpu_request for s in cfg.services],
+                                mem_alloc=[s.initial_mem_request for s in cfg.services])
         np.testing.assert_array_equal(sim.initial_action.vec, expected.vec)
         # one service per node: window 0 grants the initial requests in full
         np.testing.assert_allclose(raw.cpu_alloc, expected.cpu_alloc)
@@ -55,7 +60,7 @@ class TestReset:
 
     def test_zero_rate_latency_at_floor(self):
         cfg = SimConfig(latency=quiet())
-        sim = ClusterSim(cfg, constant_source(0.0, cfg.n_services, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(0.0, cfg.n_services, STOCK_ROWS))
         _, raw = sim.reset(seed=3)
         np.testing.assert_allclose(raw.cpu_used, 0.0)
         floors = np.array([20.0 + n.base_network_latency
@@ -64,7 +69,7 @@ class TestReset:
 
     def test_same_seed_bitwise_identical(self):
         cfg = SimConfig()  # default jitter on: determinism must still hold
-        wl = constant_source(100.0, cfg.n_services, cfg.episode_len + 1)
+        wl = constant_source(100.0, cfg.n_services, STOCK_ROWS)
         a = ClusterSim(cfg, wl)
         b = ClusterSim(cfg, wl)
         oa, ra = a.reset(seed=11)
@@ -77,7 +82,7 @@ class TestLatencyFormula:
     def test_half_utilization_edge(self):
         # rho = 0.5 on an edge node: (20 + 5) / 0.5 = 50 ms
         cfg = one_service_config(cpu_cost=0.05)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
         _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx(50.0, abs=1e-12)
@@ -86,7 +91,7 @@ class TestLatencyFormula:
     def test_rho_capped_at_saturation(self):
         # demand / alloc = 2.0 clamps to rho_cap and the cap kicks in
         cfg = one_service_config(cpu_cost=0.2)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
         _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert RHO_CAP == 0.99
@@ -94,7 +99,7 @@ class TestLatencyFormula:
 
     def test_idle_service_at_floor(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(0.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(0.0, 1, ROWS))
         sim.reset(seed=0)
         _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx(25.0)
@@ -102,7 +107,7 @@ class TestLatencyFormula:
 
     def test_cloud_network_floor(self):
         cfg = one_service_config(tier="cloud", cpu_cost=0.05)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
         _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         assert raw.latency_ms[0] == pytest.approx((20.0 + 40.0) / 0.5)
@@ -110,7 +115,7 @@ class TestLatencyFormula:
     def test_formula_oracle_grid(self):
         # sweep allocations and recompute the whole chain independently
         cfg = one_service_config(cpu_cost=0.08, mem_floor=256.0, mem_per_qps=4.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         for alloc in (0.2, 0.5, 0.9, 1.3, 2.0):
             for mem in (128.0, 300.0, 2048.0):
                 sim.reset(seed=0)
@@ -124,7 +129,7 @@ class TestLatencyFormula:
 
     def test_mem_pressure_multiplier(self):
         cfg = one_service_config(cpu_cost=0.05, mem_floor=600.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
         _, _, raw = sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
         # starved memory doubles the 50 ms queueing latency
@@ -135,8 +140,8 @@ class TestLatencyFormula:
            qps=st.floats(0.0, 40.0))
     @settings(max_examples=80, deadline=None)
     def test_monotone_in_allocation(self, lo, hi_delta, qps):
-        cfg = one_service_config(cpu_cost=0.05, episode_len=3)
-        sim = ClusterSim(cfg, constant_source(qps, 1, cfg.episode_len + 1))
+        cfg = one_service_config(cpu_cost=0.05)
+        sim = ClusterSim(cfg, constant_source(qps, 1, 4))
         hi = min(lo + hi_delta, 2.0)
         sim.reset(seed=0)
         _, _, raw_lo = sim.step(ActionVector(cpu_alloc=[lo], mem_alloc=[512.0]))
@@ -147,9 +152,9 @@ class TestLatencyFormula:
     def test_jitter_respects_bounds(self):
         cfg = dataclasses.replace(one_service_config(cpu_cost=0.19),
                                   latency=LatencyModel(jitter_sigma=0.5))
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
-        for _ in range(cfg.episode_len):
+        for _ in range(sim.episode_len):
             _, done, raw = sim.step(ActionVector(cpu_alloc=[2.0], mem_alloc=[512.0]))
             assert 25.0 <= raw.latency_ms[0] <= 1000.0
             if done:
@@ -158,16 +163,16 @@ class TestLatencyFormula:
 
 class TestEpisodeProtocol:
     def test_done_exactly_at_episode_len(self):
-        cfg = one_service_config(episode_len=4)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        cfg = one_service_config()
+        sim = ClusterSim(cfg, constant_source(10.0, 1, 5))
         sim.reset(seed=0)
         action = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         flags = [sim.step(action)[1] for _ in range(4)]
         assert flags == [False, False, False, True]
 
     def test_step_after_done_rejected(self):
-        cfg = one_service_config(episode_len=1)
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        cfg = one_service_config()
+        sim = ClusterSim(cfg, constant_source(10.0, 1, 2))
         sim.reset(seed=0)
         action = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         sim.step(action)
@@ -176,13 +181,13 @@ class TestEpisodeProtocol:
 
     def test_step_before_reset_rejected(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         with pytest.raises(ValidationError):
             sim.step(ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0]))
 
     def test_dimension_mismatch_rejected(self):
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
         with pytest.raises(ValidationError):
             sim.step(ActionVector(cpu_alloc=[1.0, 1.0], mem_alloc=[512.0, 512.0]))
@@ -190,18 +195,18 @@ class TestEpisodeProtocol:
     def test_nan_action_rejected(self):
         # ActionVector clamps inf into the box, but NaN passes the clamp
         cfg = one_service_config()
-        sim = ClusterSim(cfg, constant_source(10.0, 1, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 1, ROWS))
         sim.reset(seed=0)
         with pytest.raises(ValidationError, match="non-finite"):
             sim.step(ActionVector(cpu_alloc=[np.nan], mem_alloc=[512.0]))
 
     def test_trajectory_determinism(self):
         cfg = SimConfig()
-        wl = constant_source(200.0, cfg.n_services, cfg.episode_len + 1)
+        wl = constant_source(200.0, cfg.n_services, STOCK_ROWS)
         rng = np.random.default_rng(5)
         actions = [ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, 8),
                                 mem_alloc=rng.uniform(64, 2048, 8))
-                   for _ in range(cfg.episode_len)]
+                   for _ in range(STOCK_ROWS - 1)]
         def rollout():
             sim = ClusterSim(cfg, wl)
             sim.reset(seed=77)
@@ -217,10 +222,10 @@ class TestEpisodeProtocol:
 
     def test_observations_in_unit_box(self):
         cfg = SimConfig()
-        sim = ClusterSim(cfg, constant_source(350.0, cfg.n_services, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(350.0, cfg.n_services, STOCK_ROWS))
         sim.reset(seed=0)
         rng = np.random.default_rng(8)
-        for _ in range(cfg.episode_len):
+        for _ in range(sim.episode_len):
             a = ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, 8),
                              mem_alloc=rng.uniform(64, 2048, 8))
             obs, done, _ = sim.step(a)
@@ -228,18 +233,28 @@ class TestEpisodeProtocol:
 
 
 class TestWorkloadShape:
-    @pytest.mark.parametrize("rows,services", [(5, 1), (7, 1), (6, 2)],
-                             ids=["one-row-short", "one-row-long", "wrong-services"])
-    def test_rejects_rate_matrix_of_wrong_shape(self, rows, services):
-        cfg = one_service_config(episode_len=5)
-        with pytest.raises(DimensionError, match=r"needs \(6, 1\)"):
-            ClusterSim(cfg, constant_source(10.0, services, rows))
+    @pytest.mark.parametrize("workload", [np.full(6, 10.0), constant_source(10.0, 1, 1),
+                                          constant_source(10.0, 2, 6)],
+                             ids=["one-d", "one-row", "wrong-services"])
+    def test_rejects_rate_matrix_of_wrong_shape(self, workload):
+        with pytest.raises(DimensionError, match=r"needs \(rows >= 2, 1\)"):
+            ClusterSim(one_service_config(), workload)
+
+    @pytest.mark.parametrize("rows", [2, 3, 7])
+    def test_episode_len_is_rows_minus_one(self, rows):
+        sim = ClusterSim(one_service_config(), constant_source(10.0, 1, rows))
+        assert sim.episode_len == rows - 1
+        sim.reset(seed=0)
+        action = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
+        assert [sim.step(action)[1] for _ in range(rows - 1)] == [False] * (rows - 2) + [True]
+        with pytest.raises(ValidationError, match="episode is complete"):
+            sim.step(action)
 
 
 class TestNodeCapacity:
     def _two_on_one_node(self, cpu_capacity):
         node = make_node(0, "edge", cpu_capacity=cpu_capacity)
-        svcs = [ServiceSpec(service_id=i, name=f"s{i}", home_node=0,
+        svcs = [ServiceSpec(name=f"s{i}", home_node=0,
                             cpu_cost_per_request=0.05, mem_floor=64.0,
                             mem_per_qps=0.0, initial_cpu_request=0.5,
                             initial_mem_request=256.0) for i in range(2)]
@@ -247,7 +262,7 @@ class TestNodeCapacity:
 
     def test_proportional_scale_down(self):
         cfg = self._two_on_one_node(cpu_capacity=2.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, ROWS))
         request = ActionVector(cpu_alloc=[2.0, 2.0], mem_alloc=[256.0, 256.0])
         granted_cpu, granted_mem = sim.grant(request)
         np.testing.assert_allclose(granted_cpu, [1.0, 1.0])
@@ -255,7 +270,7 @@ class TestNodeCapacity:
     def test_refloor_after_scaling(self):
         # scaling can push a tiny request below the box floor; it re-floors
         cfg = self._two_on_one_node(cpu_capacity=0.2)
-        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, ROWS))
         request = ActionVector(cpu_alloc=[0.1, 2.0], mem_alloc=[256.0, 256.0])
         granted_cpu, _ = sim.grant(request)
         scale = 0.2 / 2.1
@@ -264,7 +279,7 @@ class TestNodeCapacity:
 
     def test_within_capacity_untouched(self):
         cfg = self._two_on_one_node(cpu_capacity=4.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, ROWS))
         request = ActionVector(cpu_alloc=[1.5, 1.5], mem_alloc=[256.0, 256.0])
         granted_cpu, granted_mem = sim.grant(request)
         np.testing.assert_allclose(granted_cpu, [1.5, 1.5])
@@ -272,7 +287,7 @@ class TestNodeCapacity:
 
     def test_granted_never_exceeds_requested(self):
         cfg = self._two_on_one_node(cpu_capacity=1.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, ROWS))
         rng = np.random.default_rng(3)
         for _ in range(50):
             req = ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, 2),
@@ -283,7 +298,7 @@ class TestNodeCapacity:
 
     def test_raw_metrics_carry_granted_alloc(self):
         cfg = self._two_on_one_node(cpu_capacity=2.0)
-        sim = ClusterSim(cfg, constant_source(10.0, 2, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, 2, ROWS))
         sim.reset(seed=0)
         _, _, raw = sim.step(ActionVector(cpu_alloc=[2.0, 2.0], mem_alloc=[256.0, 256.0]))
         np.testing.assert_allclose(raw.cpu_alloc, [1.0, 1.0])  # granted: half the request
@@ -329,13 +344,13 @@ class TestGrantMatchesLoop:
         nodes = [make_node(i, "edge", cpu_capacity=rng.uniform(0.1, 16.0),
                            mem_capacity=rng.uniform(64.0, 32768.0))
                  for i in range(len(counts))]
-        services = [ServiceSpec(service_id=i, name=f"s{i}", home_node=int(home),
+        services = [ServiceSpec(name=f"s{i}", home_node=int(home),
                                 cpu_cost_per_request=0.05, mem_floor=64.0, mem_per_qps=0.0,
                                 initial_cpu_request=0.5, initial_mem_request=256.0)
                     for i, home in enumerate(homes)]
         cfg = SimConfig(services=services, nodes=nodes, latency=quiet())
         n = cfg.n_services
-        sim = ClusterSim(cfg, constant_source(10.0, n, cfg.episode_len + 1))
+        sim = ClusterSim(cfg, constant_source(10.0, n, ROWS))
         for _ in range(5):
             action = ActionVector(cpu_alloc=rng.uniform(CPU_MIN, CPU_MAX, n),
                                   mem_alloc=rng.uniform(MEM_MIN, MEM_MAX, n))
@@ -362,10 +377,6 @@ SPEC_BUILDERS = {
 
 
 class TestConfigValidation:
-    def test_episode_len(self):
-        with pytest.raises(ValidationError):
-            one_service_config(episode_len=0)
-
     def test_l_target(self):
         with pytest.raises(ValidationError):
             one_service_config(l_target=0.0)
@@ -382,7 +393,7 @@ class TestConfigValidation:
 
     def test_home_node_must_exist(self):
         node = make_node(0, "edge")
-        svc = ServiceSpec(service_id=0, name="s", home_node=3,
+        svc = ServiceSpec(name="s", home_node=3,
                           cpu_cost_per_request=0.05, mem_floor=64.0,
                           mem_per_qps=0.0, initial_cpu_request=0.5,
                           initial_mem_request=256.0)
@@ -404,7 +415,7 @@ def topologies(draw):
                        mem_capacity=draw(st.floats(64.0, 32768.0)),
                        base_network_latency=draw(st.floats(0.0, 100.0)))
              for i in range(draw(st.integers(1, 3)))]
-    services = [ServiceSpec(service_id=i, name=f"s{i}",
+    services = [ServiceSpec(name=f"s{i}",
                             home_node=draw(st.integers(0, len(nodes) - 1)),
                             cpu_cost_per_request=draw(st.floats(0.0, 0.2)),
                             mem_floor=draw(st.floats(0.0, 1024.0)),
@@ -417,8 +428,7 @@ def topologies(draw):
                            saturation_cap_ms=base + draw(st.floats(0.0, 2000.0)),
                            mem_pressure_multiplier=draw(st.floats(1.0, 4.0)),
                            jitter_sigma=draw(st.sampled_from([0.0, 0.02, 0.5])))
-    return SimConfig(services=services, nodes=nodes, episode_len=draw(st.integers(1, 6)),
-                     latency=latency)
+    return SimConfig(services=services, nodes=nodes, latency=latency)
 
 
 class TestStepInvariants:
@@ -430,20 +440,20 @@ class TestStepInvariants:
     @given(cfg=topologies(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_metrics_and_states_hold_by_construction(self, cfg, data):
-        n = cfg.n_services
+        n, steps = cfg.n_services, data.draw(st.integers(1, 6), label="steps")
         with tempfile.TemporaryDirectory() as tmp:
             if data.draw(st.booleans(), label="trace"):
                 path = Path(tmp) / "trace.csv"
                 write_trace([TraceRecord(t, i, data.draw(qps_values))
-                             for t in range(cfg.episode_len + 1) for i in range(n)], path)
-                workload = trace_source(path, n, cfg.episode_len + 1)
+                             for t in range(steps + 1) for i in range(n)], path)
+                workload = trace_source(path, n, steps + 1)
             else:
                 workload = constant_source(data.draw(qps_values, label="rate"), n,
-                                           cfg.episode_len + 1)
+                                           steps + 1)
         sim = ClusterSim(cfg, workload)
         obs, raw = sim.reset(seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
         windows = [(obs, raw)]
-        for _ in range(cfg.episode_len):
+        for _ in range(sim.episode_len):
             action = ActionVector(
                 cpu_alloc=data.draw(st.lists(box_cpu, min_size=n, max_size=n)),
                 mem_alloc=data.draw(st.lists(box_mem, min_size=n, max_size=n)))
