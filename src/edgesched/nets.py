@@ -61,9 +61,7 @@ class Mlp:
     math below supports any depth so tiny hand-checkable nets work too.
     """
 
-    def __init__(self, layer_sizes: list[int], output_activation: str,
-                 weights: list[np.ndarray] | None = None,
-                 biases: list[np.ndarray] | None = None):
+    def __init__(self, layer_sizes: list[int], output_activation: str):
         if len(layer_sizes) < 2:
             raise ValidationError("need at least input and output layer sizes")
         if any(s < 1 for s in layer_sizes):
@@ -78,15 +76,6 @@ class Mlp:
         self.weights = params[0::2]
         self.biases = params[1::2]
         self._kept: tuple[list[np.ndarray], list[np.ndarray]] | None = None  # forward(reuse=True)
-        if weights is not None:
-            assert biases is not None
-            if len(weights) != self.n_layers or len(biases) != self.n_layers:
-                raise DimensionError(f"need {self.n_layers} weight and bias tensors")
-            for l, (w, b) in enumerate(zip(weights, biases)):
-                if w.shape != self.weights[l].shape or b.shape != self.biases[l].shape:
-                    raise DimensionError(f"parameter shapes inconsistent at layer {l}")
-                self.weights[l][...] = w
-                self.biases[l][...] = b
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """A vector laid out like flat, split into its tensors W0, b0, W1, b1, ..."""

@@ -69,17 +69,13 @@ def scalar_objective(net, x, g):
 
 class TestForward:
     def test_zero_net_outputs_zero(self):
-        sizes = [3, 4, 4, 2]
-        weights = [np.zeros((a, b)) for a, b in zip(sizes[:-1], sizes[1:])]
-        biases = [np.zeros(b) for b in sizes[1:]]
-        net = Mlp(sizes, "tanh", weights=weights, biases=biases)
+        net = Mlp([3, 4, 4, 2], "tanh")  # a new net's parameters are all zero
         out, _ = net.forward(np.array([1.0, -2.0, 3.0]))
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_hand_composed_identity_chain(self):
-        net = Mlp([1, 1, 1], "linear",
-                   weights=[np.array([[1.0]]), np.array([[1.0]])],
-                   biases=[np.zeros(1), np.zeros(1)])
+        net = Mlp([1, 1, 1], "linear")
+        net.weights[0][...] = net.weights[1][...] = 1.0
         out, _ = net.forward(np.array([2.0]))
         assert out[0] == 2.0
 
@@ -244,8 +240,8 @@ class TestSoftUpdate:
         return t, s
 
     def test_direct_substitution(self):
-        t = Mlp([1, 1], "linear", weights=[np.array([[0.0]])], biases=[np.zeros(1)])
-        s = Mlp([1, 1], "linear", weights=[np.array([[1.0]])], biases=[np.zeros(1)])
+        t, s = Mlp([1, 1], "linear"), Mlp([1, 1], "linear")
+        s.weights[0][...] = 1.0
         soft_update(t, s, 0.005)
         assert t.weights[0][0, 0] == pytest.approx(0.005)
 
