@@ -55,6 +55,19 @@ class TrainStats:
     targets_updated: bool = False
 
 
+def _check_learner(hyper: Td3Hyper | DqnHyper) -> None:
+    """The checks every replay learner's hyperparameters share."""
+    if not (0.0 <= hyper.gamma <= 1.0):
+        raise ValidationError(f"gamma must be in [0, 1], got {hyper.gamma}")
+    if hyper.batch_size < 1 or hyper.warmup_transitions < 0:
+        raise ValidationError("bad batch_size/warmup_transitions")
+    if hyper.hidden < 1 or hyper.buffer_capacity < 1:
+        raise ValidationError("bad hidden width or buffer capacity")
+    if hyper.buffer_capacity <= hyper.batch_size:  # learn() needs more than a batch stored
+        raise ValidationError(
+            f"buffer_capacity {hyper.buffer_capacity} must exceed batch_size {hyper.batch_size}")
+
+
 @dataclass(frozen=True)
 class Td3Hyper:
     """Twin-critic deterministic policy gradient hyperparameters."""
@@ -74,8 +87,7 @@ class Td3Hyper:
     buffer_capacity: int = 100000
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
+        _check_learner(self)
         if self.policy_freq < 1:
             raise ValidationError(f"policy_freq must be >= 1, got {self.policy_freq}")
         if self.smoothing_clip <= 0:
@@ -86,13 +98,6 @@ class Td3Hyper:
             raise ValidationError("tau_decay must be positive")
         if not (0.0 <= self.tau <= 1.0):
             raise ValidationError(f"tau must be in [0, 1], got {self.tau}")
-        if self.batch_size < 1 or self.warmup_transitions < 0:
-            raise ValidationError("bad batch_size/warmup_transitions")
-        if self.hidden < 1 or self.buffer_capacity < 1:
-            raise ValidationError("bad hidden width or buffer capacity")
-        if self.buffer_capacity <= self.batch_size:  # learn() needs more than a batch stored
-            raise ValidationError(
-                f"buffer_capacity {self.buffer_capacity} must exceed batch_size {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -112,21 +117,13 @@ class DqnHyper:
     buffer_capacity: int = 100000
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
+        _check_learner(self)
         if self.levels < 2:
             raise ValidationError(f"need >= 2 allocation levels, got {self.levels}")
         if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
             raise ValidationError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if self.epsilon_decay_steps < 1 or self.target_sync_every < 1:
             raise ValidationError("bad epsilon_decay_steps/target_sync_every")
-        if self.batch_size < 1 or self.warmup_transitions < 0:
-            raise ValidationError("bad batch_size/warmup_transitions")
-        if self.hidden < 1 or self.buffer_capacity < 1:
-            raise ValidationError("bad hidden width or buffer capacity")
-        if self.buffer_capacity <= self.batch_size:  # learn() needs more than a batch stored
-            raise ValidationError(
-                f"buffer_capacity {self.buffer_capacity} must exceed batch_size {self.batch_size}")
 
 
 def exploration_sigma(hyper: Td3Hyper, t: int) -> float:
