@@ -356,8 +356,8 @@ class TestSchema:
     @pytest.mark.parametrize("section", sorted(SCHEMA))
     def test_other_field_names_are_rejected(self, tmp_path, section):
         # among them the objects sim reads flat (latency, normalization), and
-        # two names the config no longer holds: the simulator takes the episode
-        # length from the rate matrix's rows and a service's id from its position
+        # episode_len and service_id, which are derived: the episode length from
+        # the rate matrix's rows, a service's id from its list position
         classes = (ExperimentConfig, SimConfig, LatencyModel, NormalizationConfig, NodeSpec,
                    ServiceSpec, RewardWeights, Td3Hyper, DqnHyper)
         names = ({f.name for cls in classes for f in fields(cls)}
