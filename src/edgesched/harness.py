@@ -165,14 +165,14 @@ def _setup(config: ExperimentConfig, workload, seed: int):
 
 def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
                  episode: int, reset_stream: str, t: int, trajectory: list,
-                 rng: np.random.Generator, buffer: ReplayBuffer | None,
+                 rng: np.random.Generator | None, buffer: ReplayBuffer | None,
                  sample_rng: np.random.Generator | None = None) -> EpisodeRow:
     """Reset, then act -> env step -> reward until done; t counts earlier steps.
 
     The reset seed is child_seed(seed, reset_stream, episode). A buffer means
-    explore, store each transition and learn; None means act greedily. Every
-    finished step appends (raw, reward) to the caller's trajectory, so its
-    length stays right when a step raises.
+    explore with rng, store each transition and learn; None means act greedily,
+    and rng may be None. Every finished step appends (raw, reward) to the
+    caller's trajectory, so its length stays right when a step raises.
     """
     t_start = time.perf_counter()
     obs, raw = env.reset(child_seed(seed, reset_stream, episode))
@@ -335,13 +335,10 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
                     f"algorithm {config.algorithm!r} needs a parameter file to evaluate")
             agent.load_policy(load_mlp(params_path,
                                        expect_sizes=agent.policy_net().layer_sizes))
-        idle_rng = stream(seed, "eval")
-        t = 0
+        # no greedy act reads the step counter or a stream
         for episode in range(episodes):
-            trajectory = []
-            rows.append(_run_episode(env, agent, config, seed, episode, "eval", t,
-                                     trajectory, idle_rng, None))
-            t += len(trajectory)
+            rows.append(_run_episode(env, agent, config, seed, episode, "eval", 0, [],
+                                     None, None))
     return rows
 
 
@@ -381,7 +378,7 @@ def load_run(run_dir: str | Path) -> RunSummary:
             raise ValidationError(f"{mpath}: manifest is not a JSON object")
         if doc.get("status") != "complete":
             raise ValidationError(f"{mpath}: run not complete (status {doc.get('status')!r})")
-        missing = [key for key in ("algorithm", "scenario", "seed") if key not in doc]
+        missing = [key for key in ("algorithm", "scenario", "seed", "episodes") if key not in doc]
         if missing:
             raise ValidationError(f"{mpath}: manifest lacks {missing}")
         if not (isinstance(doc["algorithm"], str) and isinstance(doc["scenario"], str)):
@@ -391,12 +388,25 @@ def load_run(run_dir: str | Path) -> RunSummary:
             raise ValidationError(f"{mpath}: manifest seed must be an integer, got {seed!r}")
         if mpath != _manifest_path(run_dir, seed):
             raise ValidationError(f"{mpath}: manifest seed {seed} differs from its file name")
+        episodes = doc["episodes"]
+        if isinstance(episodes, bool) or not isinstance(episodes, int) or episodes < 1:
+            raise ValidationError(
+                f"{mpath}: manifest episodes must be a positive integer, got {episodes!r}")
         if algorithm is None:
             algorithm, scenario = doc["algorithm"], doc["scenario"]
         elif (doc["algorithm"], doc["scenario"]) != (algorithm, scenario):
             raise ValidationError(f"{run_dir}: mixed algorithms/scenarios across seeds")
         seeds.append(seed)
-        by_seed[seed] = load_metrics(_metrics_path(run_dir, seed))
+        by_seed[seed] = rows = load_metrics(metrics := _metrics_path(run_dir, seed))
+        # the length first: episodes may be far too large to build anything from
+        if len(rows) != episodes:
+            raise ValidationError(
+                f"{metrics}: {len(rows)} episode rows, manifest says {episodes}")
+        for i, row in enumerate(rows):
+            if (row.episode, row.seed) != (i, seed):
+                raise ValidationError(
+                    f"{metrics}: row {i} is episode {row.episode} of seed {row.seed}, "
+                    f"expected episode {i} of seed {seed}")
     return RunSummary(run_dir, algorithm, scenario, tuple(sorted(seeds)), by_seed)
 
 

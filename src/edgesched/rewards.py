@@ -1,12 +1,11 @@
 """Multi-objective step reward and per-episode evaluation metrics.
 
-The step reward is a weighted sum of four competing terms: a latency
-penalty above the objective, a resource-waste penalty, a reward for
-services meeting the latency objective, and a penalty on allocation churn
-between consecutive steps. Latency excess is expressed in objective units
-and allocation deltas in unit-box coordinates so the published weights
-stay meaningful across terms (raw-millisecond mode is kept behind a flag
-for ablation).
+The step reward, total_reward, weighs four competing terms: latency above
+the objective, resource waste, services meeting the objective, and
+allocation churn between steps. Their definitions live in its docstring.
+Latency excess is in objective units and allocation deltas in unit-box
+coordinates, so the published weights stay meaningful across terms
+(raw-millisecond mode is kept behind a flag for ablation).
 """
 
 from __future__ import annotations
@@ -15,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import _BOX_SPAN, ActionVector, DimensionError, RawMetrics, ValidationError
+from .domain import (_BOX_SPAN, ActionVector, DimensionError, RawMetrics, ValidationError,
+                     require_finite)
 
 __all__ = [
     "RewardWeights",
     "RewardBreakdown",
     "EpisodeMetrics",
-    "latency_penalty",
-    "resource_waste",
-    "slo_satisfaction",
-    "migration_cost",
     "total_reward",
     "episode_metrics",
 ]
@@ -41,8 +37,7 @@ class RewardWeights:
     normalize_latency_excess: bool = True  # False: raw-ms latency penalty
 
     def __post_init__(self):
-        if not np.isfinite([self.alpha, self.beta, self.lam, self.mu]).all():
-            raise ValidationError("reward weights must be finite")
+        require_finite("reward", alpha=self.alpha, beta=self.beta, lam=self.lam, mu=self.mu)
         if min(self.alpha, self.beta, self.lam, self.mu) < 0:
             raise ValidationError("reward weights must be >= 0")
 
@@ -56,60 +51,40 @@ class RewardBreakdown:
     total: float
 
 
-def latency_penalty(latency_ms, l_target: float, normalize: bool = True) -> float:
-    """Negative sum of per-service latency excess over the objective.
-
-    With normalize=True the excess is divided by l_target, so one objective
-    unit of excess costs 1.
-    """
-    excess = np.asarray(latency_ms, dtype=np.float64) - l_target
-    np.maximum(0.0, excess, out=excess)
-    if normalize:
-        excess /= l_target
-    return float(-excess.sum())
-
-
-def resource_waste(cpu_alloc, mem_alloc, cpu_used, mem_used) -> float:
-    """Negative sum of idle allocation fractions, each clamped to [0, 1].
-
-    Usage is capped at allocation: demand above allocation is a latency
-    problem, not negative waste.
-    """
-    alloc = np.array([cpu_alloc, mem_alloc], dtype=np.float64)
-    frac = ((alloc - np.array([cpu_used, mem_used], dtype=np.float64)) / alloc).clip(0.0, 1.0)
-    return float(-(frac[0] + frac[1]).sum())
-
-
-def slo_satisfaction(latency_ms, l_target: float) -> float:
-    """Count of services at or under the latency objective (ties satisfy)."""
-    lat = np.asarray(latency_ms, dtype=np.float64)
-    return float(np.count_nonzero(lat <= l_target))
-
-
-def migration_cost(action: ActionVector, prev_action: ActionVector) -> float:
-    """Negative allocation change between steps, in unit-box coordinates.
-
-    Normalizing by the box ranges keeps megabyte deltas from dwarfing
-    core deltas.
-    """
-    if action.n_services != prev_action.n_services:
-        raise DimensionError("action and prev_action dimensions differ")
-    delta = np.abs(action._block - prev_action._block) / _BOX_SPAN  # rows: cpu, mem
-    return float(-(delta[0] + delta[1]).sum())
-
-
 def total_reward(raw: RawMetrics, action: ActionVector, prev_action: ActionVector,
                  l_target: float, weights: RewardWeights) -> RewardBreakdown:
-    """Weighted sum of the four reward components for one step.
+    """Weighted sum of the four reward terms for one step, read off its blocks.
 
-    Waste is computed against the allocations the cluster actually granted
-    (raw.cpu_alloc / raw.mem_alloc); churn against the agent's requested
-    actions.
+    - r_latency: minus the per-service latency excess over l_target, summed;
+      the excess is in objective units (one l_target of excess costs 1), or
+      in raw ms when weights.normalize_latency_excess is off.
+    - r_waste: minus the idle fractions (alloc - used) / alloc of cpu and
+      memory, each clamped to [0, 1], summed. It reads the allocations the
+      cluster granted (raw's alloc rows); usage above them is a latency
+      problem, not negative waste.
+    - r_slo: the count of services at or under l_target (ties satisfy).
+    - r_migration: minus the change from prev_action to the requested
+      action, in unit-box coordinates so megabyte deltas do not dwarf core
+      deltas, summed.
+
+    raw, action and prev_action must cover the same services.
     """
-    r_l = latency_penalty(raw.latency_ms, l_target, weights.normalize_latency_excess)
-    r_r = resource_waste(raw.cpu_alloc, raw.mem_alloc, raw.cpu_used, raw.mem_used)
-    r_s = slo_satisfaction(raw.latency_ms, l_target)
-    r_m = migration_cost(action, prev_action)
+    if not raw.n_services == action.n_services == prev_action.n_services:
+        raise DimensionError(
+            f"raw covers {raw.n_services} services, action {action.n_services} "
+            f"and prev_action {prev_action.n_services}")
+    rows = raw._block
+    excess = rows[4] - l_target  # latency_ms
+    np.maximum(0.0, excess, out=excess)
+    if weights.normalize_latency_excess:
+        excess /= l_target
+    r_l = float(-excess.sum())
+    alloc = rows[1:4:2]  # granted cpu, mem; rows[0:4:2] is their use
+    idle = ((alloc - rows[0:4:2]) / alloc).clip(0.0, 1.0)
+    r_r = float(-(idle[0] + idle[1]).sum())
+    r_s = float(np.count_nonzero(rows[4] <= l_target))
+    delta = np.abs(action._block - prev_action._block) / _BOX_SPAN  # rows: cpu, mem
+    r_m = float(-(delta[0] + delta[1]).sum())
     total = (weights.alpha * r_l + weights.beta * r_r
              + weights.lam * r_s + weights.mu * r_m)
     return RewardBreakdown(r_latency=r_l, r_waste=r_r, r_slo=r_s,

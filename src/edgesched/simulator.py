@@ -115,13 +115,15 @@ class ClusterSim:
     """
 
     def __init__(self, config: SimConfig, workload: np.ndarray):
-        """`workload` is the rate matrix, one row per window; the episode runs
-        episode_len = rows - 1 steps after window 0."""
+        """`workload` is the rate matrix, one row per window, of finite rates
+        >= 0; the episode runs episode_len = rows - 1 steps after window 0."""
         shape = np.shape(workload)
         if len(shape) != 2 or shape[0] < 2 or shape[1] != config.n_services:
             raise DimensionError(
                 f"workload has shape {shape}, config needs (rows >= 2, {config.n_services}) "
                 "(window 0 plus at least one step, by n_services)")
+        if not (np.isfinite(workload) & (workload >= 0)).all():
+            raise ValidationError("workload rates must be finite and >= 0")
         self.config = config
         self.workload = workload
         self.episode_len = shape[0] - 1

@@ -3,7 +3,8 @@
 Every test starts from a valid file and breaks it: byte flips, truncation,
 NUL bytes, an oversized cell, or one JSON value swapped for a value of
 another type. The loaders run in-process; `compare` and `eval` run through
-`cli.main` and must exit 0, or 2 with one `error:` line. Hypothesis runs
+`cli.main` and must exit 0, or 2 with one `error:` line, and a `compare`
+that exits 0 must print no `nan`. Hypothesis runs
 derandomized with a fixed example budget, so every run checks the same
 inputs.
 """
@@ -80,6 +81,8 @@ def cli_exit(argv: list[str]) -> int:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(argv)
     assert code in (0, 2), err.getvalue()
+    if code == 0 and argv[0] == "compare":  # a table it printed holds numbers
+        assert "nan" not in out.getvalue(), out.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1, err.getvalue()
@@ -172,6 +175,11 @@ class TestRunFiles:
         run = mutant_run(valid, name, data.draw(mutation((valid / "td3" / name).read_bytes())))
         loads_or_rejects(lambda: load_run(run), ValidationError)
         cli_exit(["compare", "--runs", str(run), str(valid / "basek")])
+
+    def test_compare_with_header_only_metrics(self, valid):
+        header = (valid / "td3" / "metrics_seed0.csv").read_bytes().splitlines(keepends=True)[0]
+        cli_exit(["compare", "--runs", str(mutant_run(valid, "metrics_seed0.csv", header)),
+                  str(valid / "basek")])
 
     def test_every_manifest_key_takes_every_json_type(self, valid):
         doc = json.loads((valid / "td3" / "manifest_seed0.json").read_text(encoding="utf-8"))

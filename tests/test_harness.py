@@ -529,7 +529,7 @@ class TestComparison:
         with pytest.raises(ValidationError, match="not complete"):
             load_run(clone)
 
-    @pytest.mark.parametrize("key", ["algorithm", "scenario", "seed"])
+    @pytest.mark.parametrize("key", ["algorithm", "scenario", "seed", "episodes"])
     def test_load_run_rejects_manifest_without_key(self, tmp_path, two_runs, key):
         clone = copy_run(two_runs[0], tmp_path / "clone")
         doc = json.loads((clone / "manifest_seed0.json").read_text())
@@ -546,6 +546,43 @@ class TestComparison:
         clone = copy_run(two_runs[0], tmp_path / "clone")
         (clone / "manifest_seed1.json").write_text(text)
         with pytest.raises(ValidationError, match=rf"manifest_seed1\.json: manifest {why}"):
+            load_run(clone)
+
+    @pytest.mark.parametrize("episodes", ["2", 2.0, 0, -1, True, None],
+                             ids=["string", "float", "zero", "negative", "bool", "null"])
+    def test_load_run_rejects_bad_episode_count(self, tmp_path, two_runs, episodes):
+        clone = copy_run(two_runs[0], tmp_path / "clone")
+        doc = json.loads((clone / "manifest_seed0.json").read_text())
+        doc["episodes"] = episodes
+        (clone / "manifest_seed0.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError,
+                           match=r"manifest_seed0\.json: manifest episodes must be a positive"):
+            load_run(clone)
+
+    @pytest.mark.parametrize("edit,shown", [
+        (lambda lines: lines[:1], "0 episode rows, manifest says 2"),
+        (lambda lines: lines[:1] + lines[2:], "1 episode rows, manifest says 2"),
+        (lambda lines: lines + lines[2:], "3 episode rows, manifest says 2"),
+        (lambda lines: [lines[0], lines[1].replace("0,0,", "0,1,", 1), lines[2]],
+         "row 0 is episode 0 of seed 1, expected episode 0 of seed 0"),
+        (lambda lines: [lines[0], lines[2], lines[1]],
+         "row 0 is episode 1 of seed 0, expected episode 0 of seed 0"),
+    ], ids=["header-only", "dropped-row", "extra-row", "wrong-seed", "swapped-rows"])
+    def test_load_run_rejects_metrics_unlike_manifest(self, tmp_path, two_runs, edit, shown):
+        clone = copy_run(two_runs[0], tmp_path / "clone")
+        metrics = clone / "metrics_seed0.csv"
+        metrics.write_text("\n".join(edit(metrics.read_text().splitlines())) + "\n")
+        with pytest.raises(ValidationError) as exc:
+            load_run(clone)
+        assert str(exc.value) == f"{metrics}: {shown}"
+
+    def test_load_run_compares_huge_episode_count_by_length(self, tmp_path, two_runs):
+        # nothing may be sized by the manifest's count before it matches the rows
+        clone = copy_run(two_runs[0], tmp_path / "clone")
+        doc = json.loads((clone / "manifest_seed0.json").read_text())
+        doc["episodes"] = 10**400
+        (clone / "manifest_seed0.json").write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"metrics_seed0\.csv: 2 episode rows"):
             load_run(clone)
 
     def test_compare_needs_two_runs(self, two_runs):

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
-                              ActionVector, RawMetrics, ValidationError)
-from edgesched.rewards import (EpisodeMetrics, RewardWeights, episode_metrics,
-                               latency_penalty, migration_cost,
-                               resource_waste, slo_satisfaction, total_reward)
+from edgesched.domain import (_BOX_SPAN, CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
+                              ActionVector, DimensionError, RawMetrics, ValidationError)
+from edgesched.rewards import EpisodeMetrics, RewardWeights, episode_metrics, total_reward
 from edgesched.rng import stream
 from tests.conftest import make_action, make_raw
 
@@ -34,41 +32,49 @@ def oracle_total(raw, action, prev_action, l_target, w):
     return w.alpha * r_l + w.beta * r_r + w.lam * r_s + w.mu * r_m
 
 
+def terms(raw, action=None, prev_action=None, weights=RewardWeights(), l_target=150.0):
+    """total_reward's breakdown; the action defaults to one held from the last step."""
+    action = make_action(n=raw.n_services) if action is None else action
+    prev_action = action if prev_action is None else prev_action
+    return total_reward(raw, action, prev_action, l_target, weights)
+
+
 class TestComponents:
     def test_latency_zero_below_objective(self):
-        assert latency_penalty([10.0, 149.9, 150.0], 150.0) == 0.0
+        assert terms(make_raw(n=3, latency=[10.0, 149.9, 150.0])).r_latency == 0.0
 
     def test_latency_normalized_excess(self):
         # 75ms over a 150ms objective costs half a unit
-        assert latency_penalty([225.0], 150.0) == pytest.approx(-0.5)
-        assert latency_penalty([225.0, 300.0], 150.0) == pytest.approx(-1.5)
+        assert terms(make_raw(n=1, latency=225.0)).r_latency == pytest.approx(-0.5)
+        assert terms(make_raw(n=2, latency=[225.0, 300.0])).r_latency == pytest.approx(-1.5)
 
     def test_latency_raw_ms_flag(self):
-        assert latency_penalty([225.0], 150.0, normalize=False) == pytest.approx(-75.0)
+        raw_ms = RewardWeights(normalize_latency_excess=False)
+        assert terms(make_raw(n=1, latency=225.0), weights=raw_ms).r_latency \
+            == pytest.approx(-75.0)
 
     def test_waste_idle_fractions(self):
-        a = make_action(n=2, cpu=1.0, mem=1024.0)
-        r = resource_waste(a.cpu_alloc, a.mem_alloc, cpu_used=[0.5, 0.8], mem_used=[512.0, 512.0])
-        assert r == pytest.approx(-(0.5 + 0.5 + 0.2 + 0.5))
+        raw = make_raw(n=2, cpu_alloc=1.0, mem_alloc=1024.0, cpu_used=[0.5, 0.8],
+                       mem_used=[512.0, 512.0])
+        assert terms(raw).r_waste == pytest.approx(-(0.5 + 0.5 + 0.2 + 0.5))
 
     def test_waste_clamped_when_demand_exceeds_alloc(self):
-        a = make_action(n=1, cpu=1.0, mem=1024.0)
         # overuse is a latency problem, not negative waste
-        r = resource_waste(a.cpu_alloc, a.mem_alloc, cpu_used=[5.0], mem_used=[4096.0])
-        assert r == 0.0
+        raw = make_raw(n=1, cpu_alloc=1.0, mem_alloc=1024.0, cpu_used=5.0, mem_used=4096.0)
+        assert terms(raw).r_waste == 0.0
 
     def test_slo_count_ties_satisfy(self):
-        assert slo_satisfaction([150.0, 150.1, 10.0], 150.0) == 2.0
+        assert terms(make_raw(n=3, latency=[150.0, 150.1, 10.0])).r_slo == 2.0
 
     def test_migration_zero_for_held_action(self):
         a = make_action()
-        assert migration_cost(a, a) == 0.0
+        assert terms(make_raw(), a, a).r_migration == 0.0
 
     def test_migration_unit_box_scale(self):
         a = ActionVector(cpu_alloc=[CPU_MIN], mem_alloc=[MEM_MIN])
         b = ActionVector(cpu_alloc=[CPU_MAX], mem_alloc=[MEM_MAX])
         # one full sweep of each box counts 1 + 1
-        assert migration_cost(a, b) == pytest.approx(-2.0)
+        assert terms(make_raw(n=1), a, b).r_migration == pytest.approx(-2.0)
 
     def test_weights_validated(self):
         with pytest.raises(ValidationError):
@@ -76,8 +82,84 @@ class TestComponents:
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_weights_must_be_finite(self, weight):
-        with pytest.raises(ValidationError, match="finite"):
+        with pytest.raises(ValidationError, match="finite") as exc:
             RewardWeights(lam=weight)
+        assert "lam" in str(exc.value)
+
+
+# The four per-term helpers total_reward called before it read the step's
+# blocks itself, copied as they were: the reference for its bytes.
+def ref_latency_penalty(latency_ms, l_target, normalize=True):
+    excess = np.asarray(latency_ms, dtype=np.float64) - l_target
+    np.maximum(0.0, excess, out=excess)
+    if normalize:
+        excess /= l_target
+    return float(-excess.sum())
+
+
+def ref_resource_waste(cpu_alloc, mem_alloc, cpu_used, mem_used):
+    alloc = np.array([cpu_alloc, mem_alloc], dtype=np.float64)
+    frac = ((alloc - np.array([cpu_used, mem_used], dtype=np.float64)) / alloc).clip(0.0, 1.0)
+    return float(-(frac[0] + frac[1]).sum())
+
+
+def ref_slo_satisfaction(latency_ms, l_target):
+    lat = np.asarray(latency_ms, dtype=np.float64)
+    return float(np.count_nonzero(lat <= l_target))
+
+
+def ref_migration_cost(action, prev_action):
+    delta = np.abs(action._block - prev_action._block) / _BOX_SPAN  # rows: cpu, mem
+    return float(-(delta[0] + delta[1]).sum())
+
+
+class TestTermBytes:
+    @pytest.mark.parametrize("normalize", [True, False], ids=["objective-units", "raw-ms"])
+    def test_terms_match_per_term_reference(self, normalize):
+        rng = stream(int(normalize), "reward-terms")
+        w = RewardWeights(normalize_latency_excess=normalize)
+        at_objective = over_alloc = held = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            cpu_alloc = rng.uniform(CPU_MIN, CPU_MAX, n)
+            mem_alloc = rng.uniform(MEM_MIN, MEM_MAX, n)
+            # usage up to 1.5x the grant, so the idle-fraction clamp is active
+            cpu_used = cpu_alloc * rng.uniform(0.0, 1.5, n)
+            mem_used = mem_alloc * rng.uniform(0.0, 1.5, n)
+            latency = rng.uniform(20.0, 400.0, n)
+            latency[rng.random(n) < 0.25] = 150.0
+            raw = RawMetrics(cpu_used=cpu_used, cpu_alloc=cpu_alloc, mem_used=mem_used,
+                             mem_alloc=mem_alloc, latency_ms=latency,
+                             qps=rng.uniform(0.0, 300.0, n))
+            action = ActionVector(cpu_alloc=rng.uniform(CPU_MIN, CPU_MAX, n),
+                                  mem_alloc=rng.uniform(MEM_MIN, MEM_MAX, n))
+            prev = action if trial % 4 == 0 else ActionVector(
+                cpu_alloc=rng.uniform(CPU_MIN, CPU_MAX, n),
+                mem_alloc=rng.uniform(MEM_MIN, MEM_MAX, n))
+            at_objective += int(np.count_nonzero(latency == 150.0))
+            over_alloc += int(np.count_nonzero(cpu_used > cpu_alloc)
+                              + np.count_nonzero(mem_used > mem_alloc))
+            held += prev is action
+            got = total_reward(raw, action, prev, 150.0, w)
+            want = (ref_latency_penalty(raw.latency_ms, 150.0, normalize),
+                    ref_resource_waste(raw.cpu_alloc, raw.mem_alloc,
+                                       raw.cpu_used, raw.mem_used),
+                    ref_slo_satisfaction(raw.latency_ms, 150.0),
+                    ref_migration_cost(action, prev))
+            want_total = (w.alpha * want[0] + w.beta * want[1]
+                          + w.lam * want[2] + w.mu * want[3])
+            for name, value in zip(("r_latency", "r_waste", "r_slo", "r_migration", "total"),
+                                   (*want, want_total)):
+                assert (np.float64(getattr(got, name)).tobytes()
+                        == np.float64(value).tobytes()), (trial, name)
+        assert at_objective > 0 and over_alloc > 0 and held > 0
+
+    @pytest.mark.parametrize("n_raw,n_action,n_prev", [
+        (1, 3, 3), (3, 1, 1), (2, 3, 3), (3, 3, 1), (3, 1, 3)])
+    def test_widths_must_match(self, n_raw, n_action, n_prev):
+        with pytest.raises(DimensionError):
+            total_reward(make_raw(n=n_raw), make_action(n=n_action), make_action(n=n_prev),
+                         150.0, RewardWeights())
 
 
 class TestTotalReward:

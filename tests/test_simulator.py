@@ -240,6 +240,14 @@ class TestWorkloadShape:
         with pytest.raises(DimensionError, match=r"needs \(rows >= 2, 1\)"):
             ClusterSim(one_service_config(), workload)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), -50.0],
+                             ids=["nan", "inf", "minus-inf", "negative"])
+    def test_rejects_rate_matrix_with_bad_entry(self, rate):
+        workload = np.full((3, 1), 10.0)
+        workload[1, 0] = rate
+        with pytest.raises(ValidationError, match="rates must be finite and >= 0"):
+            ClusterSim(one_service_config(), workload)
+
     @pytest.mark.parametrize("rows", [2, 3, 7])
     def test_episode_len_is_rows_minus_one(self, rows):
         sim = ClusterSim(one_service_config(), constant_source(10.0, 1, rows))
