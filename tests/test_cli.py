@@ -376,19 +376,16 @@ class TestCompare:
         assert code == 2
         assert stderr == f"error: {manifest}: manifest {shown}\n"
 
-    @pytest.mark.parametrize("keep,shown", [
-        (slice(0, 1), "0 episode rows, manifest says 2"),
-        (slice(0, 2), "1 episode rows, manifest says 2"),
-        (None, "row 1 is episode 1 of seed 3, expected episode 1 of seed 0"),
+    @pytest.mark.parametrize("edit,shown", [
+        (lambda lines: lines[:1], "0 episode rows, manifest says 2"),
+        (lambda lines: lines[:2], "1 episode rows, manifest says 2"),
+        (lambda lines: [*lines[:2], lines[2].replace("1,0,", "1,3,", 1)],
+         "row 1 is episode 1 of seed 3, expected episode 1 of seed 0"),
     ], ids=["header-only", "dropped-row", "wrong-seed"])
-    def test_metrics_unlike_manifest_exits_2(self, smoke_cfg, tmp_path, capsys, keep, shown):
+    def test_metrics_unlike_manifest_exits_2(self, smoke_cfg, tmp_path, capsys, edit, shown):
         a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
         metrics = a / "metrics_seed0.csv"
-        lines = metrics.read_text(encoding="utf-8").splitlines()
-        if keep is None:
-            lines[2] = lines[2].replace("1,0,", "1,3,", 1)
-        else:
-            lines = lines[keep]
+        lines = edit(metrics.read_text(encoding="utf-8").splitlines())
         metrics.write_text("\n".join(lines) + "\n", encoding="utf-8")
         code, stdout, stderr = run_cli(["compare", "--runs", a, b], capsys)
         assert code == 2
