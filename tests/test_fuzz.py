@@ -4,9 +4,8 @@ Every test starts from a valid file and breaks it: byte flips, truncation,
 NUL bytes, an oversized cell, or one JSON value swapped for a value of
 another type. The loaders run in-process; `compare` and `eval` run through
 `cli.main` and must exit 0, or 2 with one `error:` line, and a `compare`
-that exits 0 must print no `nan`. Hypothesis runs
-derandomized with a fixed example budget, so every run checks the same
-inputs.
+that exits 0 must print no `nan`. Hypothesis runs derandomized with a fixed
+example budget, so every run checks the same inputs.
 """
 
 import contextlib
