@@ -264,8 +264,27 @@ class NormalizationConfig:
             raise ValidationError("normalization divisors must be positive")
 
 
+class _Rows:
+    """Shared behaviour of the row-block value objects: each dataclass field
+    is one row of a read-only float64 block, clipped to _range if set."""
+
+    _range = None
+
+    def __post_init__(self):
+        _freeze_rows(self)
+
+    @property
+    def n_services(self) -> int:
+        return self._block.shape[1]
+
+    @property
+    def vec(self) -> np.ndarray:
+        """The block flattened in field order: a read-only view."""
+        return self._block.reshape(-1)
+
+
 @dataclass(frozen=True, eq=False)
-class RawMetrics:
+class RawMetrics(_Rows):
     """Per-service raw observations for one decision window."""
 
     cpu_used: np.ndarray    # cores
@@ -275,19 +294,10 @@ class RawMetrics:
     latency_ms: np.ndarray
     qps: np.ndarray
 
-    _range = None
-
-    def __post_init__(self):
-        _freeze_rows(self)
-
-    @property
-    def n_services(self) -> int:
-        return self.cpu_used.size
-
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized observation: four blocks of N values, each in [0, 1]."""
+class StateVector(_Rows):
+    """Normalized observation: four [0, 1] blocks of N values; vec is [cpu, mem, latency, qps]."""
 
     cpu_util: np.ndarray
     mem_util: np.ndarray
@@ -296,39 +306,15 @@ class StateVector:
 
     _range = (0.0, 1.0)
 
-    def __post_init__(self):
-        _freeze_rows(self)
-
-    @property
-    def n_services(self) -> int:
-        return self.cpu_util.size
-
-    @property
-    def vec(self) -> np.ndarray:
-        """Flat 4N vector in block order [cpu, mem, latency, qps]: a read-only view."""
-        return self._block.reshape(-1)
-
 
 @dataclass(frozen=True, eq=False)
-class ActionVector:
-    """Per-service allocation decision, always clamped into the box."""
+class ActionVector(_Rows):
+    """Per-service allocation decision, always clamped into the box; vec is [cpu, mem]."""
 
     cpu_alloc: np.ndarray  # cores in [CPU_MIN, CPU_MAX]
     mem_alloc: np.ndarray  # MB in [MEM_MIN, MEM_MAX]
 
     _range = (_BOX_LO, _BOX_HI)
-
-    def __post_init__(self):
-        _freeze_rows(self)
-
-    @property
-    def n_services(self) -> int:
-        return self.cpu_alloc.size
-
-    @property
-    def vec(self) -> np.ndarray:
-        """Flat 2N vector in block order [cpu, mem]: a read-only view."""
-        return self._block.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

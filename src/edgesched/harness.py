@@ -17,7 +17,7 @@ import platform
 import sys
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,16 +49,9 @@ __all__ = [
     "REPORT_METRICS",
 ]
 
-METRICS_HEADER = ["episode", "seed", "mean_latency_ms", "resource_efficiency",
-                  "slo_violation_rate", "total_reward", "wall_time_s"]
-
-REPORT_METRICS = ("mean_latency_ms", "resource_efficiency",
-                  "slo_violation_rate", "total_reward")
-
-
 @dataclass(frozen=True)
 class EpisodeRow:
-    """One exported metrics line; column order matches METRICS_HEADER."""
+    """One exported metrics line; the fields are the CSV columns, in order."""
 
     episode: int
     seed: int
@@ -69,10 +62,13 @@ class EpisodeRow:
     wall_time_s: float
 
     def as_csv(self) -> list[str]:
-        return [str(self.episode), str(self.seed),
-                repr(self.mean_latency_ms), repr(self.resource_efficiency),
-                repr(self.slo_violation_rate), repr(self.total_reward),
-                repr(self.wall_time_s)]
+        return [repr(getattr(self, name)) for name in METRICS_HEADER]
+
+
+METRICS_HEADER = [f.name for f in fields(EpisodeRow)]
+
+# the episode aggregates: every column between seed and wall_time_s
+REPORT_METRICS = tuple(METRICS_HEADER[2:-1])
 
 
 def export_csv(rows: list[EpisodeRow], path: str | Path) -> None:
@@ -189,9 +185,7 @@ def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
         trajectory.append((raw, reward))
         obs = next_obs
         prev_action = action
-    met = episode_metrics(trajectory, env.config.l_target)
-    return EpisodeRow(episode, seed, met.mean_latency_ms, met.resource_efficiency,
-                      met.slo_violation_rate, met.total_reward,
+    return EpisodeRow(episode, seed, *episode_metrics(trajectory, env.config.l_target),
                       time.perf_counter() - t_start)
 
 
@@ -361,13 +355,21 @@ class RunSummary:
         return f"{self.algorithm}[{self.path.name}]"
 
 
+# manifest keys every seed of one run directory must agree on
+_RUN_KEYS = ("algorithm", "scenario", "episodes", "steps_per_episode")
+
+
 def load_run(run_dir: str | Path) -> RunSummary:
+    """Load a run directory whose seeds all ran one experiment.
+
+    Every manifest must be complete and agree with the first on _RUN_KEYS,
+    and each seed's metrics file must hold exactly its episodes, in order.
+    """
     run_dir = Path(run_dir)
     manifests = sorted(run_dir.glob("manifest_seed*.json"))
     if not manifests:
         raise ValidationError(f"{run_dir}: no run manifests found")
-    algorithm = scenario = None
-    seeds = []
+    first = None
     by_seed: dict[int, list[EpisodeRow]] = {}
     for mpath in manifests:
         try:
@@ -378,7 +380,7 @@ def load_run(run_dir: str | Path) -> RunSummary:
             raise ValidationError(f"{mpath}: manifest is not a JSON object")
         if doc.get("status") != "complete":
             raise ValidationError(f"{mpath}: run not complete (status {doc.get('status')!r})")
-        missing = [key for key in ("algorithm", "scenario", "seed", "episodes") if key not in doc]
+        missing = [key for key in ("seed", *_RUN_KEYS) if key not in doc]
         if missing:
             raise ValidationError(f"{mpath}: manifest lacks {missing}")
         if not (isinstance(doc["algorithm"], str) and isinstance(doc["scenario"], str)):
@@ -388,26 +390,29 @@ def load_run(run_dir: str | Path) -> RunSummary:
             raise ValidationError(f"{mpath}: manifest seed must be an integer, got {seed!r}")
         if mpath != _manifest_path(run_dir, seed):
             raise ValidationError(f"{mpath}: manifest seed {seed} differs from its file name")
-        episodes = doc["episodes"]
-        if isinstance(episodes, bool) or not isinstance(episodes, int) or episodes < 1:
-            raise ValidationError(
-                f"{mpath}: manifest episodes must be a positive integer, got {episodes!r}")
-        if algorithm is None:
-            algorithm, scenario = doc["algorithm"], doc["scenario"]
-        elif (doc["algorithm"], doc["scenario"]) != (algorithm, scenario):
-            raise ValidationError(f"{run_dir}: mixed algorithms/scenarios across seeds")
-        seeds.append(seed)
+        for key in ("episodes", "steps_per_episode"):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], int) or doc[key] < 1:
+                raise ValidationError(
+                    f"{mpath}: manifest {key} must be a positive integer, got {doc[key]!r}")
+        if first is None:
+            first = doc
+        for key in _RUN_KEYS:
+            if doc[key] != first[key]:
+                raise ValidationError(
+                    f"{run_dir}: seeds ran different experiments: {key} is {first[key]!r} "
+                    f"for seed {first['seed']} but {doc[key]!r} for seed {seed}")
         by_seed[seed] = rows = load_metrics(metrics := _metrics_path(run_dir, seed))
         # the length first: episodes may be far too large to build anything from
-        if len(rows) != episodes:
+        if len(rows) != doc["episodes"]:
             raise ValidationError(
-                f"{metrics}: {len(rows)} episode rows, manifest says {episodes}")
+                f"{metrics}: {len(rows)} episode rows, manifest says {doc['episodes']}")
         for i, row in enumerate(rows):
             if (row.episode, row.seed) != (i, seed):
                 raise ValidationError(
                     f"{metrics}: row {i} is episode {row.episode} of seed {row.seed}, "
                     f"expected episode {i} of seed {seed}")
-    return RunSummary(run_dir, algorithm, scenario, tuple(sorted(seeds)), by_seed)
+    return RunSummary(run_dir, first["algorithm"], first["scenario"], tuple(sorted(by_seed)),
+                      by_seed)
 
 
 def _seed_means(run: RunSummary, metric: str, last_k: int | None) -> np.ndarray:
@@ -450,9 +455,8 @@ class ComparisonReport:
         """Long-format series: run, algorithm, metric, episode, mean across seeds."""
         rows = [["run", "algorithm", "metric", "episode", "mean"]]
         for run in self.runs:
-            n_episodes = min(len(v) for v in run.by_seed.values())
-            for metric in REPORT_METRICS:
-                per_seed = np.array([[getattr(r, metric) for r in run.by_seed[s][:n_episodes]]
+            for metric in REPORT_METRICS:  # load_run saw every seed run the same episodes
+                per_seed = np.array([[getattr(r, metric) for r in run.by_seed[s]]
                                      for s in run.seeds])
                 means = per_seed.mean(axis=0)
                 for episode, value in enumerate(means):

@@ -20,7 +20,6 @@ from .domain import (_BOX_SPAN, ActionVector, DimensionError, RawMetrics, Valida
 __all__ = [
     "RewardWeights",
     "RewardBreakdown",
-    "EpisodeMetrics",
     "total_reward",
     "episode_metrics",
 ]
@@ -91,20 +90,12 @@ def total_reward(raw: RawMetrics, action: ActionVector, prev_action: ActionVecto
                            r_migration=r_m, total=total)
 
 
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    """Per-episode evaluation summary."""
-
-    mean_latency_ms: float
-    resource_efficiency: float
-    slo_violation_rate: float
-    total_reward: float
-
-
 def episode_metrics(trajectory: list[tuple[RawMetrics, float]],
-                    l_target: float) -> EpisodeMetrics:
+                    l_target: float) -> tuple[float, float, float, float]:
     """Aggregate one episode's (raw metrics, reward) trajectory.
 
+    Returns (mean_latency_ms, resource_efficiency, slo_violation_rate,
+    total_reward), the order of harness.EpisodeRow's metric columns.
     mean_latency averages the per-step service-mean latency; efficiency
     averages (cpu_util + mem_util)/2 over services and steps using
     allocation-normalized utilizations; the violation rate is the fraction
@@ -121,9 +112,5 @@ def episode_metrics(trajectory: list[tuple[RawMetrics, float]],
     reward_sum = 0.0
     for _, reward in trajectory:  # summed in step order, as the bytes depend on it
         reward_sum += float(reward)
-    return EpisodeMetrics(
-        mean_latency_ms=float(lat.mean()),
-        resource_efficiency=float(step_efficiency.mean()),
-        slo_violation_rate=float(np.count_nonzero(lat > l_target) / lat.size),
-        total_reward=reward_sum,
-    )
+    return (float(lat.mean()), float(step_efficiency.mean()),
+            float(np.count_nonzero(lat > l_target) / lat.size), reward_sum)

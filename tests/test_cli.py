@@ -392,6 +392,23 @@ class TestCompare:
         assert stdout == ""
         assert stderr == f"error: {metrics}: {shown}\n"
 
+    @pytest.mark.parametrize("seed1,key", [
+        (dict(episodes=3, steps_per_episode=6), "episodes"),
+        (dict(steps_per_episode=6), "steps_per_episode"),
+    ], ids=["episodes-and-steps", "steps-only"])
+    def test_seeds_of_different_experiments_exit_2(self, smoke_cfg, tmp_path, capsys,
+                                                   seed1, key):
+        a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(SMOKE, **seed1)), encoding="utf-8")
+        run_cli(["train", "--config", other, "--algo", "basek", "--seed", 1, "--out", a],
+                capsys)
+        code, stdout, stderr = run_cli(["compare", "--runs", a, b], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {a}: seeds ran different experiments: {key} is ")
+        assert stderr.count("\n") == 1
+
     def test_non_utf8_metrics_exits_2(self, smoke_cfg, tmp_path, capsys):
         a, b = self._two_basek_runs(smoke_cfg, tmp_path, capsys)
         metrics = a / "metrics_seed0.csv"

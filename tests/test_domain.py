@@ -14,6 +14,8 @@ from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ValidationError, action_from_unit,
                               default_nodes, default_services,
                               normalize_state)
+from edgesched.simulator import ClusterSim, SimConfig
+from edgesched.workload import constant_source
 from tests.conftest import assert_equals_constructed, assert_same_bits, make_raw, rows_of
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -255,16 +257,27 @@ class TestOneBlock:
             assert getattr(obj, name)[0] == GOOD[cls][name][0]
             with pytest.raises(ValueError, match="read-only"):
                 getattr(obj, name)[0] = 0.5
-        if cls is not RawMetrics:
-            with pytest.raises(ValueError, match="read-only"):
-                obj.vec[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            obj.vec[0] = 0.5
 
-    @pytest.mark.parametrize("cls", [StateVector, ActionVector], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("cls", list(GOOD), ids=lambda c: c.__name__)
     def test_vec_keeps_block_order(self, cls):
         obj = cls(**GOOD[cls])
-        # [cpu, mem, latency, qps] / [cpu, mem]: the dataclass field order
+        # the dataclass field order, e.g. [cpu, mem, latency, qps] for a state
         np.testing.assert_array_equal(obj.vec, np.concatenate(list(GOOD[cls].values())))
         assert obj.vec.shape == (len(GOOD[cls]) * 3,)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_n_services_of_constructed_and_adopted_objects(self, n):
+        for cls, values in GOOD.items():
+            assert cls(**{name: np.resize(v, n) for name, v in values.items()}).n_services == n
+        raw = make_raw(n=n)
+        assert normalize_state(raw, NormalizationConfig()).n_services == n
+        assert action_from_unit(np.zeros(2 * n)).n_services == n
+        services = default_services()[:n]
+        cfg = SimConfig(services=services, nodes=default_nodes())
+        obs, raw = ClusterSim(cfg, constant_source(50.0, n, 2)).reset(0)
+        assert obs.n_services == raw.n_services == n
 
     def test_replace_revalidates(self):
         action = ActionVector(**GOOD[ActionVector])

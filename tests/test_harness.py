@@ -529,7 +529,8 @@ class TestComparison:
         with pytest.raises(ValidationError, match="not complete"):
             load_run(clone)
 
-    @pytest.mark.parametrize("key", ["algorithm", "scenario", "seed", "episodes"])
+    @pytest.mark.parametrize("key", ["algorithm", "scenario", "seed", "episodes",
+                                     "steps_per_episode"])
     def test_load_run_rejects_manifest_without_key(self, tmp_path, two_runs, key):
         clone = copy_run(two_runs[0], tmp_path / "clone")
         doc = json.loads((clone / "manifest_seed0.json").read_text())
@@ -548,16 +549,18 @@ class TestComparison:
         with pytest.raises(ValidationError, match=rf"manifest_seed1\.json: manifest {why}"):
             load_run(clone)
 
-    @pytest.mark.parametrize("episodes,shown", [
-        *[(bad, r"manifest_seed0\.json: manifest episodes must be a positive integer")
+    @pytest.mark.parametrize("key,count,shown", [
+        *[(key, bad, rf"manifest_seed0\.json: manifest {key} must be a positive integer")
+          for key in ("episodes", "steps_per_episode")
           for bad in ("2", 2.0, 0, -1, True, None)],
         # compared with the row count before anything is sized by it
-        (10**400, r"metrics_seed0\.csv: 2 episode rows, manifest says 10{400}$"),
-    ], ids=["string", "float", "zero", "negative", "bool", "null", "huge"])
-    def test_load_run_rejects_bad_episode_count(self, tmp_path, two_runs, episodes, shown):
+        ("episodes", 10**400, r"metrics_seed0\.csv: 2 episode rows, manifest says 10{400}$"),
+    ], ids=[*(f"{prefix}{bad}" for prefix in ("", "steps-")
+              for bad in ("string", "float", "zero", "negative", "bool", "null")), "huge"])
+    def test_load_run_rejects_bad_episode_count(self, tmp_path, two_runs, key, count, shown):
         clone = copy_run(two_runs[0], tmp_path / "clone")
         doc = json.loads((clone / "manifest_seed0.json").read_text())
-        doc["episodes"] = episodes
+        doc[key] = count
         (clone / "manifest_seed0.json").write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=shown):
             load_run(clone)
@@ -578,6 +581,30 @@ class TestComparison:
         with pytest.raises(ValidationError) as exc:
             load_run(clone)
         assert str(exc.value) == f"{metrics}: {shown}"
+
+    @pytest.mark.parametrize("seed1,key,shown", [
+        (dict(episodes=3, steps_per_episode=6), "episodes", "2 for seed 0 but 3 for seed 1"),
+        (dict(steps_per_episode=6), "steps_per_episode", "4 for seed 0 but 6 for seed 1"),
+    ], ids=["episodes-and-steps", "steps-only"])
+    def test_load_run_rejects_seeds_of_different_experiments(self, tmp_path, seed1, key,
+                                                             shown):
+        run = tmp_path / "run"
+        for seed, kw in ((0, {}), (1, seed1)):
+            train_one_seed(tiny_config(algorithm="basek", output_dir=str(run), **kw), seed, run)
+        with pytest.raises(ValidationError) as exc:
+            load_run(run)
+        assert str(exc.value) == (f"{run}: seeds ran different experiments: {key} is "
+                                  f"{shown}")
+
+    def test_load_run_accepts_seeds_trained_apart(self, tmp_path):
+        # the config hash covers seeds and output_dir, so it may differ
+        run = tmp_path / "run"
+        for seed in (0, 1):
+            train_one_seed(tiny_config(algorithm="basek", seeds=(seed,)), seed, run)
+        hashes = {json.loads((run / f"manifest_seed{seed}.json").read_text())["config_hash"]
+                  for seed in (0, 1)}
+        assert len(hashes) == 2
+        assert load_run(run).seeds == (0, 1)
 
     def test_compare_needs_two_runs(self, two_runs):
         with pytest.raises(ValidationError, match="two run directories"):

@@ -5,7 +5,7 @@ import pytest
 
 from edgesched.domain import (_BOX_SPAN, CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ActionVector, DimensionError, RawMetrics, ValidationError)
-from edgesched.rewards import EpisodeMetrics, RewardWeights, episode_metrics, total_reward
+from edgesched.rewards import RewardWeights, episode_metrics, total_reward
 from edgesched.rng import stream
 from tests.conftest import make_action, make_raw
 
@@ -214,11 +214,11 @@ class TestEpisodeMetrics:
             (make_raw(n=2, latency=200.0, cpu_used=1.0, cpu_alloc=1.0,
                       mem_used=1024.0, mem_alloc=1024.0), -0.4),
         ]
-        m = episode_metrics(steps, l_target=150.0)
-        assert m.mean_latency_ms == pytest.approx(150.0)
-        assert m.slo_violation_rate == pytest.approx(0.5)
-        assert m.resource_efficiency == pytest.approx((0.5 + 1.0) / 2.0)
-        assert m.total_reward == pytest.approx(-0.5)
+        latency, efficiency, violations, reward = episode_metrics(steps, l_target=150.0)
+        assert latency == pytest.approx(150.0)
+        assert violations == pytest.approx(0.5)
+        assert efficiency == pytest.approx((0.5 + 1.0) / 2.0)
+        assert reward == pytest.approx(-0.5)
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValidationError):
@@ -240,12 +240,8 @@ class TestEpisodeMetrics:
             step_efficiency.append(float(((cpu_util + mem_util) / 2.0).mean()))
             reward_sum += float(reward)
         lat = np.asarray(step_latency)
-        return EpisodeMetrics(
-            mean_latency_ms=float(lat.mean()),
-            resource_efficiency=float(np.mean(step_efficiency)),
-            slo_violation_rate=float(np.count_nonzero(lat > l_target) / lat.size),
-            total_reward=reward_sum,
-        )
+        return (float(lat.mean()), float(np.mean(step_efficiency)),
+                float(np.count_nonzero(lat > l_target) / lat.size), reward_sum)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_bytes_match_per_step_reference(self, n):
@@ -268,10 +264,10 @@ class TestEpisodeMetrics:
                 trajectory.append((raw, float(rng.normal(0.0, 3.0))))
             got = episode_metrics(trajectory, l_target=150.0)
             expect = self.per_step_reference(trajectory, l_target=150.0)
-            for field in ("mean_latency_ms", "resource_efficiency",
-                          "slo_violation_rate", "total_reward"):
-                assert (np.float64(getattr(got, field)).tobytes()
-                        == np.float64(getattr(expect, field)).tobytes()), (t, field)
+            assert len(got) == len(expect) == 4
+            for field, g, e in zip(("mean_latency_ms", "resource_efficiency",
+                                    "slo_violation_rate", "total_reward"), got, expect):
+                assert np.float64(g).tobytes() == np.float64(e).tobytes(), (t, field)
         assert over_alloc > 0
 
     def test_empty_trajectory_matches_reference(self):
@@ -285,6 +281,6 @@ class TestEpisodeMetrics:
         raw = RawMetrics(cpu_used=[0.1, 0.1], cpu_alloc=[1.0, 1.0],
                          mem_used=[64.0, 64.0], mem_alloc=[128.0, 128.0],
                          latency_ms=[100.0, 190.0], qps=[1.0, 1.0])
-        m = episode_metrics([(raw, 0.0)], l_target=150.0)
+        _, _, violations, _ = episode_metrics([(raw, 0.0)], l_target=150.0)
         # one service breaches but the step mean (145) does not
-        assert m.slo_violation_rate == 0.0
+        assert violations == 0.0
