@@ -30,6 +30,17 @@ ALGOS = ("td3", "ddpg", "dqn", "basek")
 SCENARIOS = ("normal_100", "high_300")
 
 
+def campaign_configs(root: Path, episodes: int, seeds, hidden: int,
+                     lr: float) -> list[ExperimentConfig]:
+    """One config per (scenario, algorithm), scenario-major, run under root/scenario/algo."""
+    td3 = Td3Hyper(hidden=hidden, actor_lr=lr, critic_lr=lr)
+    dqn = DqnHyper(hidden=hidden, lr=lr)
+    return [ExperimentConfig(algorithm=algo, episodes=episodes, steps_per_episode=20,
+                             scenario=scenario, seeds=tuple(seeds),
+                             output_dir=str(Path(root) / scenario / algo), td3=td3, dqn=dqn)
+            for scenario in SCENARIOS for algo in ALGOS]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/campaign", help="campaign root directory")
@@ -40,14 +51,8 @@ def main() -> int:
     args = parser.parse_args()
 
     root = Path(args.out)
-    td3 = Td3Hyper(hidden=args.hidden, actor_lr=args.lr, critic_lr=args.lr)
-    dqn = DqnHyper(hidden=args.hidden, lr=args.lr)
-
     started = time.perf_counter()
-    configs = [ExperimentConfig(algorithm=algo, episodes=args.episodes, steps_per_episode=20,
-                                scenario=scenario, seeds=tuple(args.seeds),
-                                output_dir=str(root / scenario / algo), td3=td3, dqn=dqn)
-               for scenario in SCENARIOS for algo in ALGOS]
+    configs = campaign_configs(root, args.episodes, args.seeds, args.hidden, args.lr)
     print(f"training {ALGOS} on {SCENARIOS} (seeds {args.seeds}) -> {root}", flush=True)
     dirs = run_campaign(configs)
     for k in range(0, len(dirs), len(ALGOS)):

@@ -11,7 +11,9 @@ import copy
 import csv
 import io
 import json
+import runpy
 import time
+from pathlib import Path
 
 import conftest
 import numpy as np
@@ -19,7 +21,6 @@ import pytest
 
 from edgesched.agents import (
     DdpgAgent,
-    DqnHyper,
     Td3Agent,
     Td3Hyper,
     batch_units_from_domain,
@@ -50,6 +51,8 @@ from edgesched.rewards import RewardWeights, total_reward
 from edgesched.rng import stream
 from edgesched.simulator import LatencyModel, SimConfig
 from edgesched.workload import TraceRecord, write_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def verdict(num, slug, ok, detail):
@@ -359,13 +362,13 @@ def test_criterion_07_slo_learning(tmp_path):
     scenario = f"trace:{tmp_path / 'steady.csv'}"
     sim = _threshold_sim()
     hyper = Td3Hyper(hidden=64, actor_lr=5e-4, critic_lr=5e-4)
+    out = tmp_path / "td3"
+    cfg = ExperimentConfig(algorithm="td3", episodes=50, steps_per_episode=20,
+                           scenario=scenario, seeds=(0, 1, 2, 3),
+                           output_dir=str(out), sim=sim, td3=hyper)
+    run_campaign([cfg])
     outcomes = []
-    for seed in (0, 1, 2, 3):
-        out = tmp_path / f"td3_{seed}"
-        cfg = ExperimentConfig(algorithm="td3", episodes=50, steps_per_episode=20,
-                               scenario=scenario, seeds=(seed,),
-                               output_dir=str(out), sim=sim, td3=hyper)
-        train_one_seed(cfg, seed, out)
+    for seed in cfg.seeds:
         ev = run_evaluation(cfg, out / f"params_seed{seed}.bin",
                             episodes=1, seeds=(seed,))[0]
         base_cfg = ExperimentConfig(algorithm="basek", episodes=1,
@@ -388,24 +391,19 @@ def test_criterion_07_slo_learning(tmp_path):
 # 8: qualitative ordering on the full cluster at both load levels
 
 
-CAMPAIGN_TD3 = Td3Hyper(hidden=128, actor_lr=5e-4, critic_lr=5e-4)
-CAMPAIGN_DQN = DqnHyper(hidden=128, lr=5e-4)
 CAMPAIGN_EPISODES = 60
+CAMPAIGN = runpy.run_path(str(ROOT / "scripts" / "run_campaign.py"))
 
 
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     """Train every algorithm on both load scenarios, four seeds each."""
     root = tmp_path_factory.mktemp("campaign")
-    jobs = [(scenario, algo) for scenario in ("normal_100", "high_300")
-            for algo in ("td3", "ddpg", "dqn", "basek")]
+    configs = CAMPAIGN["campaign_configs"](root, CAMPAIGN_EPISODES, (0, 1, 2, 3),
+                                           hidden=128, lr=5e-4)
     started = time.perf_counter()
-    dirs = run_campaign([
-        ExperimentConfig(algorithm=algo, episodes=CAMPAIGN_EPISODES,
-                         steps_per_episode=20, scenario=scenario,
-                         seeds=(0, 1, 2, 3), output_dir=str(root / scenario / algo),
-                         td3=CAMPAIGN_TD3, dqn=CAMPAIGN_DQN)
-        for scenario, algo in jobs])
+    dirs = run_campaign(configs)
+    jobs = [(config.scenario, config.algorithm) for config in configs]
     return dict(zip(jobs, dirs)), time.perf_counter() - started
 
 
