@@ -274,9 +274,8 @@ class TestOneBlock:
         raw = make_raw(n=n)
         assert normalize_state(raw, NormalizationConfig()).n_services == n
         assert action_from_unit(np.zeros(2 * n)).n_services == n
-        services = default_services()[:n]
-        cfg = SimConfig(services=services, nodes=default_nodes())
-        obs, raw = ClusterSim(cfg, constant_source(50.0, n, 2)).reset(0)
+        sim = ClusterSim(SimConfig(services=default_services()[:n]), constant_source(50.0, n, 2))
+        obs, raw = sim.reset(0)
         assert obs.n_services == raw.n_services == n
 
     def test_replace_revalidates(self):
