@@ -11,8 +11,9 @@ nodes of several member counts. Each metrics or evaluation CSV is hashed without
 its wall_time_s column; each params_seed0.bin is hashed as written. Each run also
 gets a per-step digest (steps_seed0): one sha256 over the bytes of every window's
 raw metrics, every action passed to ClusterSim.step and every reward total, in
-step order, so a last-bit change that the per-episode aggregates round away
-still shows. The training runs go one at a time in this process, so the
+step order, episode by episode (a batch of evaluation episodes hashes as the
+same episodes run one by one), so a last-bit change that the per-episode
+aggregates round away still shows. The training runs go one at a time in this process, so the
 hooks that feed the digest see every step. tests/test_golden.py
 re-creates the artifacts and compares them against these hashes, so a
 refactor that changes any output byte fails there. Re-record only when
@@ -25,7 +26,6 @@ import csv
 import hashlib
 import json
 import platform
-import struct
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -67,9 +67,9 @@ def _metrics_digest(path: Path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _rows_bytes(obj) -> bytes:
-    """The bytes of a value object's field rows, in field order."""
-    return b"".join(getattr(obj, f.name).tobytes() for f in fields(obj))
+def _field_block(obj) -> np.ndarray:
+    """A value object's field rows stacked along axis -2, in field order."""
+    return np.stack([getattr(obj, f.name) for f in fields(obj)], axis=-2)
 
 
 @contextmanager
@@ -77,31 +77,54 @@ def step_digest():
     """Yield a sha256 fed, while the block runs, with each window's raw metrics,
     each action passed to ClusterSim.step and each reward total, in call order.
 
-    The raw metrics are found by type in the reset and step results, so the
-    digest does not depend on where in the result they sit.
+    Each episode row of a call with a leading episode axis keeps a byte stream
+    of its own, and a call without that axis (a baseline's one action) counts
+    for every row; at the next reset and at the end, the streams join in
+    episode order, so a batch of episodes hashes as the same episodes run one
+    by one. The raw metrics are found by type in the reset and step results,
+    so the digest does not depend on where in the result they sit.
     """
     digest = hashlib.sha256()
+    streams = [bytearray()]  # the current reset's byte stream per episode row
     reset, step, reward = ClusterSim.reset, ClusterSim.step, harness.total_reward
 
+    def feed(values, row_ndim: int) -> None:
+        values = np.asarray(values, dtype="<f8")
+        rows = np.broadcast_to(values, (len(streams), *values.shape[values.ndim - row_ndim:]))
+        for stream, row in zip(streams, rows, strict=True):
+            stream += row.tobytes()
+
+    def flush() -> None:
+        for stream in streams:
+            digest.update(stream)
+
     def add_raw(result):
-        digest.update(_rows_bytes(next(x for x in result if isinstance(x, RawMetrics))))
+        feed(_field_block(next(x for x in result if isinstance(x, RawMetrics))), 2)
         return result
 
+    def hashed_reset(sim, *args, **kwargs):
+        flush()
+        result = reset(sim, *args, **kwargs)
+        raw = _field_block(next(x for x in result if isinstance(x, RawMetrics)))
+        streams[:] = [bytearray() for _ in range(len(raw) if raw.ndim == 3 else 1)]
+        return add_raw(result)
+
     def hashed_step(sim, action):
-        digest.update(_rows_bytes(action))
+        feed(_field_block(action), 2)
         return add_raw(step(sim, action))
 
     def hashed_reward(*args, **kwargs):
         breakdown = reward(*args, **kwargs)
-        digest.update(struct.pack("<d", breakdown.total))
+        feed(breakdown.total, 0)
         return breakdown
 
-    ClusterSim.reset = lambda sim, *args, **kwargs: add_raw(reset(sim, *args, **kwargs))
+    ClusterSim.reset = hashed_reset
     ClusterSim.step = hashed_step
     harness.total_reward = hashed_reward
     try:
         yield digest
     finally:
+        flush()
         ClusterSim.reset, ClusterSim.step, harness.total_reward = reset, step, reward
 
 

@@ -187,10 +187,12 @@ class Td3Agent:
 
         The first warmup_transitions exploration steps are uniform over the
         unit box to seed the buffer before the policy drives the cluster.
+        A greedy act takes a batch of observations too: its rows go
+        through the actor as a stack of one-row inputs.
         """
         if explore and t < self.hyper.warmup_transitions:
             return action_from_unit(rng.uniform(-1.0, 1.0, self.action_dim))
-        u, _ = self.actor.forward(obs.vec)
+        u = self.actor.forward(obs.vec[..., None, :])[0][..., 0, :]
         if explore:
             sigma = exploration_sigma(self.hyper, t)
             u = u + sigma * rng.standard_normal(self.action_dim)
@@ -314,8 +316,10 @@ class DqnAgent:
         self.train_step_count = 0
 
     def levels_to_action(self, levels: np.ndarray) -> ActionVector:
-        """The grid values of 2N level indices: N cpu levels, then N mem levels."""
-        return _adopt(ActionVector, self._grids[_GRID_ROWS, levels.reshape(2, -1)])
+        """The grid values of 2N level indices, N cpu levels then N mem levels,
+        per episode row."""
+        return _adopt(ActionVector,
+                      self._grids[_GRID_ROWS, levels.reshape(*levels.shape[:-1], 2, -1)])
 
     def action_to_levels(self, actions: np.ndarray) -> np.ndarray:
         """Nearest grid index per dimension for a (B, 2N) domain-unit batch."""
@@ -323,8 +327,9 @@ class DqnAgent:
         return np.clip(k.reshape(actions.shape), 0, self.hyper.levels - 1).astype(int)
 
     def greedy_levels(self, state: StateVector) -> np.ndarray:
-        q, _ = self.q_net.forward(state.vec)
-        return np.argmax(q.reshape(self.n_heads, self.hyper.levels), axis=1)
+        """Each head's best level; a batch's rows go through as one-row inputs."""
+        q = self.q_net.forward(state.vec[..., None, :])[0]
+        return np.argmax(q.reshape(*q.shape[:-2], self.n_heads, self.hyper.levels), axis=-1)
 
     def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
             rng: np.random.Generator) -> ActionVector:
@@ -408,8 +413,8 @@ class BaseKScheduler:
         if self.mode == "static":
             return self.initial
         rows = raw._block
-        alloc = rows[1:4:2].copy()  # rows: cpu, mem
-        util = rows[0:4:2] / alloc
+        alloc = rows[..., 1:4:2, :].copy()  # rows: cpu, mem
+        util = rows[..., 0:4:2, :] / alloc
         np.multiply(alloc, 1.0 + self.step_frac, out=alloc, where=util > self.high_util)
         np.multiply(alloc, 1.0 - self.step_frac, out=alloc, where=util < self.low_util)
         return _adopt(ActionVector, alloc)

@@ -5,7 +5,9 @@ ActionVector hold one read-only float64 block whose rows are the fields
 (states clipped to [0, 1], actions to the allocation box). Their public
 constructors stack and check the given fields; the step path, which
 computes each block whole from checked values, hands it over with _adopt
-instead, so the block is built once and not copied again.
+instead, so the block is built once and not copied again. There the
+block may carry a leading episode axis, (E, fields, N), and each field is
+then an (E, N) view.
 """
 
 from __future__ import annotations
@@ -114,19 +116,20 @@ def _freeze_rows(obj) -> None:
 
 def _own_rows(obj, block: np.ndarray) -> None:
     """Clip block in place to obj's range, if its class has one, and make
-    each field a read-only row view of it."""
+    each field a read-only view of it along axis -2."""
     if obj._range is not None:
         block.clip(*obj._range, out=block)
     block.setflags(write=False)
     # the dataclass is frozen, so the fields go straight into the instance dict
-    vars(obj).update(zip(obj.__dataclass_fields__, block), _block=block)
+    vars(obj).update(zip(obj.__dataclass_fields__, block.swapaxes(0, -2)), _block=block)
 
 
 def _adopt(cls, block: np.ndarray):
     """A cls whose fields are the rows of block, without copying or checking it.
 
-    block must be a fresh C-ordered 2-D float64 array with one row per
-    field, which no one else writes to; it is clipped like a constructed one.
+    block must be a fresh C-ordered float64 array of shape (fields, N) or
+    (E, fields, N), which no one else writes to; it is clipped like a
+    constructed one.
     """
     obj = object.__new__(cls)
     _own_rows(obj, block)
@@ -275,12 +278,12 @@ class _Rows:
 
     @property
     def n_services(self) -> int:
-        return self._block.shape[1]
+        return self._block.shape[-1]
 
     @property
     def vec(self) -> np.ndarray:
-        """The block flattened in field order: a read-only view."""
-        return self._block.reshape(-1)
+        """The block flattened in field order, per episode row: a read-only view."""
+        return self._block.reshape(*self._block.shape[:-2], -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,24 +344,26 @@ class Transition:
 def normalize_state(raw: RawMetrics, norm: NormalizationConfig) -> StateVector:
     """Map raw per-service metrics into the clamped [0, 1] state blocks."""
     rows = raw._block
-    block = np.empty((4, rows.shape[1]))
-    np.divide(rows[0:4:2], rows[1:4:2], out=block[:2])  # used / alloc for cpu and mem
-    np.divide(rows[4], norm.l_max, out=block[2])
-    np.divide(rows[5], norm.q_max, out=block[3])
+    block = np.empty((*rows.shape[:-2], 4, rows.shape[-1]))
+    # used / alloc for cpu and mem
+    np.divide(rows[..., 0:4:2, :], rows[..., 1:4:2, :], out=block[..., :2, :])
+    np.divide(rows[..., 4, :], norm.l_max, out=block[..., 2, :])
+    np.divide(rows[..., 5, :], norm.q_max, out=block[..., 3, :])
     return _adopt(StateVector, block)
 
 
 def action_from_unit(u) -> ActionVector:
-    """Affine map from a 2N unit-box vector in [-1, 1] to box allocations.
+    """Affine map from a 2N unit-box vector in [-1, 1], or an (E, 2N) batch
+    of them, to box allocations.
 
     Values numerically outside [-1, 1] are clamped first, mirroring a
     tanh-bounded policy head.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.size % 2 != 0 or u.size == 0:
+    if u.ndim not in (1, 2) or u.shape[-1] % 2 != 0 or u.size == 0:
         raise DimensionError(f"unit action must be a 1-D vector of even positive length, "
-                             f"got shape {u.shape}")
-    block = u.clip(-1.0, 1.0).reshape(2, -1)
+                             f"or a batch of them, got shape {u.shape}")
+    block = u.clip(-1.0, 1.0).reshape(*u.shape[:-1], 2, -1)
     block += 1.0
     block /= 2.0
     block *= _BOX_SPAN

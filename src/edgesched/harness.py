@@ -28,7 +28,7 @@ from .configio import ExperimentConfig, build_workload, config_hash
 from .domain import ValidationError, csv_rows, write_atomic
 from .nets import load_mlp, save_mlp
 from .replay import ReplayBuffer
-from .rewards import episode_metrics, total_reward
+from .rewards import episode_metrics, step_metrics, total_reward
 from .rng import child_seed, stream
 from .simulator import ClusterSim
 
@@ -160,18 +160,23 @@ def _setup(config: ExperimentConfig, workload, seed: int):
 
 
 def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
-                 episode: int, reset_stream: str, t: int, trajectory: list,
+                 episodes: int | tuple[int, ...], reset_stream: str, t: int, trajectory: list,
                  rng: np.random.Generator | None, buffer: ReplayBuffer | None,
-                 sample_rng: np.random.Generator | None = None) -> EpisodeRow:
+                 sample_rng: np.random.Generator | None = None) -> list[EpisodeRow]:
     """Reset, then act -> env step -> reward until done; t counts earlier steps.
 
-    The reset seed is child_seed(seed, reset_stream, episode). A buffer means
-    explore with rng, store each transition and learn; None means act greedily,
-    and rng may be None. Every finished step appends (raw, reward) to the
-    caller's trajectory, so its length stays right when a step raises.
+    episodes is one episode index, or a tuple of them that run greedily as
+    one batch; each resets from child_seed(seed, reset_stream, episode). A
+    buffer means explore with rng, store each transition and learn; None
+    means act greedily, and rng may be None. Every finished step appends its
+    episode_metrics entry to the caller's trajectory, so its length stays
+    right when a step raises. Returns one row per episode, each timed with
+    an equal share of the elapsed time.
     """
     t_start = time.perf_counter()
-    obs, raw = env.reset(child_seed(seed, reset_stream, episode))
+    batch = isinstance(episodes, tuple)
+    obs, raw = env.reset(tuple(child_seed(seed, reset_stream, e) for e in episodes) if batch
+                         else child_seed(seed, reset_stream, episodes))
     prev_action = env.initial_action
     done = False
     while not done:
@@ -182,11 +187,14 @@ def _run_episode(env: ClusterSim, agent, config: ExperimentConfig, seed: int,
         if buffer is not None:
             buffer.add(obs.vec, action.vec, reward, next_obs.vec, done)
             agent.learn(buffer, sample_rng)
-        trajectory.append((raw, reward))
+        trajectory.append((*step_metrics(raw), reward))
         obs = next_obs
         prev_action = action
-    return EpisodeRow(episode, seed, *episode_metrics(trajectory, env.config.l_target),
-                      time.perf_counter() - t_start)
+    # one list of four Python floats per episode
+    metrics = np.array(episode_metrics(trajectory, env.config.l_target)).T.reshape(-1, 4)
+    wall_time_s = (time.perf_counter() - t_start) / len(metrics)
+    return [EpisodeRow(episode, seed, *values, wall_time_s)
+            for episode, values in zip(episodes if batch else (episodes,), metrics.tolist())]
 
 
 def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[EpisodeRow]:
@@ -212,8 +220,8 @@ def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[E
             writer = csv.writer(fh)
             writer.writerow(METRICS_HEADER)
             for episode in range(config.episodes):
-                row = _run_episode(env, agent, config, seed, episode, "episode", t,
-                                   trajectory, explore_rng, buffer, sample_rng)
+                row, = _run_episode(env, agent, config, seed, episode, "episode", t,
+                                    trajectory, explore_rng, buffer, sample_rng)
                 t += len(trajectory)
                 trajectory = []
                 writer.writerow(row.as_csv())
@@ -314,7 +322,8 @@ def run_training(config: ExperimentConfig) -> Path:
 
 def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
                    episodes: int, seeds: tuple[int, ...] | None = None) -> list[EpisodeRow]:
-    """Greedy rollouts of a saved policy: no noise, no learning, no buffer."""
+    """Greedy rollouts of a saved policy: no noise, no learning, no buffer. The
+    episodes of a seed run as one batch; each row's wall_time_s is its share."""
     if episodes < 1:
         raise ValidationError("episodes must be >= 1")
     if seeds is not None:  # the config checks the seeds
@@ -330,9 +339,8 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
             agent.load_policy(load_mlp(params_path,
                                        expect_sizes=agent.policy_net().layer_sizes))
         # no greedy act reads the step counter or a stream
-        for episode in range(episodes):
-            rows.append(_run_episode(env, agent, config, seed, episode, "eval", 0, [],
-                                     None, None))
+        rows += _run_episode(env, agent, config, seed, tuple(range(episodes)), "eval", 0, [],
+                             None, None)
     return rows
 
 

@@ -35,7 +35,7 @@ _ACTIVATIONS = ("linear", "tanh")
 class ForwardCache:
     """Activations retained by forward() so backward() can run."""
 
-    x: np.ndarray                 # input, shape (B, in)
+    x: np.ndarray                 # input, shape (B, in) or (E, B, in)
     pre: list[np.ndarray]         # pre-activations per layer
     post: list[np.ndarray]        # post-activations per layer
     squeeze: bool                 # input arrived as a 1-D vector
@@ -108,8 +108,11 @@ class Mlp:
         return net
 
     def forward(self, x, reuse: bool = False) -> tuple[np.ndarray, ForwardCache]:
-        """Affine/activation composition; accepts (in,) or (B, in) input. Values are
-        not checked: each update checks the updated network's parameters once.
+        """Affine/activation composition; accepts (in,) or (B, in) input, or a
+        stack (E, B, in) for forward only: a stack of (1, in) rows gives each row
+        the bytes of its one-row call, where a flat (E, in) batch may round
+        differently. Values are not checked: each update checks the updated
+        network's parameters once.
 
         With reuse, the activations go into the arrays of this network's last
         reuse call when the batch size matches, so that call's output and cache
@@ -119,11 +122,11 @@ class Mlp:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+        if x.ndim not in (2, 3) or x.shape[-1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with input size {self.layer_sizes[0]}")
         kept = self._kept if reuse else None
-        if kept is not None and len(kept[0][0]) != len(x):
+        if kept is not None and kept[0][0].shape[:-1] != x.shape[:-1]:
             kept = None
         pre, post = [], []
         a = x
@@ -156,7 +159,7 @@ class Mlp:
         gradient is computed and returned. The cache must come from this
         network's matching forward call.
         """
-        if len(cache.pre) != self.n_layers or cache.pre[-1].shape[1] != self.layer_sizes[-1]:
+        if len(cache.pre) != self.n_layers or cache.pre[-1].shape[1:] != (self.layer_sizes[-1],):
             raise ValidationError("cache does not match this network")
         if grad is not None:
             if grad.shape != self.flat.shape or grad.dtype != np.float64 \

@@ -106,7 +106,10 @@ class ClusterSim:
 
     reset returns (obs, raw) and step returns (obs, done, raw): the window's
     normalized observation first and its raw metrics last. Window 0 runs
-    under initial_action, the services' initial requests.
+    under initial_action, the services' initial requests. Reset with a
+    tuple of E seeds to step E episodes at once: every block then has a
+    leading episode axis, and an action without one applies to every
+    episode. Each episode row computes the bytes it would alone.
 
     One instance is single-threaded; run independent instances for
     parallel seeds. With jitter_sigma = 0 trajectories are a pure function
@@ -157,7 +160,8 @@ class ClusterSim:
             for node_ids in by_count.values()]
         self.initial_action = ActionVector(cpu_alloc=[s.initial_cpu_request for s in svcs],
                                            mem_alloc=[s.initial_mem_request for s in svcs])
-        self._rng: np.random.Generator | None = None
+        self._rngs: list[np.random.Generator] = []  # one env stream per episode
+        self._batch: tuple[int, ...] = ()  # (E,) after a reset with E seeds
         self._t: int | None = None  # the last window's index; None before reset
 
     def grant(self, action: ActionVector) -> tuple[np.ndarray, np.ndarray]:
@@ -169,38 +173,42 @@ class ClusterSim:
         order a per-node loop over cpu[members].sum() does.
         """
         block = action._block.copy()
+        flat = block.reshape(*block.shape[:-2], -1)  # a view: (cpu, mem) per episode row
         for pos, cap in self._node_groups:
-            requested = block.take(pos)
-            total = requested.sum(axis=2, keepdims=True)
+            requested = flat.take(pos, axis=-1)
+            total = requested.sum(axis=-1, keepdims=True)
             np.multiply(requested, cap / total, out=requested, where=total > cap)
-            block.put(pos, requested)
+            flat[..., pos] = requested
         np.maximum(block, _BOX_LO, out=block)
-        return block[0], block[1]
+        return block[..., 0, :], block[..., 1, :]
 
     def _window(self, step_index: int, action: ActionVector) -> RawMetrics:
-        """Fill the window's raw block row by row (RawMetrics field order) and adopt it."""
+        """Fill the window's raw block field by field (RawMetrics order) and adopt it."""
         lm = self.config.latency
-        block = np.empty((6, self.config.n_services))
-        block[1], block[3] = self.grant(action)
-        block[5] = qps_at(self.workload, step_index)
-        demand, granted = self._demand[step_index], block[1:4:2]
-        np.minimum(demand, granted, out=block[0:4:2])  # cpu_used, mem_used
-        rho = np.minimum(demand[0] / granted[0], RHO_CAP)
-        latency = np.divide(self._floor_ms, 1.0 - rho, out=block[4])
+        block = np.empty((*self._batch, 6, self.config.n_services))
+        block[..., 1, :], block[..., 3, :] = self.grant(action)
+        block[..., 5, :] = qps_at(self.workload, step_index)
+        demand, granted = self._demand[step_index], block[..., 1:4:2, :]
+        np.minimum(demand, granted, out=block[..., 0:4:2, :])  # cpu_used, mem_used
+        rho = np.minimum(demand[0] / granted[..., 0, :], RHO_CAP)
+        latency = np.divide(self._floor_ms, 1.0 - rho, out=block[..., 4, :])
         # memory pressure multiplies the latency, then the cap applies; as the
         # multiplier is >= 1 this equals capping both before and after it
         np.multiply(latency, lm.mem_pressure_multiplier, out=latency,
-                    where=granted[1] < demand[1])
+                    where=granted[..., 1, :] < demand[1])
         np.minimum(latency, lm.saturation_cap_ms, out=latency)
         if lm.jitter_sigma > 0:
-            assert self._rng is not None
-            latency *= 1.0 + lm.jitter_sigma * self._rng.standard_normal(latency.size)
+            # one draw per episode, each on its own stream
+            noise = np.array([rng.standard_normal(latency.shape[-1]) for rng in self._rngs])
+            latency *= 1.0 + lm.jitter_sigma * noise.reshape(latency.shape)
             latency.clip(self._floor_ms, lm.saturation_cap_ms, out=latency)
         return _adopt(RawMetrics, block)
 
-    def reset(self, seed: int) -> tuple[StateVector, RawMetrics]:
-        """Window 0 under initial_action."""
-        self._rng = stream(seed, "env")
+    def reset(self, seed: int | tuple[int, ...]) -> tuple[StateVector, RawMetrics]:
+        """Window 0 under initial_action, for one seed or a batch of them."""
+        seeds = seed if isinstance(seed, tuple) else (seed,)
+        self._batch = (len(seeds),) if isinstance(seed, tuple) else ()
+        self._rngs = [stream(s, "env") for s in seeds]
         raw = self._window(0, self.initial_action)
         self._t = 0
         return normalize_state(raw, self.config.normalization), raw
@@ -215,6 +223,9 @@ class ClusterSim:
             raise DimensionError(
                 f"action covers {action.n_services} services, "
                 f"config has {self.config.n_services}")
+        if action._block.shape[:-2] not in ((), self._batch):
+            raise DimensionError(f"action has episode axis {action._block.shape[:-2]}, "
+                                 f"the reset made {self._batch}")
         if not np.isfinite(action.vec).all():
             raise ValidationError("action contains non-finite values")
         raw = self._window(self._t + 1, action)

@@ -367,14 +367,15 @@ def test_criterion_07_slo_learning(tmp_path):
                            scenario=scenario, seeds=(0, 1, 2, 3),
                            output_dir=str(out), sim=sim, td3=hyper)
     run_campaign([cfg])
+    # without jitter the static baseline's rollout does not depend on the seed
+    assert sim.latency.jitter_sigma == 0.0
+    base_cfg = ExperimentConfig(algorithm="basek", episodes=1, steps_per_episode=20,
+                                scenario=scenario, seeds=(0,), output_dir=str(out), sim=sim)
+    base = run_evaluation(base_cfg, None, episodes=1)[0]
     outcomes = []
     for seed in cfg.seeds:
         ev = run_evaluation(cfg, out / f"params_seed{seed}.bin",
                             episodes=1, seeds=(seed,))[0]
-        base_cfg = ExperimentConfig(algorithm="basek", episodes=1,
-                                    steps_per_episode=20, scenario=scenario,
-                                    seeds=(seed,), output_dir=str(out), sim=sim)
-        base = run_evaluation(base_cfg, None, episodes=1, seeds=(seed,))[0]
         outcomes.append((seed, ev.slo_violation_rate, ev.total_reward,
                          base.total_reward,
                          ev.slo_violation_rate == 0.0

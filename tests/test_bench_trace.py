@@ -67,14 +67,15 @@ def test_traced_training_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     runs = _run_deltas(json.loads(proc.stdout.splitlines()[-1]))
     steps = EPISODES * STEPS
-    # every run steps the simulator once per window. A learning agent calls
-    # learn() once per step and applies it from step BATCH + 1 on; the
-    # baseline stores nothing and the greedy evaluation learns nothing.
-    learning = (steps, steps - BATCH)
+    # every training run steps the simulator once per window; the greedy
+    # evaluation steps its episodes as one batch, once per window of them all.
+    # A learning agent calls learn() once per step and applies it from step
+    # BATCH + 1 on; the baseline stores nothing and the evaluation learns nothing.
+    learning = (steps, steps, steps - BATCH)
     expected = {"td3": learning, "ddpg": learning, "dqn": learning,
-                "basek": (0, 0), "eval": (0, 0)}
-    for (name, (learns, applied)), run in zip(expected.items(), runs, strict=True):
-        assert run["calls"]["simulator.step"] == steps, name
+                "basek": (steps, 0, 0), "eval": (STEPS, 0, 0)}
+    for (name, (env_steps, learns, applied)), run in zip(expected.items(), runs, strict=True):
+        assert run["calls"]["simulator.step"] == env_steps, name
         assert run["calls"]["agents.learn"] == learns, name
         assert run["counts"]["agents.learn.applied"] == applied, name
     assert runs[-1]["calls"]["harness.run_evaluation"] == 1

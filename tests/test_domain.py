@@ -16,7 +16,7 @@ from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               normalize_state)
 from edgesched.simulator import ClusterSim, SimConfig
 from edgesched.workload import constant_source
-from tests.conftest import assert_equals_constructed, assert_same_bits, make_raw, rows_of
+from conftest import assert_equals_constructed, assert_same_bits, make_raw, rows_of
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

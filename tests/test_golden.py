@@ -42,7 +42,8 @@ def test_eval_matrix_scales_grants_and_pressures_memory(tmp_path, monkeypatch):
         if topology is not None:  # an evaluation topology, not the training one
             crowded = (np.array(RECORDER["CROWDED_HOMES"]) == 0 if topology == "crowded_edge"
                        else slice(None))
-            seen[topology][0] += bool(np.any(raw.cpu_alloc[crowded] < action.cpu_alloc[crowded]))
+            seen[topology][0] += bool(np.any(raw.cpu_alloc[..., crowded]
+                                             < action.cpu_alloc[..., crowded]))
             seen[topology][1] += bool(np.any(raw.mem_used >= raw.mem_alloc))
         return raw
 

@@ -4,9 +4,11 @@ import json
 import os
 import pickle
 import re
+import runpy
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 import edgesched
 from edgesched import harness
 from edgesched.agents import DqnHyper, Td3Agent, Td3Hyper
-from edgesched.configio import ExperimentConfig, config_hash
+from edgesched.configio import ExperimentConfig, build_workload, config_hash
 from edgesched.domain import ValidationError
 from edgesched.harness import (
     METRICS_HEADER,
@@ -30,8 +32,10 @@ from edgesched.harness import (
     run_training,
     train_one_seed,
 )
-from edgesched.nets import Mlp, save_mlp
+from edgesched.nets import Mlp, load_mlp, save_mlp
 from edgesched.workload import TraceParseError
+
+RECORDER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "record_golden.py"))
 
 
 def tiny_config(**kw):
@@ -487,6 +491,81 @@ class TestEvaluation:
     def test_bad_seeds_rejected(self, seeds):
         with pytest.raises(ValidationError, match="seeds must be non-negative integers"):
             run_evaluation(tiny_config(algorithm="basek"), None, episodes=1, seeds=seeds)
+
+
+BATCH_EPISODES = 7
+BATCH_STEPS = 20  # past 8 steps, numpy adds a contiguous axis pairwise but axis 0 row by row
+
+
+def wide_config(**kw):
+    """tiny_config with networks as wide as the benchmark's, whose forward
+    rounds differently as one flat batch than row by row."""
+    return tiny_config(td3=replace(tiny_config().td3, hidden=128),
+                       dqn=replace(tiny_config().dqn, hidden=128), **kw)
+
+
+@pytest.fixture(scope="module")
+def wide_policies(tmp_path_factory):
+    """Each learner's policy after a few updates on high_300."""
+    root = tmp_path_factory.mktemp("policies")
+    for algo in ("td3", "ddpg", "dqn"):
+        train_one_seed(wide_config(algorithm=algo, scenario="high_300"), 0, root / algo)
+    return root
+
+
+class TestBatchedEvaluation:
+    """run_evaluation steps a seed's episodes as one batch; each row and
+    each step must keep the bytes of the episode run on its own."""
+
+    @staticmethod
+    def scored_steps(monkeypatch) -> list:
+        """Record the (raw, action, reward total) blocks of every step the
+        harness scores, in call order."""
+        steps, score = [], harness.total_reward
+
+        def recording(raw, action, *args):
+            breakdown = score(raw, action, *args)
+            steps.append((raw._block, action._block, np.asarray(breakdown.total)))
+            return breakdown
+
+        monkeypatch.setattr(harness, "total_reward", recording)
+        return steps
+
+    @pytest.mark.parametrize("topology", RECORDER["EVAL_TOPOLOGIES"])
+    @pytest.mark.parametrize("algo,mode", [("td3", "static"), ("ddpg", "static"),
+                                           ("dqn", "static"), ("basek", "static"),
+                                           ("basek", "threshold")])
+    def test_rows_and_steps_match_one_by_one(self, wide_policies, tmp_path, monkeypatch,
+                                             topology, algo, mode):
+        config = RECORDER["eval_config"](wide_config(steps_per_episode=BATCH_STEPS,
+                                                     seeds=(0, 3)), tmp_path, topology)
+        config = replace(config, algorithm=algo, basek_mode=mode)
+        params = None if algo == "basek" else wide_policies / algo / "params_seed0.bin"
+        steps = self.scored_steps(monkeypatch)
+        rows = run_evaluation(config, params, BATCH_EPISODES)
+        batched = steps[:]
+        del steps[:]
+        workload, alone = build_workload(config), []
+        for seed in config.seeds:
+            env, agent = harness._setup(config, workload, seed)
+            if params is not None:
+                agent.load_policy(load_mlp(params))
+            for episode in range(BATCH_EPISODES):
+                alone += harness._run_episode(env, agent, config, seed, episode, "eval", 0, [],
+                                              None, None)
+        assert [row.as_csv()[:-1] for row in rows] == [row.as_csv()[:-1] for row in alone]
+        assert all(type(value) is float for row in rows for value in vars(row).values()
+                   if not isinstance(value, int))
+        assert len(batched) * BATCH_EPISODES == len(steps) == \
+            len(config.seeds) * BATCH_EPISODES * BATCH_STEPS
+        for i, step in enumerate(batched):
+            seed_index, t = divmod(i, BATCH_STEPS)
+            for episode in range(BATCH_EPISODES):
+                own = steps[(seed_index * BATCH_EPISODES + episode) * BATCH_STEPS + t]
+                for got, want in zip(step, own, strict=True):
+                    # a block without the episode axis counts for every episode
+                    got = np.broadcast_to(got, (BATCH_EPISODES, *want.shape))[episode]
+                    assert got.tobytes() == want.tobytes(), (i, episode)
 
 
 @pytest.fixture(scope="module")

@@ -95,6 +95,29 @@ class TestForward:
             single, _ = net.forward(xs[i])
             np.testing.assert_allclose(batch_out[i], single, atol=1e-12)
 
+    @pytest.mark.parametrize("in_dim,hidden,out_dim,act", [
+        (32, 128, 16, "tanh"),     # the TD3 actor of the default 8 services
+        (32, 128, 160, "linear"),  # the DQN value net, 10 levels per head
+        (48, 128, 1, "linear"),    # a critic
+    ])
+    @pytest.mark.parametrize("e", [1, 2, 7, 300])
+    def test_stacked_rows_match_single_rows_bit_for_bit(self, in_dim, hidden, out_dim, act,
+                                                        e, rng):
+        """A stack of (1, in) rows, as a batched greedy act sends, gives each
+        row the bytes of its own one-row call."""
+        net = Mlp.create(in_dim, hidden, out_dim, act, rng)
+        xs = rng.uniform(0.0, 1.0, size=(e, in_dim))
+        stacked, cache = net.forward(xs[:, None, :])
+        assert stacked.shape == (e, 1, out_dim) and cache.x.shape == (e, 1, in_dim)
+        singles = np.array([net.forward(x)[0] for x in xs])
+        assert stacked[:, 0, :].tobytes() == singles.tobytes()
+
+    def test_stacked_cache_has_no_backward(self, rng):
+        net = Mlp.create(3, 8, 1, "linear", rng)
+        out, cache = net.forward(rng.normal(size=(4, 1, 3)))
+        with pytest.raises(ValidationError, match="cache"):
+            net.backward(cache, np.ones_like(out))
+
     def test_tanh_outputs_bounded(self, rng):
         net = Mlp.create(4, 16, 3, "tanh", rng)
         out, _ = net.forward(rng.normal(size=4) * 100.0)

@@ -9,7 +9,7 @@ from edgesched.domain import (ActionVector, DimensionError, NormalizationConfig,
                               ValidationError, normalize_state)
 from edgesched.replay import ReplayBuffer, TransitionBatch
 from edgesched.rng import stream
-from tests.conftest import make_raw
+from conftest import make_raw
 
 
 def transition(reward, n=1, done=False):

@@ -5,9 +5,9 @@ import pytest
 
 from edgesched.domain import (_BOX_SPAN, CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ActionVector, DimensionError, RawMetrics, ValidationError)
-from edgesched.rewards import RewardWeights, episode_metrics, total_reward
+from edgesched.rewards import RewardWeights, episode_metrics, step_metrics, total_reward
 from edgesched.rng import stream
-from tests.conftest import make_action, make_raw
+from conftest import make_action, make_raw
 
 
 def oracle_total(raw, action, prev_action, l_target, w):
@@ -206,6 +206,11 @@ class TestTotalReward:
         assert out.r_waste == pytest.approx(-1.0)  # 0.5 cpu + 0.5 mem idle
 
 
+def reduced(trajectory):
+    """A (raw, reward) trajectory as episode_metrics takes it: each step reduced."""
+    return [(*step_metrics(raw), reward) for raw, reward in trajectory]
+
+
 class TestEpisodeMetrics:
     def test_hand_computed_aggregate(self):
         steps = [
@@ -214,7 +219,8 @@ class TestEpisodeMetrics:
             (make_raw(n=2, latency=200.0, cpu_used=1.0, cpu_alloc=1.0,
                       mem_used=1024.0, mem_alloc=1024.0), -0.4),
         ]
-        latency, efficiency, violations, reward = episode_metrics(steps, l_target=150.0)
+        latency, efficiency, violations, reward = episode_metrics(reduced(steps),
+                                                                  l_target=150.0)
         assert latency == pytest.approx(150.0)
         assert violations == pytest.approx(0.5)
         assert efficiency == pytest.approx((0.5 + 1.0) / 2.0)
@@ -262,7 +268,7 @@ class TestEpisodeMetrics:
                                  latency_ms=rng.uniform(20.0, 400.0, n),
                                  qps=rng.uniform(0.0, 300.0, n))
                 trajectory.append((raw, float(rng.normal(0.0, 3.0))))
-            got = episode_metrics(trajectory, l_target=150.0)
+            got = episode_metrics(reduced(trajectory), l_target=150.0)
             expect = self.per_step_reference(trajectory, l_target=150.0)
             assert len(got) == len(expect) == 4
             for field, g, e in zip(("mean_latency_ms", "resource_efficiency",
@@ -281,6 +287,6 @@ class TestEpisodeMetrics:
         raw = RawMetrics(cpu_used=[0.1, 0.1], cpu_alloc=[1.0, 1.0],
                          mem_used=[64.0, 64.0], mem_alloc=[128.0, 128.0],
                          latency_ms=[100.0, 190.0], qps=[1.0, 1.0])
-        _, _, violations, _ = episode_metrics([(raw, 0.0)], l_target=150.0)
+        _, _, violations, _ = episode_metrics(reduced([(raw, 0.0)]), l_target=150.0)
         # one service breaches but the step mean (145) does not
         assert violations == 0.0

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN, ActionVector,
                               DimensionError, NormalizationConfig, ServiceSpec,
-                              ValidationError, make_node)
+                              ValidationError, _adopt, action_from_unit, make_node)
 from edgesched.simulator import RHO_CAP, ClusterSim, LatencyModel, SimConfig
 from edgesched.workload import TraceRecord, constant_source, trace_source, write_trace
-from tests.conftest import assert_equals_constructed
+from conftest import assert_equals_constructed
 
 
 def quiet(**kwargs):
@@ -220,6 +220,24 @@ class TestEpisodeProtocol:
             np.testing.assert_array_equal(la, lb)
             assert da == db
 
+    def test_batched_episodes_match_one_by_one(self):
+        """A reset with a tuple of seeds steps one episode per row, each row
+        with the bytes of that episode alone, jitter included."""
+        cfg = SimConfig()
+        sim = ClusterSim(cfg, constant_source(300.0, cfg.n_services, ROWS))
+        seeds = (5, 2**64 - 1, 0)  # episode seeds span the full 64 bits
+        units = np.random.default_rng(3).uniform(-1.0, 1.0, (ROWS - 1, len(seeds), 16))
+        obs, raw = sim.reset(seeds)
+        assert obs._block.shape == (3, 4, 8) and raw.latency_ms.shape == (3, 8)
+        batched = [raw] + [sim.step(action_from_unit(u))[2] for u in units]
+        for e, seed in enumerate(seeds):
+            alone = [sim.reset(seed)[1]] + [sim.step(action_from_unit(u[e]))[2] for u in units]
+            for got, want in zip(batched, alone, strict=True):
+                assert got._block[e].tobytes() == want._block.tobytes()
+        sim.reset(seeds)
+        with pytest.raises(DimensionError, match="episode axis"):
+            sim.step(action_from_unit(np.zeros((2, 16))))
+
     def test_observations_in_unit_box(self):
         cfg = SimConfig()
         sim = ClusterSim(cfg, constant_source(350.0, cfg.n_services, STOCK_ROWS))
@@ -359,11 +377,13 @@ class TestGrantMatchesLoop:
         cfg = SimConfig(services=services, nodes=nodes, latency=quiet())
         n = cfg.n_services
         sim = ClusterSim(cfg, constant_source(10.0, n, ROWS))
-        for _ in range(5):
-            action = ActionVector(cpu_alloc=rng.uniform(CPU_MIN, CPU_MAX, n),
-                                  mem_alloc=rng.uniform(MEM_MIN, MEM_MAX, n))
-            for got, want in zip(sim.grant(action), loop_grant(cfg, action)):
-                assert np.array_equal(got, want)
+        actions = [ActionVector(cpu_alloc=rng.uniform(CPU_MIN, CPU_MAX, n),
+                                mem_alloc=rng.uniform(MEM_MIN, MEM_MAX, n)) for _ in range(5)]
+        # each alone, then all five as one batch with a leading episode axis
+        batch = sim.grant(_adopt(ActionVector, np.stack([a._block for a in actions])))
+        for e, action in enumerate(actions):
+            for got, in_batch, want in zip(sim.grant(action), batch, loop_grant(cfg, action)):
+                assert np.array_equal(got, want) and np.array_equal(in_batch[e], want)
 
 
 # One spec constructor per numeric field that enters from outside the step loop.
