@@ -207,6 +207,8 @@ class ClusterSim:
     def reset(self, seed: int | tuple[int, ...]) -> tuple[StateVector, RawMetrics]:
         """Window 0 under initial_action, for one seed or a batch of them."""
         seeds = seed if isinstance(seed, tuple) else (seed,)
+        if not seeds:
+            raise ValidationError("reset needs at least one seed")
         self._batch = (len(seeds),) if isinstance(seed, tuple) else ()
         self._rngs = [stream(s, "env") for s in seeds]
         raw = self._window(0, self.initial_action)

@@ -237,6 +237,8 @@ class TestEpisodeProtocol:
         sim.reset(seeds)
         with pytest.raises(DimensionError, match="episode axis"):
             sim.step(action_from_unit(np.zeros((2, 16))))
+        with pytest.raises(ValidationError, match="at least one seed"):
+            sim.reset(())
 
     def test_observations_in_unit_box(self):
         cfg = SimConfig()
