@@ -188,11 +188,12 @@ class Td3Agent:
         The first warmup_transitions exploration steps are uniform over the
         unit box to seed the buffer before the policy drives the cluster.
         A greedy act takes a batch of observations too: its rows go
-        through the actor as a stack of one-row inputs.
+        through the actor as a stack of one-row inputs, into the actor's
+        kept arrays (reuse). An exploring act leaves learn()'s kept arrays.
         """
         if explore and t < self.hyper.warmup_transitions:
             return action_from_unit(rng.uniform(-1.0, 1.0, self.action_dim))
-        u = self.actor.forward(obs.vec[..., None, :])[0][..., 0, :]
+        u = self.actor.forward(obs.vec[..., None, :], reuse=not explore)[0][..., 0, :]
         if explore:
             sigma = exploration_sigma(self.hyper, t)
             u = u + sigma * rng.standard_normal(self.action_dim)
@@ -204,11 +205,10 @@ class Td3Agent:
         a, _ = self.target_actor.forward(next_states, reuse=True)
         noise = None
         if self.hyper.smoothing_sigma > 0:
-            noise = np.clip(
-                rng.normal(0.0, self.hyper.smoothing_sigma, size=a.shape),
+            noise = rng.normal(0.0, self.hyper.smoothing_sigma, size=a.shape).clip(
                 -self.hyper.smoothing_clip, self.hyper.smoothing_clip)
             a = a + noise
-        return np.clip(a, -1.0, 1.0), noise
+        return a.clip(-1.0, 1.0), noise
 
     def td_targets(self, rewards: np.ndarray, next_states: np.ndarray,
                    dones: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -326,9 +326,10 @@ class DqnAgent:
         k = np.rint((_box_view(actions) - _BOX_LO) * (self.hyper.levels - 1) / _BOX_SPAN)
         return np.clip(k.reshape(actions.shape), 0, self.hyper.levels - 1).astype(int)
 
-    def greedy_levels(self, state: StateVector) -> np.ndarray:
-        """Each head's best level; a batch's rows go through as one-row inputs."""
-        q = self.q_net.forward(state.vec[..., None, :])[0]
+    def greedy_levels(self, state: StateVector, reuse: bool = False) -> np.ndarray:
+        """Each head's best level; a batch's rows go through as one-row inputs,
+        with reuse into the q-net's kept arrays (see Mlp.forward)."""
+        q = self.q_net.forward(state.vec[..., None, :], reuse=reuse)[0]
         return np.argmax(q.reshape(*q.shape[:-2], self.n_heads, self.hyper.levels), axis=-1)
 
     def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
@@ -336,7 +337,7 @@ class DqnAgent:
         if explore and t < self.hyper.warmup_transitions:
             levels = rng.integers(0, self.hyper.levels, size=self.n_heads)
             return self.levels_to_action(levels)
-        levels = self.greedy_levels(obs)
+        levels = self.greedy_levels(obs, reuse=not explore)
         if explore:
             eps = epsilon_at(self.hyper, t)
             randomize = rng.random(self.n_heads) < eps

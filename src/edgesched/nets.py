@@ -70,6 +70,7 @@ class Mlp:
             raise ValidationError(f"unknown output activation {output_activation!r}")
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
+        self.n_layers = len(self.layer_sizes) - 1
         self._spans = _spans(self.layer_sizes)
         self.flat = np.zeros(self._spans[-1][1])
         params = self._views(self.flat)
@@ -97,10 +98,6 @@ class Mlp:
             net.weights[l][...] = rng.uniform(-bound, bound, size=net.weights[l].shape)
             net.biases[l][...] = rng.uniform(-bound, bound, size=net.biases[l].shape)
         return net
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
 
     def copy(self) -> "Mlp":
         net = Mlp(self.layer_sizes, self.output_activation)
@@ -131,7 +128,7 @@ class Mlp:
         pre, post = [], []
         a = x
         for l in range(self.n_layers):
-            if kept is None:  # @ beats np.matmul on the single rows that act() sends
+            if kept is None:  # @ beats np.matmul on the single rows an exploring act() sends
                 z, into = a @ self.weights[l], None
             else:
                 z, into = np.matmul(a, self.weights[l], out=kept[0][l]), kept[1][l]

@@ -114,7 +114,8 @@ class ClusterSim:
     One instance is single-threaded; run independent instances for
     parallel seeds. With jitter_sigma = 0 trajectories are a pure function
     of (config, workload, seed, actions); with jitter they are still
-    deterministic per seed because all noise comes from one named stream.
+    deterministic per seed because all noise comes from one named stream:
+    reset draws the episode's whole (windows, services) noise block from it.
     """
 
     def __init__(self, config: SimConfig, workload: np.ndarray):
@@ -160,7 +161,7 @@ class ClusterSim:
             for node_ids in by_count.values()]
         self.initial_action = ActionVector(cpu_alloc=[s.initial_cpu_request for s in svcs],
                                            mem_alloc=[s.initial_mem_request for s in svcs])
-        self._rngs: list[np.random.Generator] = []  # one env stream per episode
+        self._noise: np.ndarray | None = None  # jitter draws by window, (E,) and service
         self._batch: tuple[int, ...] = ()  # (E,) after a reset with E seeds
         self._t: int | None = None  # the last window's index; None before reset
 
@@ -198,9 +199,7 @@ class ClusterSim:
                     where=granted[..., 1, :] < demand[1])
         np.minimum(latency, lm.saturation_cap_ms, out=latency)
         if lm.jitter_sigma > 0:
-            # one draw per episode, each on its own stream
-            noise = np.array([rng.standard_normal(latency.shape[-1]) for rng in self._rngs])
-            latency *= 1.0 + lm.jitter_sigma * noise.reshape(latency.shape)
+            latency *= 1.0 + lm.jitter_sigma * self._noise[step_index]
             latency.clip(self._floor_ms, lm.saturation_cap_ms, out=latency)
         return _adopt(RawMetrics, block)
 
@@ -210,7 +209,9 @@ class ClusterSim:
         if not seeds:
             raise ValidationError("reset needs at least one seed")
         self._batch = (len(seeds),) if isinstance(seed, tuple) else ()
-        self._rngs = [stream(s, "env") for s in seeds]
+        if self.config.latency.jitter_sigma > 0:  # row k: window k's standard_normal(N)
+            draws = [stream(s, "env").standard_normal(np.shape(self.workload)) for s in seeds]
+            self._noise = np.stack(draws, axis=1) if self._batch else draws[0]
         raw = self._window(0, self.initial_action)
         self._t = 0
         return normalize_state(raw, self.config.normalization), raw

@@ -25,6 +25,7 @@ from edgesched.domain import (
     ActionVector,
     StateVector,
     ValidationError,
+    _adopt,
     action_from_unit,
 )
 from edgesched.nets import AdamState, Mlp, load_mlp, save_mlp
@@ -614,6 +615,43 @@ def test_learn_reuses_each_network_activation_arrays(rng, monkeypatch, kind):
     assert len(outputs) == 2 * n_calls
     assert all(reuse for _, reuse, _ in outputs)
     assert all(pre is first[id(net)] for net, _, pre in outputs)
+
+
+@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
+def test_greedy_acts_reuse_forward_arrays_and_keep_each_action(rng, monkeypatch, kind):
+    """Two batched greedy acts: the second forward writes into the first's
+    arrays, and each act still returns a block of its own."""
+    pres = []
+    forward = Mlp.forward
+
+    def spy(net, x, reuse=False):
+        out, cache = forward(net, x, reuse=reuse)
+        pres.append(cache.pre[0])
+        return out, cache
+
+    monkeypatch.setattr(Mlp, "forward", spy)
+    agent = build_agent(kind, 2, rng, td3=small_hyper(),
+                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
+    obs = [_adopt(StateVector, stream(k, "obs").uniform(0, 1, (3, 4, 2))) for k in (1, 2)]
+    first = agent.act(obs[0], None, t=0, explore=False, rng=None)
+    kept = first._block.copy()
+    second = agent.act(obs[1], None, t=0, explore=False, rng=None)
+    assert len(pres) == 2 and pres[1] is pres[0]
+    assert not np.shares_memory(first._block, second._block)
+    assert first._block.tobytes() == kept.tobytes()  # the prev_action the reward reads
+    assert second._block.tobytes() != kept.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
+def test_exploring_act_leaves_learn_kept_arrays(rng, kind):
+    agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
+                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
+    agent.learn(fill_buffer(), rng)
+    net = agent.policy_net()
+    kept = net._kept
+    assert kept is not None and kept[0][0].shape == (8, 8)
+    agent.act(make_state(1), None, t=0, explore=True, rng=rng)
+    assert net._kept is kept
 
 
 # ---------------------------------------------------------------- plumbing

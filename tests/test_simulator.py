@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN, ActionVector,
                               DimensionError, NormalizationConfig, ServiceSpec,
                               ValidationError, _adopt, action_from_unit, make_node)
+from edgesched import simulator
+from edgesched.rng import stream
 from edgesched.simulator import RHO_CAP, ClusterSim, LatencyModel, SimConfig
 from edgesched.workload import TraceRecord, constant_source, trace_source, write_trace
 from conftest import assert_equals_constructed
@@ -239,6 +241,51 @@ class TestEpisodeProtocol:
             sim.step(action_from_unit(np.zeros((2, 16))))
         with pytest.raises(ValidationError, match="at least one seed"):
             sim.reset(())
+
+    @pytest.mark.parametrize("seeds", [7, (7,), (5, 2**64 - 1, 0)],
+                             ids=["one-seed", "batch-of-one", "batch"])
+    def test_jitter_equals_successive_draws_of_each_episode_stream(self, seeds):
+        """Each window's latency is the quiet latency times 1 + sigma * z, capped,
+        with z the next standard_normal(N) draw of the episode's env stream."""
+        sigma = 0.3
+        cfg = SimConfig()
+        loud = dataclasses.replace(cfg, latency=LatencyModel(jitter_sigma=sigma))
+        rates = constant_source(300.0, cfg.n_services, ROWS)
+        sims = [ClusterSim(dataclasses.replace(cfg, latency=quiet()), rates),
+                ClusterSim(loud, rates)]
+        batch = seeds if isinstance(seeds, tuple) else (seeds,)
+        units = np.random.default_rng(4).uniform(-1.0, 1.0, (ROWS - 1, len(batch), 16))
+        if not isinstance(seeds, tuple):
+            units = units[:, 0]
+        quiet_raw, loud_raw = ([sim.reset(seeds)[1]]
+                               + [sim.step(action_from_unit(u))[2] for u in units]
+                               for sim in sims)
+        home = {n.node_id: n for n in cfg.nodes}
+        floor = np.array([cfg.latency.base_service_ms + home[s.home_node].base_network_latency
+                          for s in cfg.services])
+        draws = [stream(seed, "env") for seed in batch]
+        for q, got in zip(quiet_raw, loud_raw, strict=True):
+            z = np.array([rng.standard_normal(cfg.n_services) for rng in draws])
+            want = q.latency_ms * (1.0 + sigma * z.reshape(q.latency_ms.shape))
+            want = want.clip(floor, cfg.latency.saturation_cap_ms)
+            assert got.latency_ms.tobytes() == want.tobytes()
+
+    def test_reset_without_jitter_builds_no_env_stream(self, monkeypatch):
+        made = []
+
+        def counting(*parts):
+            made.append(parts)
+            return stream(*parts)
+
+        monkeypatch.setattr(simulator, "stream", counting)
+        cfg = SimConfig()
+        rates = constant_source(300.0, cfg.n_services, ROWS)
+        sim = ClusterSim(dataclasses.replace(cfg, latency=quiet()), rates)
+        sim.reset(3)
+        sim.reset((0, 1, 2))
+        assert made == []
+        ClusterSim(cfg, rates).reset((0, 1, 2))  # jitter on: one stream per episode
+        assert made == [(0, "env"), (1, "env"), (2, "env")]
 
     def test_observations_in_unit_box(self):
         cfg = SimConfig()
