@@ -4,10 +4,11 @@
 Reproduces the qualitative-ordering experiment end to end: 4 algorithms x
 2 scenarios x 4 seeds with the settings the acceptance suite locks in
 (60 episodes of 20 steps, 128-wide nets, 5e-4 learning rates). The 32
-jobs train in one lane per CPU (harness.run_campaign). Took 61 s on a
-2-vCPU x86_64 Xeon host (OpenBLAS SkylakeX kernel, Python 3.11.7,
-numpy 2.4.6), against 125 s for the same jobs one after another; pass
---episodes / --seeds to shrink it.
+jobs train in one lane per CPU (harness.run_campaign). One run took 26 s
+on a 2-vCPU x86_64 Xeon host (OpenBLAS SkylakeX kernel, Python 3.11.7,
+numpy 2.4.6), and 42 s pinned to one CPU (taskset -c 0), where the jobs
+run one after another. A shared host's speed drifts, so compare only
+timings taken together. Pass --episodes / --seeds to shrink it.
 """
 
 import argparse

@@ -215,8 +215,7 @@ class Td3Agent:
         """Bootstrapped targets y = r + gamma * min_i Q'_i(s', a') * (1 - done)."""
         a_next, _ = self.smoothed_target_action(next_states, rng)
         sa_next = np.concatenate([next_states, a_next], axis=1)
-        q_next = [tc.forward(sa_next, reuse=True)[0] for tc in self.target_critics]
-        q_min = q_next[0] if len(q_next) == 1 else np.minimum.reduce(q_next)
+        q_min = np.minimum.reduce([c.forward(sa_next, reuse=True)[0] for c in self.target_critics])
         return rewards[:, None] + self.hyper.gamma * q_min * (1.0 - dones)[:, None]
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:

@@ -76,14 +76,15 @@ class ExperimentConfig:
         if self.algorithm not in AGENT_KINDS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {AGENT_KINDS}")
-        if self.episodes < 1 or self.steps_per_episode < 1:
-            raise ConfigError("episodes and steps_per_episode must be >= 1")
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                   for n in (self.episodes, self.steps_per_episode)):
+            raise ConfigError("episodes and steps_per_episode must be integers >= 1")
         if self.steps_per_episode > MAX_STEPS_PER_EPISODE:
             raise ConfigError(f"steps_per_episode must be <= {MAX_STEPS_PER_EPISODE}, "
                               f"got {self.steps_per_episode}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
-        if any(not isinstance(s, int) or s < 0 for s in self.seeds):
+        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in self.seeds):
             raise ConfigError("seeds must be non-negative integers")
         if self.workload_weights not in WEIGHT_SCHEMES:
             raise ConfigError(
@@ -214,9 +215,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     if "seeds" in doc:
         seeds = doc["seeds"]
-        if not isinstance(seeds, list) or not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-            raise ConfigError("config.seeds: expected a list of integers")
+        if not isinstance(seeds, list):  # the config checks the entries
+            raise ConfigError("config.seeds: expected a list")
         values["seeds"] = tuple(seeds)
 
     scenario = values.get("scenario", "")

@@ -39,6 +39,7 @@ __all__ = [
     "load_metrics",
     "MetricsLoadError",
     "run_campaign",
+    "run_lanes",
     "run_training",
     "train_one_seed",
     "run_evaluation",
@@ -238,80 +239,83 @@ def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[E
     return rows
 
 
-def _train_jobs(jobs: list[tuple[ExperimentConfig, int]]) -> None:
-    for config, seed in jobs:
-        train_one_seed(config, seed, Path(config.output_dir))
+def _train_job(config: ExperimentConfig, seed: int) -> None:
+    train_one_seed(config, seed, Path(config.output_dir))
 
 
 def _lane_main() -> None:
-    """Worker lane: train the jobs pickled on stdin; pickle back None or the error.
+    """Worker lane: run the (fn, jobs) pickled on stdin; pickle back the results or the error.
 
     stdin's EOF ends the lane: the caller closes it once it has the outcome or
     gives up, and the OS closes it when the caller dies.
     """
     out, sys.stdout = sys.stdout.buffer, sys.stderr
-    jobs = pickle.load(sys.stdin.buffer)
+    fn, jobs = pickle.load(sys.stdin.buffer)
     threading.Thread(target=lambda: os.read(0, 1) or os._exit(1), daemon=True).start()
-    outcome = None
     try:
-        _train_jobs(jobs)
-    except Exception as exc:
-        outcome = exc
-    try:  # an exception that cannot make the round trip goes as text
-        pickle.loads(data := pickle.dumps(outcome))
-    except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(outcome).__name__}: {outcome}"))
+        data = pickle.dumps([fn(*job) for job in jobs])
+    except Exception as exc:  # a job's, or the pickling of the results
+        try:  # an exception that cannot make the round trip goes as text
+            pickle.loads(data := pickle.dumps(exc))
+        except Exception:
+            data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
     out.write(data)
     out.flush()
 
 
-def _start_lane(jobs: list[tuple[ExperimentConfig, int]]):
+def _start_lane(fn, jobs: list[tuple]):
     import subprocess  # imported here, so a single-lane run does not pay for it
 
-    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, path)))
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from edgesched.harness import _lane_main; _lane_main()"],
         bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
-    proc.stdin.write(pickle.dumps(jobs))  # stdin stays open until the outcome is in
+    proc.stdin.write(pickle.dumps((fn, jobs)))  # stdin stays open until the outcome is in
     return proc
 
 
-def run_campaign(configs: list[ExperimentConfig]) -> list[Path]:
-    """Train every (config, seed) job; return each config's run directory.
+def run_lanes(fn, jobs: list[tuple]) -> list:
+    """Run fn(*job) for every job; return the results in job order.
 
-    Lane k of min(jobs, usable CPUs) lanes trains jobs[k::lanes] in order.
-    The caller is lane 0; the others are worker processes with one BLAS
-    thread. A worker's exception is raised here, and every worker has
-    exited when this returns or raises. A (run directory, seed) job listed
-    twice is rejected before any lane starts: two lanes would write one
-    seed's files at once.
+    Lane k of min(jobs, usable CPUs) lanes runs jobs[k::lanes] in order. The
+    caller is lane 0; each other lane is a worker process with one BLAS thread
+    and the caller's sys.path, so fn must be a module-level function and the
+    jobs and results must pickle. A worker's exception is raised here, and
+    every worker has exited when this returns or raises.
     """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    lanes, workers, results = max(1, min(len(jobs), cpus)), [], [None] * len(jobs)
+    try:
+        for k in range(1, lanes):
+            workers.append(_start_lane(fn, jobs[k::lanes]))
+        results[::lanes] = [fn(*job) for job in jobs[::lanes]]
+        for k, proc in enumerate(workers, 1):
+            data = proc.stdout.read()
+            if proc.wait() != 0 or not data:
+                raise RuntimeError(f"campaign worker exited with code {proc.returncode} "
+                                   "without sending an outcome")
+            if isinstance(outcome := pickle.loads(data), Exception):
+                raise outcome
+            results[k::lanes] = outcome
+    finally:
+        for proc in workers:  # EOF stops a lane still running
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.wait()
+    return results
+
+
+def run_campaign(configs: list[ExperimentConfig]) -> list[Path]:
+    """Train every (config, seed) job on run_lanes; return each config's run directory.
+    A (run directory, seed) job listed twice is rejected: two lanes would write its files."""
     jobs = [(config, seed) for config in configs for seed in config.seeds]
     seen = set()
     for config, seed in jobs:
         if (job := (Path(config.output_dir).resolve(), seed)) in seen:
             raise ValidationError(f"{job[0]}: seed {seed} is listed twice for this directory")
         seen.add(job)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    lanes, workers = max(1, min(len(jobs), cpus)), []
-    try:
-        for k in range(1, lanes):
-            workers.append(_start_lane(jobs[k::lanes]))
-        _train_jobs(jobs[::lanes])
-        for proc in workers:
-            data = proc.stdout.read()
-            if proc.wait() != 0 or not data:
-                raise RuntimeError(f"campaign worker exited with code {proc.returncode} "
-                                   "without sending an outcome")
-            if (outcome := pickle.loads(data)) is not None:
-                raise outcome
-    finally:
-        for proc in workers:  # EOF stops a lane still training
-            proc.stdin.close()
-            proc.stdout.close()
-            proc.wait()
+    run_lanes(_train_job, jobs)
     return [Path(config.output_dir) for config in configs]
 
 
@@ -328,20 +332,17 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
         raise ValidationError("episodes must be >= 1")
     if seeds is not None:  # the config checks the seeds
         config = replace(config, seeds=tuple(seeds))
-    workload = build_workload(config)
-    rows: list[EpisodeRow] = []
-    for seed in config.seeds:
-        env, agent = _setup(config, workload, seed)
-        if agent.trainable:
-            if params_path is None:
-                raise ValidationError(
-                    f"algorithm {config.algorithm!r} needs a parameter file to evaluate")
-            agent.load_policy(load_mlp(params_path,
-                                       expect_sizes=agent.policy_net().layer_sizes))
-        # no greedy act reads the step counter or a stream
-        rows += _run_episode(env, agent, config, seed, tuple(range(episodes)), "eval", 0, [],
-                             None, None)
-    return rows
+    # only the resets depend on the seed: a loaded policy replaces the seeded init
+    env, agent = _setup(config, build_workload(config), config.seeds[0])
+    if agent.trainable:
+        if params_path is None:
+            raise ValidationError(
+                f"algorithm {config.algorithm!r} needs a parameter file to evaluate")
+        agent.load_policy(load_mlp(params_path, expect_sizes=agent.policy_net().layer_sizes))
+    # no greedy act reads the step counter or a stream
+    return [row for seed in config.seeds
+            for row in _run_episode(env, agent, config, seed, tuple(range(episodes)), "eval",
+                                    0, [], None, None)]
 
 
 # ---------------------------------------------------------------------------

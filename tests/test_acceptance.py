@@ -43,6 +43,7 @@ from edgesched.harness import (
     load_run,
     run_campaign,
     run_evaluation,
+    run_lanes,
     train_one_seed,
 )
 from edgesched.nets import Mlp, soft_update
@@ -276,22 +277,24 @@ def test_criterion_04_update_mechanics():
 # 5: terminal-bandit fixed point for both continuous learners
 
 
+def _bandit_run(cls, seed):
+    """One run_lanes job of criterion 05: (kind, seed, both Q at the probe, all within 0.01)."""
+    rng = stream(seed, "accept-bandit")
+    agent = cls(1, Td3Hyper(hidden=16, batch_size=16,
+                            warmup_transitions=0), rng)
+    buf = _bandit_buffer(reward=1.0, done=True)
+    for _ in range(2000):
+        agent.learn(buf, rng)
+    s = StateVector(*(np.full(1, 0.5) for _ in range(4)))
+    a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
+    sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])
+    qs = [float(c.forward(sa)[0][0]) for c in agent.critics]
+    return cls.kind, seed, qs, all(abs(q - 1.0) <= 0.01 for q in qs)
+
+
 def test_criterion_05_bandit_fixed_point():
-    results = []
-    for cls in (Td3Agent, DdpgAgent):
-        for seed in (0, 1, 2):
-            rng = stream(seed, "accept-bandit")
-            agent = cls(1, Td3Hyper(hidden=16, batch_size=16,
-                                    warmup_transitions=0), rng)
-            buf = _bandit_buffer(reward=1.0, done=True)
-            for _ in range(2000):
-                agent.learn(buf, rng)
-            s = StateVector(*(np.full(1, 0.5) for _ in range(4)))
-            a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
-            sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])
-            qs = [float(c.forward(sa)[0][0]) for c in agent.critics]
-            results.append((cls.kind, seed, qs,
-                            all(abs(q - 1.0) <= 0.01 for q in qs)))
+    results = run_lanes(_bandit_run, [(cls, seed) for cls in (Td3Agent, DdpgAgent)
+                                      for seed in (0, 1, 2)])
     ok = all(r[3] for r in results)
     spread = max(abs(q - 1.0) for r in results for q in r[2])
     verdict(5, "bandit-fixed-point",
@@ -304,33 +307,38 @@ def test_criterion_05_bandit_fixed_point():
 # 6: twin-min lowers value-estimate bias on a known-Q batch
 
 
-def test_criterion_06_overestimation_bias():
+def _bias_run(seed):
+    """One run_lanes job of criterion 06: the mean probe Q of TD3 and of DDPG."""
     # every transition loops with zero-mean noisy reward and done=False,
     # so the true Q of any (s, a) is exactly 0
-    biases = {"td3": [], "ddpg": []}
-    for seed in range(20):
-        data_rng = stream(seed, "accept-bias-data")
-        n = 256
-        states = data_rng.uniform(0, 1, (n, 4))
-        units = data_rng.uniform(-1, 1, (n, 2))
-        rewards = data_rng.normal(0.0, 1.0, n)
-        buf = ReplayBuffer(n)
-        for i in range(n):
-            sv = StateVector(*(states[i, j:j + 1] for j in range(4)))
-            buf.add(sv.vec, action_from_unit(units[i]).vec, float(rewards[i]), sv.vec,
-                    False)
-        probe = np.concatenate([states, units], axis=1)
-        for name, cls in (("td3", Td3Agent), ("ddpg", DdpgAgent)):
-            agent = cls(1, Td3Hyper(hidden=32, batch_size=64,
-                                    warmup_transitions=0),
-                        stream(seed, "accept-bias-init"))
-            train_rng = stream(seed, "accept-bias-train")
-            for _ in range(600):
-                agent.learn(buf, train_rng)
-            q, _ = agent.critics[0].forward(probe)
-            biases[name].append(float(q.mean()))
-    m_td3 = float(np.mean(biases["td3"]))
-    m_ddpg = float(np.mean(biases["ddpg"]))
+    data_rng = stream(seed, "accept-bias-data")
+    n = 256
+    states = data_rng.uniform(0, 1, (n, 4))
+    units = data_rng.uniform(-1, 1, (n, 2))
+    rewards = data_rng.normal(0.0, 1.0, n)
+    buf = ReplayBuffer(n)
+    for i in range(n):
+        sv = StateVector(*(states[i, j:j + 1] for j in range(4)))
+        buf.add(sv.vec, action_from_unit(units[i]).vec, float(rewards[i]), sv.vec,
+                False)
+    probe = np.concatenate([states, units], axis=1)
+    biases = []
+    for cls in (Td3Agent, DdpgAgent):
+        agent = cls(1, Td3Hyper(hidden=32, batch_size=64,
+                                warmup_transitions=0),
+                    stream(seed, "accept-bias-init"))
+        train_rng = stream(seed, "accept-bias-train")
+        for _ in range(600):
+            agent.learn(buf, train_rng)
+        q, _ = agent.critics[0].forward(probe)
+        biases.append(float(q.mean()))
+    return biases
+
+
+def test_criterion_06_overestimation_bias():
+    biases = run_lanes(_bias_run, [(seed,) for seed in range(20)])
+    m_td3 = float(np.mean([td3 for td3, _ in biases]))
+    m_ddpg = float(np.mean([ddpg for _, ddpg in biases]))
     ok = m_td3 <= m_ddpg
     verdict(6, "overestimation-bias",
             ok, f"mean bias over 20 seeds: twin {m_td3:+.4f} <= single {m_ddpg:+.4f}"

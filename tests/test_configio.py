@@ -150,6 +150,17 @@ class TestRejection:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, doc))
 
+    @pytest.mark.parametrize("kw", [
+        {"episodes": True},
+        {"steps_per_episode": True},
+        {"seeds": (True,)},
+        {"seeds": (0, False)},
+    ])
+    def test_bools_rejected_where_integers_go(self, kw):
+        # True == 1, so only a type check stops it: it would train into manifest_seedTrue.json
+        with pytest.raises(ConfigError, match="integers"):
+            ExperimentConfig(**kw)
+
     @pytest.mark.parametrize("doc", [
         {"algorithm": "ppo"},
         {"scenario": "low_50"},

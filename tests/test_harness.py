@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import edgesched
 from edgesched import harness
 from edgesched.agents import DqnHyper, Td3Agent, Td3Hyper
 from edgesched.configio import ExperimentConfig, build_workload, config_hash
@@ -29,6 +29,7 @@ from edgesched.harness import (
     load_run,
     run_campaign,
     run_evaluation,
+    run_lanes,
     run_training,
     train_one_seed,
 )
@@ -319,13 +320,69 @@ def broken_trace(tmp_path, kind):
     return path
 
 
-def lane_process(code):
-    """A worker lane started as run_campaign starts one, after running `code`."""
-    src = str(Path(edgesched.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+def lane_process():
+    """A worker lane started as run_lanes starts one, with stderr piped too."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
     return subprocess.Popen(
-        [sys.executable, "-c", f"{code}\nfrom edgesched.harness import _lane_main; _lane_main()"],
+        [sys.executable, "-c", "from edgesched.harness import _lane_main; _lane_main()"],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+# run_lanes job functions: module-level, so a worker lane unpickles them from here
+
+
+def job_and_pid(value):
+    return value, os.getpid()
+
+
+def fail_at(value, bad):
+    if value == bad:
+        raise ValueError(f"job {value} failed")
+    return value
+
+
+def interrupt_in(pid):
+    """KeyboardInterrupt in process pid; a long wait in any other."""
+    if os.getpid() == pid:
+        raise KeyboardInterrupt
+    time.sleep(60)
+
+
+class Stubborn(Exception):
+    """Pickles, but cannot be unpickled: __init__ takes two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def raise_stubborn(a, b):
+    raise Stubborn(a, b)
+
+
+class TestLanes:
+    def test_results_come_back_in_job_order(self, workers):
+        lanes = min(5, CPUS)
+        results = run_lanes(job_and_pid, [(value,) for value in range(5)])
+        assert [value for value, _ in results] == list(range(5))
+        assert len(workers) == lanes - 1 and all(proc.returncode == 0 for proc in workers)
+        pids = [pid for _, pid in results]
+        assert pids[::lanes] == [os.getpid()] * len(pids[::lanes])
+        if lanes > 1:  # lane 1 is another process
+            assert pids[1] != os.getpid() and set(pids[1::lanes]) == {pids[1]}
+
+    @pooled
+    def test_worker_exception_is_raised_by_caller(self, workers):
+        with pytest.raises(ValueError, match="job 1 failed"):
+            run_lanes(fail_at, [(0, 1), (1, 1)])  # job 1 is lane 1's
+        assert len(workers) == 1 and workers[0].returncode == 0
+
+    def test_one_lane_starts_no_process(self, monkeypatch, workers):
+        pid = os.getpid()
+        assert run_lanes(job_and_pid, [(7,)]) == [(7, pid)]
+        assert run_lanes(job_and_pid, []) == []
+        one_lane(monkeypatch)
+        assert run_lanes(job_and_pid, [(0,), (1,), (2,)]) == [(0, pid), (1, pid), (2, pid)]
+        assert workers == []
 
 
 class TestCampaign:
@@ -374,14 +431,12 @@ class TestCampaign:
         assert not (tmp_path / "long" / "manifest_seed0.json").exists()
 
     @pooled
-    def test_interrupted_caller_waits_for_workers(self, tmp_path, monkeypatch, workers):
-        def interrupted(jobs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(harness, "_train_jobs", interrupted)  # lane 0 only
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(two_by_two(tmp_path, episodes=10_000))
-        assert workers and all(proc.returncode is not None for proc in workers)
+    def test_interrupted_caller_waits_for_workers(self, workers):
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):  # in lane 0 only
+            run_lanes(interrupt_in, [(os.getpid(),)] * 4)
+        assert time.perf_counter() - started < 30
+        assert workers and all(proc.returncode == 1 for proc in workers)  # stdin EOF
 
     @pooled
     def test_worker_without_outcome_names_exit_code(self, tmp_path, monkeypatch, workers):
@@ -416,9 +471,10 @@ class TestCampaign:
 
 
 class TestLaneProtocol:
-    def _outcome(self, proc):
-        """Send the lane no jobs; return its outcome and what it wrote to stderr."""
-        proc.stdin.write(pickle.dumps([]))
+    def _outcome(self, fn, jobs):
+        """Send a new lane (fn, jobs); return its outcome and what it wrote to stderr."""
+        proc = lane_process()
+        proc.stdin.write(pickle.dumps((fn, jobs)))
         proc.stdin.flush()
         data, stderr = proc.stdout.read(), proc.stderr.read()
         assert proc.wait(timeout=60) == 0
@@ -427,27 +483,22 @@ class TestLaneProtocol:
         return pickle.loads(data), stderr
 
     def test_prints_go_to_stderr(self):
-        proc = lane_process("import edgesched.harness as h\n"
-                            "h._train_jobs = lambda jobs: print('noise', jobs)")
-        assert self._outcome(proc) == (None, b"noise []\n")
+        assert self._outcome(print, [("noise", [])]) == ([None], b"noise []\n")
 
     def test_unpicklable_error_arrives_as_text(self):
-        proc = lane_process(
-            "import edgesched.harness as h\n"
-            "class Stubborn(Exception):\n"
-            "    def __init__(self, a, b):\n"
-            "        super().__init__(f'{a}/{b}')\n"
-            "def fail(jobs):\n"
-            "    raise Stubborn(1, 2)\n"
-            "h._train_jobs = fail")
-        outcome, _ = self._outcome(proc)
+        outcome, _ = self._outcome(raise_stubborn, [(1, 2)])
         assert type(outcome) is RuntimeError
         assert str(outcome) == "Stubborn: 1/2"
 
+    def test_unpicklable_result_sends_the_pickling_error(self):
+        outcome, _ = self._outcome(threading.Lock, [()])
+        assert type(outcome) is TypeError
+        assert str(outcome).startswith("cannot pickle")
+
     def test_stdin_eof_ends_a_busy_lane(self, tmp_path):
-        proc = lane_process("")
+        proc = lane_process()
         config = tiny_config(episodes=10_000, output_dir=str(tmp_path))
-        proc.stdin.write(pickle.dumps([(config, 0)]))
+        proc.stdin.write(pickle.dumps((harness._train_job, [(config, 0)])))
         proc.stdin.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stdout.read() == b""
@@ -474,6 +525,21 @@ class TestEvaluation:
                     x.slo_violation_rate, x.total_reward) == \
                    (y.mean_latency_ms, y.resource_efficiency,
                     y.slo_violation_rate, y.total_reward)
+
+    @pytest.mark.parametrize("algo", ["td3", "basek"])
+    def test_seeds_share_one_setup(self, tmp_path, monkeypatch, algo):
+        run_training(tiny_config(algorithm=algo, output_dir=str(tmp_path)))
+        params = tmp_path / "params_seed0.bin" if algo == "td3" else None
+        cfg = tiny_config(algorithm=algo, seeds=(0, 1))
+        loads, load = [], harness.load_mlp
+        monkeypatch.setattr(harness, "load_mlp",
+                            lambda *args, **kw: loads.append(args) or load(*args, **kw))
+        both = run_evaluation(cfg, params, episodes=3)
+        assert loads == ([(params,)] if params else [])
+        alone = [row for seed in cfg.seeds
+                 for row in run_evaluation(cfg, params, episodes=3, seeds=(seed,))]
+        assert [row.as_csv()[:-1] for row in both] == [row.as_csv()[:-1] for row in alone]
+        assert {row.seed for row in both} == {0, 1}
 
     def test_learner_requires_params(self):
         with pytest.raises(ValidationError, match="parameter file"):
