@@ -4,64 +4,32 @@ A self-contained lab: a fluid-flow cluster simulator, a multi-objective
 reward, numpy-only actor-critic learners (twin-critic and single-critic
 deterministic policy gradient, a factored DQN) plus static baselines, and
 a deterministic experiment harness with a CLI.
+
+The names below load their module on first use, so importing the package
+alone loads no numpy and an entry point can still set its BLAS threads.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .agents import (
-    BaseKScheduler,
-    DdpgAgent,
-    DqnAgent,
-    DqnHyper,
-    Td3Agent,
-    Td3Hyper,
-    build_agent,
-)
-from .configio import ExperimentConfig, build_workload, load_config
-from .domain import (
-    ActionVector,
-    NormalizationConfig,
-    RawMetrics,
-    StateVector,
-    Transition,
-    ValidationError,
-)
-from .harness import compare_runs, run_campaign, run_evaluation, run_training
-from .replay import ReplayBuffer
-from .rewards import RewardWeights, episode_metrics, total_reward
-from .simulator import ClusterSim, LatencyModel, SimConfig
-from .workload import constant_source, load_trace, qps_at
+_EXPORTS = {name: module for module, names in {
+    "agents": "BaseKScheduler DdpgAgent DqnAgent DqnHyper Td3Agent Td3Hyper build_agent",
+    "configio": "ExperimentConfig build_workload load_config",
+    "domain": "ActionVector NormalizationConfig RawMetrics StateVector Transition "
+              "ValidationError",
+    "harness": "compare_runs run_campaign run_evaluation run_training",
+    "replay": "ReplayBuffer",
+    "rewards": "RewardWeights episode_metrics total_reward",
+    "simulator": "ClusterSim LatencyModel SimConfig",
+    "workload": "constant_source load_trace qps_at",
+}.items() for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "ActionVector",
-    "BaseKScheduler",
-    "ClusterSim",
-    "DdpgAgent",
-    "DqnAgent",
-    "DqnHyper",
-    "ExperimentConfig",
-    "LatencyModel",
-    "NormalizationConfig",
-    "RawMetrics",
-    "ReplayBuffer",
-    "RewardWeights",
-    "SimConfig",
-    "StateVector",
-    "Td3Agent",
-    "Td3Hyper",
-    "Transition",
-    "ValidationError",
-    "build_agent",
-    "build_workload",
-    "compare_runs",
-    "constant_source",
-    "episode_metrics",
-    "load_config",
-    "load_trace",
-    "qps_at",
-    "run_campaign",
-    "run_evaluation",
-    "run_training",
-    "total_reward",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value

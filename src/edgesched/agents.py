@@ -8,7 +8,7 @@ at the boundary; the replay buffer always stores domain-unit actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,6 +57,11 @@ class TrainStats:
 
 def _check_learner(hyper: Td3Hyper | DqnHyper) -> None:
     """The checks every replay learner's hyperparameters share."""
+    for f in fields(hyper):  # annotations are postponed, so each type is a string
+        value = getattr(hyper, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValidationError(
+                f"{type(hyper).__name__}.{f.name} must be an integer, got {value!r}")
     if not (0.0 <= hyper.gamma <= 1.0):
         raise ValidationError(f"gamma must be in [0, 1], got {hyper.gamma}")
     if hyper.batch_size < 1 or hyper.warmup_transitions < 0:

@@ -5,9 +5,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads: this process is lane 0 of a
+# several-seed train, and more BLAS threads here would compete with the lanes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .agents import AGENT_KINDS
 from .configio import load_config
@@ -83,9 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser(
         "train", help="run a training campaign",
         description="Train one seed per entry of the config's seeds list. Several seeds "
-                    "train side by side, one CPU lane each, and this process is lane 0. "
-                    "It cannot pin its BLAS threads once numpy is imported, so start it "
-                    "with OPENBLAS_NUM_THREADS=1 for the lanes to speed training up.")
+                    "train side by side, one CPU lane each, and this process is lane 0.")
     train.add_argument("--config", required=True, help="experiment JSON file")
     train.add_argument("--algo", required=True, choices=AGENT_KINDS,
                        help="policy to train")

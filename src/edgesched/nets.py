@@ -36,9 +36,7 @@ class ForwardCache:
     """Activations retained by forward() so backward() can run."""
 
     x: np.ndarray                 # input, shape (B, in) or (E, B, in)
-    pre: list[np.ndarray]         # pre-activations per layer
     post: list[np.ndarray]        # post-activations per layer
-    squeeze: bool                 # input arrived as a 1-D vector
 
 
 def _spans(layer_sizes: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -76,7 +74,7 @@ class Mlp:
         params = self._views(self.flat)
         self.weights = params[0::2]
         self.biases = params[1::2]
-        self._kept: tuple[list[np.ndarray], list[np.ndarray]] | None = None  # forward(reuse=True)
+        self._kept: list[np.ndarray] | None = None  # forward(reuse=True)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """A vector laid out like flat, split into its tensors W0, b0, W1, b1, ..."""
@@ -105,46 +103,38 @@ class Mlp:
         return net
 
     def forward(self, x, reuse: bool = False) -> tuple[np.ndarray, ForwardCache]:
-        """Affine/activation composition; accepts (in,) or (B, in) input, or a
-        stack (E, B, in) for forward only: a stack of (1, in) rows gives each row
-        the bytes of its one-row call, where a flat (E, in) batch may round
-        differently. Values are not checked: each update checks the updated
-        network's parameters once.
+        """Affine/activation composition of a (B, in) batch, or of a stack
+        (E, B, in) for forward only: a stack of (1, in) rows gives each row the
+        bytes of its one-row call, where a flat (E, in) batch may round
+        differently. Each layer keeps one array: its product, with the bias
+        and the activation applied in place; x itself is never written. Values
+        are not checked: each update checks the updated network's parameters
+        once.
 
         With reuse, the activations go into the arrays of this network's last
         reuse call when the batch size matches, so that call's output and cache
         are overwritten; every other call returns arrays of its own.
         """
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
         if x.ndim not in (2, 3) or x.shape[-1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with input size {self.layer_sizes[0]}")
         kept = self._kept if reuse else None
-        if kept is not None and kept[0][0].shape[:-1] != x.shape[:-1]:
+        if kept is not None and kept[0].shape[:-1] != x.shape[:-1]:
             kept = None
-        pre, post = [], []
+        post = []
         a = x
         for l in range(self.n_layers):
-            if kept is None:  # @ beats np.matmul on the single rows an exploring act() sends
-                z, into = a @ self.weights[l], None
-            else:
-                z, into = np.matmul(a, self.weights[l], out=kept[0][l]), kept[1][l]
-            z += self.biases[l]
-            pre.append(z)
+            a = np.matmul(a, self.weights[l], out=None if kept is None else kept[l])
+            a += self.biases[l]
             if l < self.n_layers - 1:
-                a = np.maximum(z, 0.0, out=into)
+                np.maximum(a, 0.0, out=a)
             elif self.output_activation == "tanh":
-                a = np.tanh(z, out=into)
-            else:
-                a = z
+                np.tanh(a, out=a)
             post.append(a)
         if reuse:
-            self._kept = (pre, post)
-        out = post[-1][0] if squeeze else post[-1]
-        return out, ForwardCache(x=x, pre=pre, post=post, squeeze=squeeze)
+            self._kept = post
+        return a, ForwardCache(x=x, post=post)
 
     def backward(self, cache: ForwardCache, output_gradient,
                  grad: np.ndarray | None = None) -> np.ndarray:
@@ -156,7 +146,7 @@ class Mlp:
         gradient is computed and returned. The cache must come from this
         network's matching forward call.
         """
-        if len(cache.pre) != self.n_layers or cache.pre[-1].shape[1:] != (self.layer_sizes[-1],):
+        if len(cache.post) != self.n_layers or cache.post[-1].shape[1:] != (self.layer_sizes[-1],):
             raise ValidationError("cache does not match this network")
         if grad is not None:
             if grad.shape != self.flat.shape or grad.dtype != np.float64 \
@@ -166,8 +156,6 @@ class Mlp:
                     f"got {grad.dtype} of shape {grad.shape}")
             param_grads = self._views(grad)
         g = np.asarray(output_gradient, dtype=np.float64)
-        if cache.squeeze and g.ndim == 1:
-            g = g[None, :]
         if g.shape != cache.post[-1].shape:
             raise DimensionError(
                 f"output_gradient shape {g.shape} != output shape {cache.post[-1].shape}")
@@ -184,8 +172,8 @@ class Mlp:
                     return grad
             da = dz @ self.weights[l].T
             if l > 0:
-                dz = da * (cache.pre[l - 1] > 0.0)
-        return da[0] if cache.squeeze else da
+                dz = da * (cache.post[l - 1] > 0.0)
+        return da
 
     def check_finite(self) -> None:
         if np.isfinite(self.flat).all():
@@ -310,6 +298,8 @@ def load_mlp(path: str | Path, expect_sizes: list[int] | None = None) -> Mlp:
     if not (2 <= n_sizes <= 64):
         raise ParamLoadError(f"{path}: implausible layer count {n_sizes}")
     sizes = list(struct.unpack(f"<{n_sizes}I", take(4 * n_sizes)))
+    if min(sizes) < 1:
+        raise ParamLoadError(f"{path}: layer sizes must be >= 1, got {sizes}")
     (act_tag,) = struct.unpack("<B", take(1))
     if act_tag >= len(_ACTIVATIONS):
         raise ParamLoadError(f"{path}: unknown activation tag {act_tag}")

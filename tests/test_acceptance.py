@@ -114,8 +114,8 @@ def test_criterion_02_gradient_check():
         for trial in range(5):
             rng = stream(trial, "accept-fd")
             net = Mlp.create(in_dim, hidden, out_dim, act, rng)
-            x = rng.normal(size=in_dim)
-            proj = rng.normal(size=out_dim)
+            x = rng.normal(size=(1, in_dim))
+            proj = rng.normal(size=(1, out_dim))
             _, cache = net.forward(x)
             flat_g = net.backward(cache, proj, grad=np.empty(net.flat.size))
             x_grad = net.backward(cache, proj)
@@ -132,13 +132,13 @@ def test_criterion_02_gradient_check():
                 worst = max(worst, abs(flat_g[j] - numeric) / denom)
             for j in range(in_dim):
                 bumped = x.copy()
-                bumped[j] += eps
+                bumped[0, j] += eps
                 up = _fd_objective(net, bumped, proj)
-                bumped[j] -= 2 * eps
+                bumped[0, j] -= 2 * eps
                 dn = _fd_objective(net, bumped, proj)
                 numeric = (up - dn) / (2 * eps)
-                denom = max(abs(x_grad[j]), abs(numeric), 1e-8)
-                worst = max(worst, abs(x_grad[j] - numeric) / denom)
+                denom = max(abs(x_grad[0, j]), abs(numeric), 1e-8)
+                worst = max(worst, abs(x_grad[0, j] - numeric) / denom)
             nets_checked += 1
     ok = worst < 1e-4
     verdict(2, "gradient-check",
@@ -287,8 +287,8 @@ def _bandit_run(cls, seed):
         agent.learn(buf, rng)
     s = StateVector(*(np.full(1, 0.5) for _ in range(4)))
     a = ActionVector(cpu_alloc=np.array([1.0]), mem_alloc=np.array([1024.0]))
-    sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])
-    qs = [float(c.forward(sa)[0][0]) for c in agent.critics]
+    sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])[None, :]
+    qs = [float(c.forward(sa)[0][0, 0]) for c in agent.critics]
     return cls.kind, seed, qs, all(abs(q - 1.0) <= 0.01 for q in qs)
 
 

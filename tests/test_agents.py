@@ -129,7 +129,7 @@ class TestSelectAction:
         s = make_state(1)
         t = 40
         got = agent.act(s, None, t=t, explore=True, rng=stream(9, "n"))
-        u, _ = agent.actor.forward(s.vec)
+        u = agent.actor.forward(s.vec[None, :])[0][0]
         sigma = exploration_sigma(agent.hyper, t)
         expect = np.clip(u + sigma * stream(9, "n").standard_normal(2), -1, 1)
         np.testing.assert_allclose(got.vec, action_from_unit(expect).vec, atol=1e-12)
@@ -299,10 +299,10 @@ class TestTrainStep:
             buf.add(s.vec, a.vec, 1.0, s.vec, True)
         for _ in range(2000):
             agent.learn(buf, rng)
-        sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])
+        sa = np.concatenate([s.vec, batch_units_from_domain(a.vec)])[None, :]
         for critic in agent.critics:
             q, _ = critic.forward(sa)
-            assert q[0] == pytest.approx(1.0, abs=0.01)
+            assert q[0, 0] == pytest.approx(1.0, abs=0.01)
 
 
 # -------------------------------------------------------------------- ddpg
@@ -601,7 +601,7 @@ def test_learn_reuses_each_network_activation_arrays(rng, monkeypatch, kind):
 
     def spy(net, x, reuse=False):
         out, cache = forward(net, x, reuse=reuse)
-        outputs.append((net, reuse, cache.pre[0]))
+        outputs.append((net, reuse, cache.post[0]))
         return out, cache
 
     monkeypatch.setattr(Mlp, "forward", spy)
@@ -609,24 +609,24 @@ def test_learn_reuses_each_network_activation_arrays(rng, monkeypatch, kind):
                         dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
     buf = fill_buffer()
     agent.learn(buf, rng)
-    first = {id(net): pre for net, _, pre in outputs}
+    first = {id(net): post0 for net, _, post0 in outputs}
     n_calls = len(outputs)
     agent.learn(buf, rng)
     assert len(outputs) == 2 * n_calls
     assert all(reuse for _, reuse, _ in outputs)
-    assert all(pre is first[id(net)] for net, _, pre in outputs)
+    assert all(post0 is first[id(net)] for net, _, post0 in outputs)
 
 
 @pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
 def test_greedy_acts_reuse_forward_arrays_and_keep_each_action(rng, monkeypatch, kind):
     """Two batched greedy acts: the second forward writes into the first's
     arrays, and each act still returns a block of its own."""
-    pres = []
+    posts = []
     forward = Mlp.forward
 
     def spy(net, x, reuse=False):
         out, cache = forward(net, x, reuse=reuse)
-        pres.append(cache.pre[0])
+        posts.append(cache.post[0])
         return out, cache
 
     monkeypatch.setattr(Mlp, "forward", spy)
@@ -636,7 +636,7 @@ def test_greedy_acts_reuse_forward_arrays_and_keep_each_action(rng, monkeypatch,
     first = agent.act(obs[0], None, t=0, explore=False, rng=None)
     kept = first._block.copy()
     second = agent.act(obs[1], None, t=0, explore=False, rng=None)
-    assert len(pres) == 2 and pres[1] is pres[0]
+    assert len(posts) == 2 and posts[1] is posts[0]
     assert not np.shares_memory(first._block, second._block)
     assert first._block.tobytes() == kept.tobytes()  # the prev_action the reward reads
     assert second._block.tobytes() != kept.tobytes()
@@ -649,7 +649,7 @@ def test_exploring_act_leaves_learn_kept_arrays(rng, kind):
     agent.learn(fill_buffer(), rng)
     net = agent.policy_net()
     kept = net._kept
-    assert kept is not None and kept[0][0].shape == (8, 8)
+    assert kept is not None and kept[0].shape == (8, 8)
     agent.act(make_state(1), None, t=0, explore=True, rng=rng)
     assert net._kept is kept
 

@@ -559,3 +559,42 @@ class TestEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "train" in proc.stdout
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestPackageImport:
+    """Each check imports the package in a fresh interpreter."""
+
+    @staticmethod
+    def run_fresh(code):
+        env = {k: v for k, v in checkout_env().items() if k not in BLAS_VARS}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_package_import_loads_no_numpy(self):
+        assert self.run_fresh("import sys, edgesched; print('numpy' in sys.modules)") \
+            == "False\n"
+
+    def test_cli_import_sets_one_blas_thread(self):
+        out = self.run_fresh(
+            "import os, edgesched.cli\n"
+            f"print(*(os.environ.get(var) for var in {BLAS_VARS!r}))")
+        assert out == "1 1 1\n"
+
+    def test_every_exported_name_resolves(self):
+        out = self.run_fresh(
+            "import edgesched\n"
+            "names = {}\n"
+            "exec('from edgesched import *', names)\n"
+            "assert all(hasattr(edgesched, name) for name in edgesched.__all__)\n"
+            "assert set(edgesched.__all__) <= set(names)\n"
+            "assert edgesched.Td3Agent is __import__('edgesched.agents').agents.Td3Agent\n"
+            "try:\n"
+            "    edgesched.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n")
+        assert out == "module 'edgesched' has no attribute 'no_such_name'\n"

@@ -161,6 +161,21 @@ class TestRejection:
         with pytest.raises(ConfigError, match="integers"):
             ExperimentConfig(**kw)
 
+    @pytest.mark.parametrize("cls,kw", [
+        (Td3Hyper, {"hidden": True, "batch_size": True, "policy_freq": True}),
+        (Td3Hyper, {"policy_freq": True}),
+        (Td3Hyper, {"warmup_transitions": False}),
+        (Td3Hyper, {"hidden": 64.0}),
+        (DqnHyper, {"target_sync_every": True}),
+        (DqnHyper, {"epsilon_decay_steps": True}),
+        (DqnHyper, {"buffer_capacity": True}),
+    ])
+    def test_learner_integer_fields_reject_non_integers(self, cls, kw):
+        # the JSON loader rejects these too, but a learner built from Python
+        # would only fail later, inside the network code
+        with pytest.raises(ValidationError, match=f"{cls.__name__}.* must be an integer"):
+            cls(**kw)
+
     @pytest.mark.parametrize("doc", [
         {"algorithm": "ppo"},
         {"scenario": "low_50"},

@@ -7,6 +7,7 @@ differences on every parameter and on the input (gradient oracle).
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -49,17 +50,26 @@ def joined(tensors):
 def full_backward(net, cache, g):
     """(parameter gradient vector, input gradient) from every product of
     backpropagation, in backward's order: the reference for the products that
-    backward skips."""
-    g = np.asarray(g, dtype=np.float64).reshape(cache.post[-1].shape)
-    dz = g * (1.0 - cache.post[-1] ** 2) if net.output_activation == "tanh" else g
+    backward skips. Each layer's pre- and post-activation is recomputed from
+    cache.x and the weights; nothing else of the cache is read."""
+    pre, post, h = [], [], cache.x
+    for l in range(net.n_layers):
+        pre.append(h @ net.weights[l] + net.biases[l])
+        if l < net.n_layers - 1:
+            h = np.maximum(pre[l], 0.0)
+        else:
+            h = np.tanh(pre[l]) if net.output_activation == "tanh" else pre[l]
+        post.append(h)
+    g = np.asarray(g, dtype=np.float64)
+    dz = g * (1.0 - post[-1] ** 2) if net.output_activation == "tanh" else g
     grads = []
     for l in range(net.n_layers - 1, -1, -1):
-        a_prev = cache.x if l == 0 else cache.post[l - 1]
+        a_prev = cache.x if l == 0 else post[l - 1]
         grads[:0] = [a_prev.T @ dz, np.sum(dz, axis=0)]
         da = dz @ net.weights[l].T
         if l > 0:
-            dz = da * (cache.pre[l - 1] > 0.0)
-    return joined(grads), da[0] if cache.squeeze else da
+            dz = da * (pre[l - 1] > 0.0)
+    return joined(grads), da
 
 
 def scalar_objective(net, x, g):
@@ -70,20 +80,20 @@ def scalar_objective(net, x, g):
 class TestForward:
     def test_zero_net_outputs_zero(self):
         net = Mlp([3, 4, 4, 2], "tanh")  # a new net's parameters are all zero
-        out, _ = net.forward(np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out, _ = net.forward(np.array([[1.0, -2.0, 3.0]]))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_hand_composed_identity_chain(self):
         net = Mlp([1, 1, 1], "linear")
         net.weights[0][...] = net.weights[1][...] = 1.0
-        out, _ = net.forward(np.array([2.0]))
-        assert out[0] == 2.0
+        out, _ = net.forward(np.array([[2.0]]))
+        assert out[0, 0] == 2.0
 
     @pytest.mark.parametrize("in_dim,h,h2,out_dim,act", CHECK_SHAPES)
     def test_matches_independent_reimplementation(self, in_dim, h, h2, out_dim, act, rng):
         net = Mlp.create(in_dim, h, out_dim, act, rng)
         for _ in range(20):
-            x = rng.normal(size=in_dim)
+            x = rng.normal(size=(1, in_dim))
             out, _ = net.forward(x)
             np.testing.assert_allclose(out, forward_oracle(net, x), atol=1e-12)
 
@@ -92,8 +102,8 @@ class TestForward:
         xs = rng.normal(size=(6, 3))
         batch_out, _ = net.forward(xs)
         for i in range(6):
-            single, _ = net.forward(xs[i])
-            np.testing.assert_allclose(batch_out[i], single, atol=1e-12)
+            single, _ = net.forward(xs[i:i + 1])
+            np.testing.assert_allclose(batch_out[i], single[0], atol=1e-12)
 
     @pytest.mark.parametrize("in_dim,hidden,out_dim,act", [
         (32, 128, 16, "tanh"),     # the TD3 actor of the default 8 services
@@ -109,7 +119,7 @@ class TestForward:
         xs = rng.uniform(0.0, 1.0, size=(e, in_dim))
         stacked, cache = net.forward(xs[:, None, :])
         assert stacked.shape == (e, 1, out_dim) and cache.x.shape == (e, 1, in_dim)
-        singles = np.array([net.forward(x)[0] for x in xs])
+        singles = np.array([net.forward(x[None, :])[0][0] for x in xs])
         assert stacked[:, 0, :].tobytes() == singles.tobytes()
 
     def test_stacked_cache_has_no_backward(self, rng):
@@ -120,13 +130,28 @@ class TestForward:
 
     def test_tanh_outputs_bounded(self, rng):
         net = Mlp.create(4, 16, 3, "tanh", rng)
-        out, _ = net.forward(rng.normal(size=4) * 100.0)
+        out, _ = net.forward(rng.normal(size=(1, 4)) * 100.0)
         assert np.all(np.abs(out) < 1.0)
 
     def test_dimension_mismatch_rejected(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
-        with pytest.raises(DimensionError):
-            net.forward(np.zeros(4))
+        # a wrong width, and the right width outside a (B, in) batch or (E, B, in) stack
+        for shape in [(1, 4), (3,), (), (1, 1, 1, 3)]:
+            with pytest.raises(DimensionError, match=re.escape(f"input shape {shape}")):
+                net.forward(np.zeros(shape))
+
+    @pytest.mark.parametrize("act", ["tanh", "linear"])
+    @pytest.mark.parametrize("shape", [(5, 3), (4, 1, 3)])
+    def test_input_is_never_written(self, act, shape, rng):
+        """forward leaves the caller's x as it was and gives the same bytes with
+        reuse on and off, the second reuse call writing into the first's arrays."""
+        net = Mlp.create(3, 8, 2, act, rng)
+        xs = [rng.normal(size=shape) for _ in range(2)]
+        before = [x.tobytes() for x in xs]
+        plain = [net.forward(x)[0].tobytes() for x in xs]
+        reused = [net.forward(x, reuse=True)[0].tobytes() for x in xs]
+        assert reused == plain
+        assert [x.tobytes() for x in xs] == before
 
 
 class TestBackwardFiniteDifferences:
@@ -143,8 +168,8 @@ class TestBackwardFiniteDifferences:
         for trial in range(5):
             rng = stream(trial, "fd-check")
             net = Mlp.create(in_dim, h, out_dim, act, rng)
-            x = rng.normal(size=in_dim)
-            g = rng.normal(size=out_dim)
+            x = rng.normal(size=(1, in_dim))
+            g = rng.normal(size=(1, out_dim))
             _, cache = net.forward(x)
             flat_g = net.backward(cache, g, grad=np.empty(net.flat.size))
             flat_p = net.flat
@@ -166,24 +191,24 @@ class TestBackwardFiniteDifferences:
         for trial in range(5):
             rng = stream(trial, "fd-input")
             net = Mlp.create(in_dim, h, out_dim, act, rng)
-            x = rng.normal(size=in_dim)
-            g = rng.normal(size=out_dim)
+            x = rng.normal(size=(1, in_dim))
+            g = rng.normal(size=(1, out_dim))
             _, cache = net.forward(x)
             input_grad = net.backward(cache, g)
             for j in range(in_dim):
-                bumped = x.copy(); bumped[j] += eps
+                bumped = x.copy(); bumped[0, j] += eps
                 up = scalar_objective(net, bumped, g)
-                bumped[j] -= 2 * eps
+                bumped[0, j] -= 2 * eps
                 dn = scalar_objective(net, bumped, g)
                 numeric = (up - dn) / (2 * eps)
-                assert self._relative_error(input_grad[j], numeric) < 1e-4
+                assert self._relative_error(input_grad[0, j], numeric) < 1e-4
 
     def test_zero_output_gradient_zeroes_everything(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
-        _, cache = net.forward(rng.normal(size=3))
-        grad = net.backward(cache, np.zeros(2), grad=np.empty(net.flat.size))
+        _, cache = net.forward(rng.normal(size=(1, 3)))
+        grad = net.backward(cache, np.zeros((1, 2)), grad=np.empty(net.flat.size))
         np.testing.assert_array_equal(grad, np.zeros_like(grad))
-        np.testing.assert_array_equal(net.backward(cache, np.zeros(2)), np.zeros(3))
+        np.testing.assert_array_equal(net.backward(cache, np.zeros((1, 2))), np.zeros((1, 3)))
 
     def test_batch_grad_is_sum_of_rows(self, rng):
         # batched backward must aggregate rows, matching summed singles
@@ -194,8 +219,8 @@ class TestBackwardFiniteDifferences:
         batch_grad = net.backward(cache, gs, grad=np.empty(net.flat.size))
         summed = np.zeros(net.flat.size)
         for i in range(4):
-            _, c = net.forward(xs[i])
-            summed += net.backward(c, gs[i], grad=np.empty(net.flat.size))
+            _, c = net.forward(xs[i:i + 1])
+            summed += net.backward(c, gs[i:i + 1], grad=np.empty(net.flat.size))
         np.testing.assert_allclose(batch_grad, summed, atol=1e-10)
 
 
@@ -208,7 +233,7 @@ class TestInit:
         assert np.max(np.abs(net.weights[1])) <= bound1
         assert np.max(np.abs(net.weights[2])) <= 3e-3
         # near-midpoint initial policy: outputs start close to zero
-        out, _ = net.forward(rng.uniform(0, 1, 4))
+        out, _ = net.forward(rng.uniform(0, 1, (1, 4)))
         assert np.max(np.abs(out)) < 0.1
 
     def test_create_deterministic_per_stream(self):
@@ -310,7 +335,7 @@ class TestSerialization:
         back = load_mlp(path)
         assert back.layer_sizes == net.layer_sizes
         assert back.output_activation == net.output_activation
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         a, _ = net.forward(x)
         b, _ = back.forward(x)
         np.testing.assert_array_equal(a, b)
@@ -351,6 +376,16 @@ class TestSerialization:
         with pytest.raises(ParamLoadError):
             load_mlp(path)
 
+    @pytest.mark.parametrize("sizes", [[0, 3], [3, 0, 2]])
+    def test_zero_layer_size(self, tmp_path, sizes):
+        path = tmp_path / "p.bin"
+        n_params = sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+        path.write_bytes(b"EMLPNET1" + struct.pack(f"<II{len(sizes)}IB", 1, len(sizes),
+                                                   *sizes, 0) + bytes(8 * n_params))
+        with pytest.raises(ParamLoadError, match=re.escape(
+                f"{path}: layer sizes must be >= 1, got {sizes}")):
+            load_mlp(path)
+
     def test_trailing_garbage(self, tmp_path, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
         path = tmp_path / "p.bin"
@@ -375,8 +410,8 @@ class TestTrainingFuzz:
         net = Mlp.create(3, 8, 2, "tanh", rng)
         opt = AdamState(net.flat.size, learning_rate=1e-3)
         for i in range(10000):
-            x = rng.normal(size=3) * 10.0
-            g = rng.normal(size=2) * 10.0
+            x = rng.normal(size=(1, 3)) * 10.0
+            g = rng.normal(size=(1, 2)) * 10.0
             _, cache = net.forward(x)
             opt.step(net.flat, net.backward(cache, g, grad=opt.grad))
             if i % 1000 == 999:
@@ -465,9 +500,9 @@ class TestGradientBuffer:
                                      np.empty(13, dtype=np.float32), np.empty(26)[::2]])
     def test_wrong_out_rejected(self, rng, bad):
         net = Mlp([2, 3, 1], "linear")  # 13 parameters
-        _, cache = net.forward(rng.normal(size=2))
+        _, cache = net.forward(rng.normal(size=(1, 2)))
         with pytest.raises(DimensionError, match="13 values"):
-            net.backward(cache, np.ones(1), grad=bad)
+            net.backward(cache, np.ones((1, 1)), grad=bad)
 
     def test_adam_takes_its_own_gradient_vector(self, rng):
         net = Mlp.create(3, 8, 2, "tanh", rng)
@@ -491,12 +526,15 @@ class TestSkippedProducts:
     def test_bit_equal_to_full_backpropagation(self, in_dim, h, h2, out_dim, act, batch,
                                                rng):
         net = Mlp.create(in_dim, h, out_dim, act, rng)
+        # batch None: one row drawn 1-D and sent as a (1, in) view, as acts send
         rows = () if batch is None else (batch,)
-        _, cache = net.forward(rng.normal(size=(*rows, in_dim)))
-        g = rng.normal(size=(*rows, out_dim))
+        x, g = rng.normal(size=(*rows, in_dim)), rng.normal(size=(*rows, out_dim))
+        if batch is None:
+            x, g = x[None, :], g[None, :]
+        _, cache = net.forward(x)
         want_grad, want_input = full_backward(net, cache, g)
         input_grad = net.backward(cache, g)
-        assert input_grad.shape == (*rows, in_dim)
+        assert input_grad.shape == x.shape
         assert np.array_equal(input_grad, want_input)
         assert np.array_equal(net.backward(cache, g, grad=np.empty(net.flat.size)), want_grad)
 
@@ -512,10 +550,10 @@ class TestForwardReuse:
         fresh = [net.forward(x) for x in xs]
         first_out, first = net.forward(xs[0], reuse=True)
         out, cache = net.forward(xs[1], reuse=True)
-        for got, want in zip(cache.pre + cache.post, first.pre + first.post):
+        for got, want in zip(cache.post, first.post):
             assert got is want  # the first reuse call's arrays, overwritten
         assert out is first_out
-        for got, want in zip(cache.pre + cache.post, fresh[1][1].pre + fresh[1][1].post):
+        for got, want in zip(cache.post, fresh[1][1].post):
             assert np.array_equal(got, want)
         ones = np.ones((5, out_dim))
         assert np.array_equal(net.backward(cache, ones), net.backward(fresh[1][1], ones))
@@ -528,12 +566,12 @@ class TestForwardReuse:
         snapshot = kept.copy()
         plain, _ = net.forward(rng.normal(size=(4, 3)))
         other, _ = net.forward(rng.normal(size=(6, 3)), reuse=True)
-        single, _ = net.forward(rng.normal(size=3), reuse=True)
+        single, _ = net.forward(rng.normal(size=(1, 3)), reuse=True)
         assert plain is not kept and other is not kept
         assert np.array_equal(kept, snapshot)
-        want, _ = net.forward(np.ones(3))
-        got, _ = net.forward(np.ones(3), reuse=True)  # a 1-row batch, as the last reuse
-        assert single.base is got.base
+        want, _ = net.forward(np.ones((1, 3)))
+        got, _ = net.forward(np.ones((1, 3)), reuse=True)  # a 1-row batch, as the last reuse
+        assert single is got
         assert np.array_equal(got, want)
 
 
