@@ -17,11 +17,14 @@ import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from edgesched import BLAS_THREAD_VARS  # loads no numpy
+
 # One BLAS thread, set before numpy loads: this process is lane 0 of the
 # campaign, and more BLAS threads here would compete with the worker lanes.
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for var in BLAS_THREAD_VARS:
     os.environ.setdefault(var, "1")
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from edgesched.agents import DqnHyper, Td3Hyper
 from edgesched.configio import ExperimentConfig

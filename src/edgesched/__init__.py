@@ -6,12 +6,13 @@ deterministic policy gradient, a factored DQN) plus static baselines, and
 a deterministic experiment harness with a CLI.
 
 The names below load their module on first use, so importing the package
-alone loads no numpy and an entry point can still set its BLAS threads.
+alone loads no numpy and an entry point can still set BLAS_THREAD_VARS.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _EXPORTS = {name: module for module, names in {
     "agents": "BaseKScheduler DdpgAgent DqnAgent DqnHyper Td3Agent Td3Hyper build_agent",
@@ -25,7 +26,7 @@ _EXPORTS = {name: module for module, names in {
     "workload": "constant_source load_trace qps_at",
 }.items() for name in names.split()}
 
-__all__ = ["__version__", *sorted(_EXPORTS)]
+__all__ = ["BLAS_THREAD_VARS", "__version__", *sorted(_EXPORTS)]
 
 
 def __getattr__(name: str):

@@ -10,13 +10,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import BLAS_THREAD_VARS
+
 # One BLAS thread, set before numpy loads: this process is lane 0 of a
 # several-seed train, and more BLAS threads here would compete with the lanes.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 from .agents import AGENT_KINDS
-from .configio import load_config
+from .configio import MAX_STEPS_PER_EPISODE, load_config
 from .domain import ValidationError
 from .harness import METRICS_HEADER, compare_runs, run_evaluation, run_training
 from .workload import TraceRecord, burst_source, constant_source, sinusoidal_source, write_trace
@@ -58,8 +60,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
-    if args.steps < 1:
-        raise ValidationError("--steps must be >= 1")
+    if not 1 <= args.steps <= MAX_STEPS_PER_EPISODE + 1:  # the most rows a run reads
+        raise ValidationError(f"--steps must be in [1, {MAX_STEPS_PER_EPISODE + 1}]")
     if args.services < 1:
         raise ValidationError("--services must be >= 1")
     n, rows = args.services, args.steps
@@ -73,8 +75,8 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
         burst_start = args.steps // 3 if args.burst_start is None else args.burst_start
         burst_len = max(1, args.steps // 5) if args.burst_len is None else args.burst_len
         rates = burst_source(args.rate, burst_rate, burst_start, burst_len, n, rows)
-    write_trace([TraceRecord(step, i, float(qps)) for step, row in enumerate(rates)
-                 for i, qps in enumerate(row)], args.out)
+    write_trace((TraceRecord(step, i, float(qps)) for step, row in enumerate(rates)
+                 for i, qps in enumerate(row)), args.out)
     print(f"wrote {args.out}: {args.steps} steps x {n} services ({args.kind})")
     return 0
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .agents import build_agent
 from .configio import ExperimentConfig, build_workload, config_hash
 from .domain import ValidationError, csv_rows, write_atomic
@@ -210,7 +210,9 @@ def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[E
     env, agent = _setup(config, build_workload(config), seed)
     explore_rng = stream(seed, "explore")
     sample_rng = stream(seed, "sample")
-    buffer = ReplayBuffer(agent.hyper.buffer_capacity) if agent.trainable else None
+    transitions = config.episodes * config.steps_per_episode  # a larger ring is never filled
+    buffer = (ReplayBuffer(min(agent.hyper.buffer_capacity, transitions))
+              if agent.trainable else None)
 
     rows: list[EpisodeRow] = []
     t = 0
@@ -230,7 +232,7 @@ def train_one_seed(config: ExperimentConfig, seed: int, out_dir: Path) -> list[E
                 rows.append(row)
         if agent.trainable:
             save_mlp(agent.policy_net(), _params_path(out_dir, seed))
-    except Exception as exc:
+    except BaseException as exc:  # an interrupt too: the old complete manifest must go
         _write_manifest(out_dir, seed, config, _agent_counters(agent, t + len(trajectory)),
                         status="aborted", error=f"{type(exc).__name__}: {exc}")
         raise
@@ -266,8 +268,8 @@ def _lane_main() -> None:
 def _start_lane(fn, jobs: list[tuple]):
     import subprocess  # imported here, so a single-lane run does not pay for it
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
+               PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from edgesched.harness import _lane_main; _lane_main()"],
         bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env)
@@ -324,10 +326,15 @@ def run_training(config: ExperimentConfig) -> Path:
     return run_campaign([config])[0]
 
 
+# values in one evaluation batch's (T + 1, episodes, services) jitter block: caps its memory
+_EVAL_BATCH_VALUES = 2**22
+
+
 def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
                    episodes: int, seeds: tuple[int, ...] | None = None) -> list[EpisodeRow]:
-    """Greedy rollouts of a saved policy: no noise, no learning, no buffer. The
-    episodes of a seed run as one batch; each row's wall_time_s is its share."""
+    """Greedy rollouts of a saved policy: no noise, no learning, no buffer. A seed's
+    episodes run in batches of at most _EVAL_BATCH_VALUES // ((T + 1) * services)
+    episodes; each row's wall_time_s is its share of its batch."""
     if episodes < 1:
         raise ValidationError("episodes must be >= 1")
     if seeds is not None:  # the config checks the seeds
@@ -339,10 +346,11 @@ def run_evaluation(config: ExperimentConfig, params_path: str | Path | None,
             raise ValidationError(
                 f"algorithm {config.algorithm!r} needs a parameter file to evaluate")
         agent.load_policy(load_mlp(params_path, expect_sizes=agent.policy_net().layer_sizes))
+    size = max(1, _EVAL_BATCH_VALUES // ((config.steps_per_episode + 1) * config.sim.n_services))
     # no greedy act reads the step counter or a stream
-    return [row for seed in config.seeds
-            for row in _run_episode(env, agent, config, seed, tuple(range(episodes)), "eval",
-                                    0, [], None, None)]
+    return [row for seed in config.seeds for k in range(0, episodes, size)
+            for row in _run_episode(env, agent, config, seed, tuple(range(episodes)[k:k + size]),
+                                    "eval", 0, [], None, None)]
 
 
 # ---------------------------------------------------------------------------

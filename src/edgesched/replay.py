@@ -10,10 +10,6 @@ from .domain import DimensionError, ValidationError
 
 __all__ = ["ReplayBuffer", "TransitionBatch"]
 
-# Rows allocated at the first add; columns double from here up to capacity,
-# so a large capacity costs no memory until the buffer actually fills.
-_INITIAL_ROWS = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionBatch:
@@ -29,20 +25,17 @@ class TransitionBatch:
         return self.states.shape[0]
 
 
-def _empty_columns(rows: int, state_dim: int, action_dim: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised (states, actions, rewards, next_states, dones) columns."""
-    return (np.empty((rows, state_dim)), np.empty((rows, action_dim)), np.empty(rows),
-            np.empty((rows, state_dim)), np.empty(rows))
-
-
 class ReplayBuffer:
     """FIFO ring of transitions in five column arrays; sampling is uniform
     with replacement.
 
+    The first add allocates the columns once, at capacity rows and that
+    transition's widths; np.empty touches no page before a row is written.
     With-replacement keeps every minibatch i.i.d. from the current buffer
     contents and stays well defined when len(buffer) is close to the batch
     size right after warmup. Logical row i (0 = oldest) lives at physical
-    row (i + head) % capacity; head stays 0 until the ring is full.
+    row (i + head) % capacity; head stays 0 until the ring is full, so any
+    capacity >= len samples the same rows from the same rng.
     """
 
     def __init__(self, capacity: int):
@@ -61,16 +54,15 @@ class ReplayBuffer:
             next_state: np.ndarray, done: bool) -> None:
         """Store one row: flat state vectors and a domain-unit action vector."""
         if self._columns is None:
-            self._columns = _empty_columns(min(self.capacity, _INITIAL_ROWS),
-                                           state.size, action.size)
+            n, s, a = self.capacity, state.size, action.size
+            self._columns = (np.empty((n, s)), np.empty((n, a)), np.empty(n),
+                             np.empty((n, s)), np.empty(n))
         got = (state.size, action.size, next_state.size)
         want = (self._columns[0].shape[1], self._columns[1].shape[1], self._columns[0].shape[1])
         if got != want:
             raise DimensionError(f"transition widths (state, action, next_state) = {got} "
                                  f"differ from the buffer's {want}")
         if self._len < self.capacity:
-            if self._len == len(self._columns[2]):
-                self._grow(min(2 * self._len, self.capacity))
             row = self._len
             self._len += 1
         else:
@@ -79,12 +71,6 @@ class ReplayBuffer:
         values = (state, action, reward, next_state, 1.0 if done else 0.0)
         for column, value in zip(self._columns, values):
             column[row] = value
-
-    def _grow(self, rows: int) -> None:
-        old = self._columns
-        self._columns = _empty_columns(rows, old[0].shape[1], old[1].shape[1])
-        for new, column in zip(self._columns, old):
-            new[:self._len] = column[:self._len]
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> TransitionBatch:
         if self._len == 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,7 +177,7 @@ def load_trace(path: str | Path, n_services: int) -> list[TraceRecord]:
     return records
 
 
-def write_trace(records: list[TraceRecord], path: str | Path) -> None:
+def write_trace(records: Iterable[TraceRecord], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)

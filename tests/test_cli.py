@@ -15,6 +15,7 @@ import pytest
 
 import edgesched
 from edgesched.cli import main
+from edgesched.configio import MAX_STEPS_PER_EPISODE
 from edgesched.harness import METRICS_HEADER
 from edgesched.nets import load_mlp, save_mlp
 from edgesched.workload import load_trace
@@ -475,6 +476,24 @@ class TestGenTrace:
              "--steps", 0], capsys)
         assert code == 2
         assert stderr.startswith("error: ")
+
+    def test_steps_past_the_longest_run_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, stderr = run_cli(
+            ["gen-trace", "--kind", "constant", "--out", out,
+             "--steps", MAX_STEPS_PER_EPISODE + 2, "--services", 1], capsys)
+        assert code == 2
+        assert stderr == f"error: --steps must be in [1, {MAX_STEPS_PER_EPISODE + 1}]\n"
+        assert not out.exists()
+
+    def test_steps_of_the_longest_run_accepted(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            ["gen-trace", "--kind", "constant", "--out", out,
+             "--steps", MAX_STEPS_PER_EPISODE + 1, "--services", 1], capsys)
+        assert code == 0
+        with open(out, encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == MAX_STEPS_PER_EPISODE + 2
 
     def test_zero_services_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

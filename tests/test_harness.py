@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from edgesched import harness
-from edgesched.agents import DqnHyper, Td3Agent, Td3Hyper
+from edgesched.agents import BaseKScheduler, DqnHyper, Td3Agent, Td3Hyper
 from edgesched.configio import ExperimentConfig, build_workload, config_hash
 from edgesched.domain import ValidationError
 from edgesched.harness import (
@@ -34,6 +34,8 @@ from edgesched.harness import (
     train_one_seed,
 )
 from edgesched.nets import Mlp, load_mlp, save_mlp
+from edgesched.replay import ReplayBuffer
+from edgesched.simulator import ClusterSim
 from edgesched.workload import TraceParseError
 
 RECORDER = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "record_golden.py"))
@@ -238,6 +240,37 @@ class TestTraining:
         assert doc["status"] == "aborted"
         assert doc["error"] == "OSError: [Errno 28] No space left on device"
         assert doc["counters"]["env_steps"] == cfg.episodes * cfg.steps_per_episode
+
+    def test_interrupted_rerun_replaces_complete_manifest(self, tmp_path, monkeypatch):
+        # act() call 6 is the second step of episode 1: 5 finished steps
+        cfg = tiny_config(algorithm="basek", episodes=3)
+        train_one_seed(cfg, 0, tmp_path)
+        act, calls = BaseKScheduler.act, []
+
+        def interrupted_act(agent, *args):
+            calls.append(1)
+            if len(calls) == 6:
+                raise KeyboardInterrupt
+            return act(agent, *args)
+
+        monkeypatch.setattr(BaseKScheduler, "act", interrupted_act)
+        with pytest.raises(KeyboardInterrupt):
+            train_one_seed(cfg, 0, tmp_path)
+        doc = json.loads((tmp_path / "manifest_seed0.json").read_text())
+        assert doc["status"] == "aborted"
+        assert doc["error"] == "KeyboardInterrupt: "
+        assert doc["counters"]["env_steps"] == 5
+        with pytest.raises(ValidationError, match="run not complete"):
+            load_run(tmp_path)
+
+    @pytest.mark.parametrize("episodes,rows", [(2, 8), (65, 256)],
+                             ids=["run-shorter-than-capacity", "run-longer"])
+    def test_ring_is_sized_from_the_run(self, tmp_path, monkeypatch, episodes, rows):
+        sizes = []
+        monkeypatch.setattr(harness, "ReplayBuffer",
+                            lambda capacity: sizes.append(capacity) or ReplayBuffer(capacity))
+        train_one_seed(tiny_config(episodes=episodes), 0, tmp_path)
+        assert sizes == [rows]
 
     @pytest.mark.parametrize("algo", ["ddpg", "dqn"])
     def test_other_learners_complete(self, tmp_path, algo):
@@ -632,6 +665,20 @@ class TestBatchedEvaluation:
                     # a block without the episode axis counts for every episode
                     got = np.broadcast_to(got, (BATCH_EPISODES, *want.shape))[episode]
                     assert got.tobytes() == want.tobytes(), (i, episode)
+
+    @pytest.mark.parametrize("algo", ["td3", "basek"])
+    def test_split_batches_keep_the_rows_of_one_batch(self, wide_policies, monkeypatch, algo):
+        config = wide_config(algorithm=algo, scenario="high_300", seeds=(0, 3))
+        params = None if algo == "basek" else wide_policies / algo / "params_seed0.bin"
+        whole = run_evaluation(config, params, BATCH_EPISODES)
+        resets, reset = [], ClusterSim.reset
+        monkeypatch.setattr(ClusterSim, "reset",
+                            lambda env, seeds: resets.append(seeds) or reset(env, seeds))
+        monkeypatch.setattr(harness, "_EVAL_BATCH_VALUES",
+                            3 * (config.steps_per_episode + 1) * config.sim.n_services)
+        split = run_evaluation(config, params, BATCH_EPISODES)
+        assert [row.as_csv()[:-1] for row in split] == [row.as_csv()[:-1] for row in whole]
+        assert [len(seeds) for seeds in resets] == [3, 3, 1] * len(config.seeds)
 
 
 @pytest.fixture(scope="module")

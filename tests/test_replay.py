@@ -66,6 +66,15 @@ class TestPush:
         with pytest.raises(ValidationError):
             ReplayBuffer(capacity=0)
 
+    def test_columns_allocated_once_at_capacity(self):
+        buf = ReplayBuffer(capacity=1500)
+        buf.add(*transition(0.0))
+        columns = buf._columns
+        assert [len(column) for column in columns] == [1500] * 5
+        for i in range(1, 1500 + 3):
+            buf.add(*transition(float(i)))
+        assert all(now is first for now, first in zip(buf._columns, columns, strict=True))
+
 
 class TestSample:
     def test_forced_choice(self):
@@ -160,6 +169,23 @@ def random_transition(rng, n=2):
                          mem_alloc=rng.uniform(64, 2048, n)).vec,
             float(rng.normal()), normalize_state(raw(), norm).vec,
             bool(rng.random() < 0.1))
+
+
+@pytest.mark.parametrize("n", [5, 64, 1500])
+def test_larger_ring_samples_the_same_bytes(n):
+    # the harness sizes the ring to the rows a run adds; until it wraps, the
+    # capacity must not change a batch
+    data_rng = stream(n, "replay-size-data")
+    exact, roomy = ReplayBuffer(n), ReplayBuffer(10 * n)
+    for _ in range(n):
+        t = random_transition(data_rng)
+        exact.add(*t)
+        roomy.add(*t)
+    rng_exact, rng_roomy = stream(n, "replay-size"), stream(n, "replay-size")
+    for _ in range(3):
+        got, want = roomy.sample(32, rng_roomy), exact.sample(32, rng_exact)
+        for field in ("states", "actions", "rewards", "next_states", "dones"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 @pytest.mark.parametrize("capacity", [3, 7, 1024, 1500])
