@@ -16,16 +16,24 @@ same episodes run one by one), so a last-bit change that the per-episode
 aggregates round away still shows. The training runs go one at a time in this process, so the
 hooks that feed the digest see every step. tests/test_golden.py
 re-creates the artifacts and compares them against these hashes, so a
-refactor that changes any output byte fails there. Re-record only when
-a change to the outputs is intended:
+refactor that changes any output byte fails there.
+
+OpenBLAS picks a matrix kernel for the CPU it runs on, and the kernels round
+differently, so golden.json holds one table of hashes per build and kernel.
+The recorder runs the matrix once per kernel in KERNELS, each in a child
+process with OPENBLAS_CORETYPE set, and keeps one table per kernel the
+library reports. Re-record only when a change to the outputs is intended:
 
     PYTHONPATH=src python3 scripts/record_golden.py
 """
 
 import csv
+import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -53,10 +61,31 @@ EVAL_TOPOLOGIES = ("shared_edge", "crowded_edge")
 CROWDED_HOMES = (0, 1, 0, 2, 0, 1, 0, 0)  # home node of each default service
 
 
+# OPENBLAS_CORETYPE values to record under; None leaves the choice to OpenBLAS.
+KERNELS = (None, "Haswell", "Sandybridge", "Prescott")
+
+
+def blas_core() -> str | None:
+    """The OpenBLAS kernel numpy runs on, by the name the library reports.
+
+    A forced Prescott reports Katmai. bench/unit.py blas_info reads it alike.
+    """
+    package = Path(np.__file__).resolve().parent
+    for path in sorted([*(package.parent / "numpy.libs").glob("*openblas*.so*"),
+                        *(package / ".libs").glob("*openblas*.so*")]):
+        lib = ctypes.CDLL(str(path))  # the copy numpy already loaded
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            if (corename := getattr(lib, name, None)) is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def build_key() -> dict:
     """The build the hashes hold for; other builds may round differently."""
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "machine": platform.machine()}
+            "machine": platform.machine(), "blas_core": blas_core()}
 
 
 def _metrics_digest(path: Path) -> str:
@@ -190,11 +219,31 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
     return hashes
 
 
-def main() -> int:
+def table() -> dict:
+    """This process's build and the artifact hashes it makes."""
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"build": build_key(), "artifacts": artifact_hashes(Path(tmp))}
+        return {"build": build_key(), "artifacts": artifact_hashes(Path(tmp))}
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--table"]:  # a child: one kernel's table on stdout
+        print(json.dumps(table()))
+        return 0
+    tables = {}
+    for kernel in KERNELS:
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        child = subprocess.run([sys.executable, __file__, "--table"], env=env, check=True,
+                               stdout=subprocess.PIPE)
+        found = json.loads(child.stdout.splitlines()[-1])
+        # the kernel OpenBLAS picks may be one of the forced ones
+        tables.setdefault(found["build"]["blas_core"], found)
+        print(f"OPENBLAS_CORETYPE={kernel or '(unset)'}: {found['build']['blas_core']}")
+    record = {"tables": list(tables.values())}
     GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(record['artifacts'])} hashes to {GOLDEN}")
+    print(f"wrote {len(tables)} tables of {len(record['tables'][0]['artifacts'])} hashes "
+          f"to {GOLDEN}")
     return 0
 
 

@@ -8,7 +8,7 @@ at the boundary; the replay buffer always stores domain-unit actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .domain import (
     ValidationError,
     _adopt,
     action_from_unit,
+    check_fields,
 )
 from .nets import AdamState, Mlp, soft_update
 from .replay import ReplayBuffer
@@ -38,9 +39,11 @@ __all__ = [
     "epsilon_at",
     "batch_units_from_domain",
     "AGENT_KINDS",
+    "BASEK_MODES",
 ]
 
 AGENT_KINDS = ("td3", "ddpg", "dqn", "basek")
+BASEK_MODES = ("static", "threshold")
 _GRID_ROWS = np.array([[0], [1]])  # picks the cpu grid for row 0, the mem grid for row 1
 
 
@@ -55,13 +58,11 @@ class TrainStats:
     targets_updated: bool = False
 
 
-def _check_learner(hyper: Td3Hyper | DqnHyper) -> None:
-    """The checks every replay learner's hyperparameters share."""
-    for f in fields(hyper):  # annotations are postponed, so each type is a string
-        value = getattr(hyper, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValidationError(
-                f"{type(hyper).__name__}.{f.name} must be an integer, got {value!r}")
+def _check_learner(hyper: Td3Hyper | DqnHyper, owner: str, *rates: str) -> None:
+    """The checks every replay learner's hyperparameters share; rates name its learning rates."""
+    check_fields(hyper, owner)
+    if bad := [name for name in rates if getattr(hyper, name) <= 0]:
+        raise ValidationError(f"{owner}.{bad[0]} must be positive")
     if not (0.0 <= hyper.gamma <= 1.0):
         raise ValidationError(f"gamma must be in [0, 1], got {hyper.gamma}")
     if hyper.batch_size < 1 or hyper.warmup_transitions < 0:
@@ -92,7 +93,7 @@ class Td3Hyper:
     buffer_capacity: int = 100000
 
     def __post_init__(self):
-        _check_learner(self)
+        _check_learner(self, "td3", "actor_lr", "critic_lr")
         if self.policy_freq < 1:
             raise ValidationError(f"policy_freq must be >= 1, got {self.policy_freq}")
         if self.smoothing_clip <= 0:
@@ -122,7 +123,7 @@ class DqnHyper:
     buffer_capacity: int = 100000
 
     def __post_init__(self):
-        _check_learner(self)
+        _check_learner(self, "dqn", "lr")
         if self.levels < 2:
             raise ValidationError(f"need >= 2 allocation levels, got {self.levels}")
         if not (0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0):
@@ -408,7 +409,7 @@ class BaseKScheduler:
     low_util = 0.3
 
     def __init__(self, initial: ActionVector, mode: str = "static"):
-        if mode not in ("static", "threshold"):
+        if mode not in BASEK_MODES:
             raise ValidationError(f"unknown baseline mode {mode!r}")
         self.initial = initial
         self.mode = mode

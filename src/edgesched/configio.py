@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .agents import AGENT_KINDS, DqnHyper, Td3Hyper
+from .agents import AGENT_KINDS, BASEK_MODES, DqnHyper, Td3Hyper
 from .domain import (
+    _FIELD_KINDS,
     NodeSpec,
     NormalizationConfig,
     ServiceSpec,
     ValidationError,
+    check_fields,
     make_node,
 )
 from .rewards import RewardWeights
@@ -73,11 +74,11 @@ class ExperimentConfig:
     dqn: DqnHyper = field(default_factory=DqnHyper)
 
     def __post_init__(self):
+        check_fields(self, "config", ConfigError)
         if self.algorithm not in AGENT_KINDS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {AGENT_KINDS}")
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                   for n in (self.episodes, self.steps_per_episode)):
+        if min(self.episodes, self.steps_per_episode) < 1:
             raise ConfigError("episodes and steps_per_episode must be integers >= 1")
         if self.steps_per_episode > MAX_STEPS_PER_EPISODE:
             raise ConfigError(f"steps_per_episode must be <= {MAX_STEPS_PER_EPISODE}, "
@@ -94,7 +95,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of "
                 f"{sorted(SCENARIO_PRESETS)} or '{TRACE_PREFIX}<path>'")
-        if self.basek_mode not in ("static", "threshold"):
+        if self.basek_mode not in BASEK_MODES:
             raise ConfigError(f"unknown basek_mode {self.basek_mode!r}")
 
 
@@ -118,9 +119,7 @@ def config_hash(config: ExperimentConfig) -> str:
 
 # ---------------------------------------------------------------------------
 # strict JSON reading
-# Each section is read from the dataclasses it fills. Their modules postpone
-# annotations, so a scalar field's type is one of these strings.
-_KINDS = {"float": float, "int": int, "str": str, "bool": bool}
+# Each section is read from the dataclasses it fills, which check the values.
 
 
 def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
@@ -129,36 +128,17 @@ def _reject_unknown(section: str, doc: dict, allowed: set[str]) -> None:
         raise ConfigError(f"{section}: unknown key(s) {unknown}")
 
 
-def _expect(doc: dict, key: str, kinds, section: str):
-    value = doc[key]
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # NaN, inf or an int beyond float range
-            raise ConfigError(f"{section}.{key}: expected a finite number, got {value!r}")
-        return float(value)
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, kinds):
-        raise ConfigError(f"{section}.{key}: unexpected type for {value!r}")
-    return value
-
-
 def _read(doc: dict, section: str, *classes, nested: tuple[str, ...] = ()) -> list[dict]:
-    """Per class, the values `doc` gives for its scalar fields, type-checked.
+    """Per class, the values `doc` gives for its scalar fields, which the class checks.
 
     Keys in `nested` are left to the caller. Any other key that names no
     scalar field is an error. Omitted fields keep their dataclass defaults.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{section}: expected an object")
-    kinds = [{f.name: _KINDS[f.type] for f in fields(cls) if f.type in _KINDS}
-             for cls in classes]
-    _reject_unknown(section, doc, set(nested).union(*kinds))
-    return [{key: _expect(doc, key, kind, section) for key, kind in spec.items() if key in doc}
-            for spec in kinds]
+    names = [{f.name for f in fields(cls) if f.type in _FIELD_KINDS} for cls in classes]
+    _reject_unknown(section, doc, set(nested).union(*names))
+    return [{key: doc[key] for key in keys if key in doc} for keys in names]
 
 
 def _node_from(entry: dict, where: str, index: int) -> NodeSpec:
@@ -214,23 +194,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     (values,) = _read(doc, "config", ExperimentConfig, nested=("seeds", *sections))
 
     if "seeds" in doc:
-        seeds = doc["seeds"]
-        if not isinstance(seeds, list):  # the config checks the entries
+        if not isinstance(doc["seeds"], list):  # the config checks the entries
             raise ConfigError("config.seeds: expected a list")
-        values["seeds"] = tuple(seeds)
-
-    scenario = values.get("scenario", "")
-    if scenario.startswith(TRACE_PREFIX):  # an absolute trace path survives the join
-        values["scenario"] = TRACE_PREFIX + str(path.parent / scenario[len(TRACE_PREFIX):])
+        values["seeds"] = tuple(doc["seeds"])
 
     try:
         for key, cls in sections.items():
-            if key not in doc:
-                continue
-            if not isinstance(doc[key], dict):
-                raise ConfigError(f"config.{key}: expected an object")
-            values[key] = (_sim_from(doc[key]) if cls is SimConfig
-                           else cls(**_read(doc[key], key, cls)[0]))
-        return ExperimentConfig(**values)
+            if key in doc:
+                values[key] = (_sim_from(doc[key]) if cls is SimConfig
+                               else cls(**_read(doc[key], key, cls)[0]))
+        config = ExperimentConfig(**values)
     except ValidationError as exc:  # a value a spec or hyperparameter class rejects, too
         raise ConfigError(str(exc)) from exc
+    if config.scenario.startswith(TRACE_PREFIX):  # an absolute trace path survives the join
+        trace = path.parent / config.scenario[len(TRACE_PREFIX):]
+        config = replace(config, scenario=TRACE_PREFIX + str(trace))
+    return config

@@ -16,7 +16,8 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "ValidationError",
     "DimensionError",
     "require_finite",
+    "check_fields",
     "csv_rows",
     "write_atomic",
     "NodeSpec",
@@ -64,6 +66,27 @@ def require_finite(owner: str, **values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValidationError(f"{owner}: {name} must be finite, got {value!r}")
+
+
+# Scalar field annotations, as strings: the config modules postpone annotations.
+_FIELD_KINDS = {"float": float, "int": int, "str": str, "bool": bool}
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string", bool: "a boolean"}
+
+
+def check_fields(obj, owner: str, error: type[ValidationError] = ValidationError) -> None:
+    """Raise `error`, naming "<owner>.<field>", if a scalar field breaks its annotation.
+
+    An int, str or bool field takes exactly its type, so a bool is no int. A
+    float field takes a finite int or float and stores it as a float, so a
+    config hashes alike however its numbers were spelled.
+    """
+    for f in fields(obj):
+        kind, value = _FIELD_KINDS.get(f.type), getattr(obj, f.name)
+        if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and abs(value) <= sys.float_info.max:  # not NaN, inf or an int past float range
+            object.__setattr__(obj, f.name, float(value))
+        elif kind is float or (kind is not None and type(value) is not kind):
+            raise error(f"{owner}.{f.name}: expected {_EXPECTED[kind]}, got {value!r}")
 
 
 def csv_rows(path: str | Path, error: type[ValidationError]):
@@ -147,11 +170,9 @@ class NodeSpec:
     base_network_latency: float  # ms
 
     def __post_init__(self):
+        check_fields(self, f"node {self.node_id}")
         if self.tier not in ("edge", "cloud"):
             raise ValidationError(f"unknown node tier {self.tier!r}")
-        require_finite(f"node {self.node_id}", cpu_capacity=self.cpu_capacity,
-                       mem_capacity=self.mem_capacity,
-                       base_network_latency=self.base_network_latency)
         if self.cpu_capacity <= 0 or self.mem_capacity <= 0 or self.base_network_latency < 0:
             raise ValidationError(
                 f"node {self.node_id}: capacities must be positive and latency >= 0")
@@ -165,7 +186,7 @@ def make_node(node_id: int, tier: str, cpu_capacity: float | None = None,
               mem_capacity: float | None = None,
               base_network_latency: float | None = None) -> NodeSpec:
     """NodeSpec with tier defaults filled in where not overridden."""
-    if tier not in _TIER_DEFAULTS:
+    if not (isinstance(tier, str) and tier in _TIER_DEFAULTS):  # a list would not hash
         raise ValidationError(f"unknown node tier {tier!r}")
     cpu, mem, net = _TIER_DEFAULTS[tier]
     return NodeSpec(
@@ -194,16 +215,12 @@ class ServiceSpec:
     initial_mem_request: float
 
     def __post_init__(self):
-        if not (CPU_MIN <= self.initial_cpu_request <= CPU_MAX):
-            raise ValidationError(
-                f"service {self.name}: initial_cpu_request {self.initial_cpu_request} "
-                f"outside [{CPU_MIN}, {CPU_MAX}]")
-        if not (MEM_MIN <= self.initial_mem_request <= MEM_MAX):
-            raise ValidationError(
-                f"service {self.name}: initial_mem_request {self.initial_mem_request} "
-                f"outside [{MEM_MIN}, {MEM_MAX}]")
-        require_finite(f"service {self.name}", cpu_cost_per_request=self.cpu_cost_per_request,
-                       mem_floor=self.mem_floor, mem_per_qps=self.mem_per_qps)
+        check_fields(self, f"service {self.name}")
+        for name, lo, hi in (("initial_cpu_request", CPU_MIN, CPU_MAX),
+                             ("initial_mem_request", MEM_MIN, MEM_MAX)):
+            if not (lo <= getattr(self, name) <= hi):
+                raise ValidationError(
+                    f"service {self.name}: {name} {getattr(self, name)} outside [{lo}, {hi}]")
         if self.cpu_cost_per_request < 0 or self.mem_floor < 0 or self.mem_per_qps < 0:
             raise ValidationError(f"service {self.name}: demand parameters must be >= 0")
 
@@ -262,7 +279,7 @@ class NormalizationConfig:
     q_max: float = 400.0
 
     def __post_init__(self):
-        require_finite("normalization", **vars(self))
+        check_fields(self, "sim")  # the JSON section that holds the divisors
         if self.l_max <= 0 or self.q_max <= 0:
             raise ValidationError("normalization divisors must be positive")
 

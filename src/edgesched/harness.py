@@ -14,6 +14,7 @@ import math
 import os
 import pickle
 import platform
+import signal
 import sys
 import threading
 import time
@@ -248,14 +249,19 @@ def _train_job(config: ExperimentConfig, seed: int) -> None:
 def _lane_main() -> None:
     """Worker lane: run the (fn, jobs) pickled on stdin; pickle back the results or the error.
 
-    stdin's EOF ends the lane: the caller closes it once it has the outcome or
-    gives up, and the OS closes it when the caller dies.
+    stdin's EOF, once the caller has the outcome, gives up or dies, raises
+    KeyboardInterrupt in the running job, and the lane exits with 1.
     """
     out, sys.stdout = sys.stdout.buffer, sys.stderr
     fn, jobs = pickle.load(sys.stdin.buffer)
-    threading.Thread(target=lambda: os.read(0, 1) or os._exit(1), daemon=True).start()
-    try:
+    signal.signal(signal.SIGINT, signal.default_int_handler)  # none if started with it ignored
+    main = threading.main_thread().ident  # a signal, unlike interrupt_main, wakes a sleep
+    try:  # the EOF may come while the watcher starts
+        threading.Thread(target=lambda: os.read(0, 1) or signal.pthread_kill(main, signal.SIGINT),
+                         daemon=True).start()
         data = pickle.dumps([fn(*job) for job in jobs])
+    except KeyboardInterrupt:
+        sys.exit(1)
     except Exception as exc:  # a job's, or the pickling of the results
         try:  # an exception that cannot make the round trip goes as text
             pickle.loads(data := pickle.dumps(exc))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (_BOX_SPAN, ActionVector, DimensionError, RawMetrics, ValidationError,
-                     require_finite)
+                     check_fields)
 
 __all__ = [
     "RewardWeights",
@@ -37,7 +37,7 @@ class RewardWeights:
     normalize_latency_excess: bool = True  # False: raw-ms latency penalty
 
     def __post_init__(self):
-        require_finite("reward", alpha=self.alpha, beta=self.beta, lam=self.lam, mu=self.mu)
+        check_fields(self, "reward")
         if min(self.alpha, self.beta, self.lam, self.mu) < 0:
             raise ValidationError("reward weights must be >= 0")
 

@@ -24,10 +24,10 @@ from .domain import (
     StateVector,
     ValidationError,
     _adopt,
+    check_fields,
     default_nodes,
     default_services,
     normalize_state,
-    require_finite,
 )
 from .rng import stream
 from .workload import qps_at
@@ -54,7 +54,7 @@ class LatencyModel:
     jitter_sigma: float = 0.02  # multiplicative measurement noise, 0 disables
 
     def __post_init__(self):
-        require_finite("latency", **vars(self))
+        check_fields(self, "sim")  # the JSON section that holds the latency fields
         if self.base_service_ms <= 0:
             raise ValidationError("base_service_ms must be positive")
         if self.saturation_cap_ms < self.base_service_ms:
@@ -80,9 +80,9 @@ class SimConfig:
     normalization: NormalizationConfig | None = None
 
     def __post_init__(self):
+        check_fields(self, "sim")
         if not self.services or not self.nodes:
             raise ValidationError("need at least one service and one node")
-        require_finite("sim", l_target=self.l_target)
         if self.l_target <= 0:
             raise ValidationError("l_target must be positive")
         if self.normalization is None:

@@ -99,6 +99,20 @@ class TestTrain:
         assert "reward.alpha" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo,doc,where", [
+        ("td3", {"td3": {"actor_lr": -0.001, "critic_lr": -0.001}}, "td3.actor_lr"),
+        ("dqn", {"dqn": {"lr": 0}}, "dqn.lr"),
+    ], ids=["td3-negative", "dqn-zero"])
+    def test_non_positive_learning_rate_exits_2(self, tmp_path, capsys, algo, doc, where):
+        bad = tmp_path / "lr.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "run"
+        code, _, stderr = run_cli(
+            ["train", "--config", bad, "--algo", algo, "--out", out], capsys)
+        assert code == 2
+        assert stderr == f"error: {where} must be positive\n"
+        assert not out.exists()
+
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "big.json"
         bad.write_text('{"sim": {"l_target": 1' + "0" * 400 + "}}", encoding="utf-8")

@@ -1,7 +1,7 @@
 """Strict config parsing: defaults, rejection of junk, scenario resolution."""
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ from edgesched.configio import (
 )
 from edgesched.agents import DqnHyper, Td3Hyper
 from edgesched.domain import (NodeSpec, NormalizationConfig, ServiceSpec, ValidationError,
-                              make_node)
+                              default_services, make_node)
 from edgesched.rewards import RewardWeights
 from edgesched.simulator import ClusterSim, LatencyModel, SimConfig
 from edgesched.workload import TraceParseError, TraceRecord, qps_at, write_trace
@@ -158,7 +158,7 @@ class TestRejection:
     ])
     def test_bools_rejected_where_integers_go(self, kw):
         # True == 1, so only a type check stops it: it would train into manifest_seedTrue.json
-        with pytest.raises(ConfigError, match="integers"):
+        with pytest.raises(ConfigError, match="expected an integer|seeds must be .* integers"):
             ExperimentConfig(**kw)
 
     @pytest.mark.parametrize("cls,kw", [
@@ -173,7 +173,8 @@ class TestRejection:
     def test_learner_integer_fields_reject_non_integers(self, cls, kw):
         # the JSON loader rejects these too, but a learner built from Python
         # would only fail later, inside the network code
-        with pytest.raises(ValidationError, match=f"{cls.__name__}.* must be an integer"):
+        section = {Td3Hyper: "td3", DqnHyper: "dqn"}[cls]
+        with pytest.raises(ValidationError, match=rf"{section}\.\w+: expected an integer"):
             cls(**kw)
 
     @pytest.mark.parametrize("doc", [
@@ -410,3 +411,87 @@ def test_buffer_no_larger_than_batch_rejected(tmp_path, section, capacity):
     doc = {section: {"batch_size": 64, "buffer_capacity": capacity}}
     with pytest.raises(ConfigError, match="buffer_capacity"):
         load_config(write_cfg(tmp_path, doc))
+
+
+# A valid instance of every config dataclass, and how its errors name it: by
+# the JSON section its fields sit in, or a node or service by its id or name.
+CONFIG_CLASSES = {
+    NodeSpec: (lambda: make_node(0, "edge"), "node .*"),
+    ServiceSpec: (lambda: default_services()[0], "service .*"),
+    NormalizationConfig: (NormalizationConfig, "sim"),
+    LatencyModel: (LatencyModel, "sim"),
+    SimConfig: (SimConfig, "sim"),
+    RewardWeights: (RewardWeights, "reward"),
+    Td3Hyper: (Td3Hyper, "td3"),
+    DqnHyper: (DqnHyper, "dqn"),
+    ExperimentConfig: (ExperimentConfig, "config"),
+}
+# Per scalar annotation, values of the wrong type or outside a float's finite range.
+BAD_VALUES = {
+    "int": [True, False, "3", 2.0],
+    "float": [True, "0.5", float("nan"), float("inf"), float("-inf"), 10 ** 400],
+    "bool": [1, 0, "yes"],
+    "str": [3, True, None],
+}
+SCALAR_FIELDS = [(cls, f.name, f.type) for cls in CONFIG_CLASSES for f in fields(cls)
+                 if f.type in BAD_VALUES]
+
+
+class TestFieldTypes:
+    """Each config dataclass checks its own scalar fields when it is built,
+    however it was built: from JSON, in Python, or by dataclasses.replace."""
+
+    def test_every_class_has_scalar_fields(self):
+        assert {cls for cls, _, _ in SCALAR_FIELDS} == set(CONFIG_CLASSES)
+
+    @pytest.mark.parametrize("cls,name,kind", SCALAR_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name, _ in SCALAR_FIELDS])
+    def test_wrong_type_or_non_finite_value_rejected(self, cls, name, kind):
+        make, section = CONFIG_CLASSES[cls]
+        valid = make()
+        for bad in BAD_VALUES[kind]:
+            with pytest.raises(ValidationError, match=rf"^{section}\.{name}: expected "):
+                replace(valid, **{name: bad})
+
+    @pytest.mark.parametrize("cls,name", [(cls, name) for cls, name, kind in SCALAR_FIELDS
+                                          if kind == "float"
+                                          and getattr(CONFIG_CLASSES[cls][0](), name) % 1 == 0])
+    def test_float_spelled_as_int_is_stored_as_float(self, cls, name):
+        valid = CONFIG_CLASSES[cls][0]()
+        spelled = replace(valid, **{name: int(getattr(valid, name))})
+        assert type(getattr(spelled, name)) is float
+        assert spelled == valid
+
+    def test_numpy_float64_is_stored_as_float(self):
+        weights = RewardWeights(alpha=np.float64(0.25))
+        assert type(weights.alpha) is float and weights.alpha == 0.25
+
+    @pytest.mark.parametrize("bad", [np.int64(5), np.float32(0.5)])
+    def test_other_numpy_scalars_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            RewardWeights(alpha=bad)
+        with pytest.raises(ValidationError):
+            Td3Hyper(batch_size=bad)
+
+    @pytest.mark.parametrize("python,doc", [
+        (ExperimentConfig(sim=SimConfig(l_target=150)), {"sim": {"l_target": 150}}),
+        (ExperimentConfig(td3=Td3Hyper(tau_decay=500)), {"td3": {"tau_decay": 500}}),
+        (ExperimentConfig(reward=RewardWeights(alpha=1)), {"reward": {"alpha": 1}}),
+    ], ids=["sim", "td3", "reward"])
+    def test_python_built_config_hashes_like_its_json_twin(self, tmp_path, python, doc):
+        assert config_hash(python) == config_hash(load_config(write_cfg(tmp_path, doc)))
+
+    def test_int_spelled_default_hashes_like_the_default(self):
+        assert (config_hash(ExperimentConfig(sim=SimConfig(l_target=150)))
+                == config_hash(ExperimentConfig()))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Td3Hyper(actor_lr=-0.001), lambda: Td3Hyper(critic_lr=-0.001),
+    lambda: Td3Hyper(actor_lr=0.0), lambda: DqnHyper(lr=0), lambda: DqnHyper(lr=-1e-4),
+], ids=["td3-actor-negative", "td3-critic-negative", "td3-actor-zero", "dqn-zero",
+        "dqn-negative"])
+def test_learning_rates_must_be_positive(make):
+    # a negative rate is gradient ascent; a zero one trains updates that change nothing
+    with pytest.raises(ValidationError, match=r"(actor_lr|critic_lr|\.lr) must be positive"):
+        make()

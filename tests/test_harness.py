@@ -5,6 +5,7 @@ import os
 import pickle
 import re
 import runpy
+import signal
 import subprocess
 import sys
 import threading
@@ -353,12 +354,12 @@ def broken_trace(tmp_path, kind):
     return path
 
 
-def lane_process():
+def lane_process(**popen):
     """A worker lane started as run_lanes starts one, with stderr piped too."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
     return subprocess.Popen(
         [sys.executable, "-c", "from edgesched.harness import _lane_main; _lane_main()"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **popen)
 
 
 # run_lanes job functions: module-level, so a worker lane unpickles them from here
@@ -528,16 +529,34 @@ class TestLaneProtocol:
         assert type(outcome) is TypeError
         assert str(outcome).startswith("cannot pickle")
 
-    def test_stdin_eof_ends_a_busy_lane(self, tmp_path):
-        proc = lane_process()
+    def _close_stdin_while_training(self, tmp_path, **popen):
+        """Start a long training job on a lane and close its stdin once the job
+        has opened its metrics CSV; check the lane exits with 1 and sends nothing."""
+        proc = lane_process(**popen)
         config = tiny_config(episodes=10_000, output_dir=str(tmp_path))
         proc.stdin.write(pickle.dumps((harness._train_job, [(config, 0)])))
+        proc.stdin.flush()
+        deadline = time.perf_counter() + 60
+        while not (tmp_path / "metrics_seed0.csv").exists():
+            assert proc.poll() is None and time.perf_counter() < deadline
+            time.sleep(0.01)
         proc.stdin.close()
         assert proc.wait(timeout=60) == 1
         assert proc.stdout.read() == b""
         proc.stdout.close()
         proc.stderr.close()
-        assert not (tmp_path / "manifest_seed0.json").exists()
+        manifest = json.loads((tmp_path / "manifest_seed0.json").read_text(encoding="utf-8"))
+        assert manifest["status"] == "aborted"
+        assert manifest["error"].startswith("KeyboardInterrupt")
+
+    def test_stdin_eof_ends_a_busy_lane(self, tmp_path):
+        # the job ends as an interrupt would end it, so no stale manifest survives it
+        self._close_stdin_while_training(tmp_path)
+
+    def test_stdin_eof_ends_a_lane_started_with_sigint_ignored(self, tmp_path):
+        # as a background job of a non-interactive shell is: Python then installs no handler
+        self._close_stdin_while_training(
+            tmp_path, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
 
 
 class TestEvaluation:

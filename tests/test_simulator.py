@@ -461,7 +461,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", list(SPEC_BUILDERS))
     def test_non_finite_spec_values_rejected(self, field, bad):
-        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        with pytest.raises(ValidationError, match=f"{field}: expected a finite number"):
             SPEC_BUILDERS[field](bad)
 
     def test_negative_network_latency_rejected(self):
