@@ -13,8 +13,11 @@ gets a per-step digest (steps_seed0): one sha256 over the bytes of every window'
 raw metrics, every action passed to ClusterSim.step and every reward total, in
 step order, episode by episode (a batch of evaluation episodes hashes as the
 same episodes run one by one), so a last-bit change that the per-episode
-aggregates round away still shows. The training runs go one at a time in this process, so the
-hooks that feed the digest see every step. tests/test_golden.py
+aggregates round away still shows. The TD3 and DDPG runs get a second digest
+(units_seed0) over every unit-box action their acts pass to action_from_unit,
+kept per episode row alike, so a last-bit change in the actor's output shows
+even where the box mapping rounds it away. The training runs go one at a time
+in this process, so the hooks that feed the digests see every step. tests/test_golden.py
 re-creates the artifacts and compares them against these hashes, so a
 refactor that changes any output byte fails there.
 
@@ -45,7 +48,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from edgesched import harness
+from edgesched import agents, harness
 from edgesched.configio import TRACE_PREFIX, load_config
 from edgesched.domain import RawMetrics, default_services, make_node
 from edgesched.harness import export_csv, run_evaluation, train_one_seed
@@ -58,6 +61,7 @@ SCENARIOS = ("normal_100", "high_300")
 SEED = 0
 EVAL_ALGOS = ("td3", "ddpg", "dqn", "basek")
 EVAL_TOPOLOGIES = ("shared_edge", "crowded_edge")
+UNIT_ALGOS = ("td3", "ddpg")  # the runs whose acts map unit-box actions
 CROWDED_HOMES = (0, 1, 0, 2, 0, 1, 0, 0)  # home node of each default service
 
 
@@ -103,58 +107,71 @@ def _field_block(obj) -> np.ndarray:
 
 @contextmanager
 def step_digest():
-    """Yield a sha256 fed, while the block runs, with each window's raw metrics,
-    each action passed to ClusterSim.step and each reward total, in call order.
+    """Yield two sha256s fed while the block runs: "steps" with each window's
+    raw metrics, each action passed to ClusterSim.step and each reward total,
+    and "units" with each unit-box action an agent passes to
+    action_from_unit, each in call order.
 
     Each episode row of a call with a leading episode axis keeps a byte stream
-    of its own, and a call without that axis (a baseline's one action) counts
-    for every row; at the next reset and at the end, the streams join in
-    episode order, so a batch of episodes hashes as the same episodes run one
-    by one. The raw metrics are found by type in the reset and step results,
-    so the digest does not depend on where in the result they sit.
+    of its own per digest, and a call without that axis (a baseline's one
+    action, a training act) counts for every row; at the next reset and at
+    the end, the streams join in episode order, so a batch of episodes hashes
+    as the same episodes run one by one. The raw metrics are found by type in
+    the reset and step results, so the digest does not depend on where in the
+    result they sit.
     """
-    digest = hashlib.sha256()
-    streams = [bytearray()]  # the current reset's byte stream per episode row
+    digests = {"steps": hashlib.sha256(), "units": hashlib.sha256()}
+    streams = {key: [bytearray()] for key in digests}  # the current reset's, per episode row
     reset, step, reward = ClusterSim.reset, ClusterSim.step, harness.total_reward
+    from_unit = agents.action_from_unit
 
-    def feed(values, row_ndim: int) -> None:
+    def feed(key: str, values, row_ndim: int) -> None:
         values = np.asarray(values, dtype="<f8")
-        rows = np.broadcast_to(values, (len(streams), *values.shape[values.ndim - row_ndim:]))
-        for stream, row in zip(streams, rows, strict=True):
+        rows = np.broadcast_to(values, (len(streams[key]),
+                                        *values.shape[values.ndim - row_ndim:]))
+        for stream, row in zip(streams[key], rows, strict=True):
             stream += row.tobytes()
 
     def flush() -> None:
-        for stream in streams:
-            digest.update(stream)
+        for key, digest in digests.items():
+            for stream in streams[key]:
+                digest.update(stream)
 
     def add_raw(result):
-        feed(_field_block(next(x for x in result if isinstance(x, RawMetrics))), 2)
+        feed("steps", _field_block(next(x for x in result if isinstance(x, RawMetrics))), 2)
         return result
 
     def hashed_reset(sim, *args, **kwargs):
         flush()
         result = reset(sim, *args, **kwargs)
         raw = _field_block(next(x for x in result if isinstance(x, RawMetrics)))
-        streams[:] = [bytearray() for _ in range(len(raw) if raw.ndim == 3 else 1)]
+        for key in streams:
+            streams[key] = [bytearray() for _ in range(len(raw) if raw.ndim == 3 else 1)]
         return add_raw(result)
 
     def hashed_step(sim, action):
-        feed(_field_block(action), 2)
+        feed("steps", _field_block(action), 2)
         return add_raw(step(sim, action))
 
     def hashed_reward(*args, **kwargs):
         breakdown = reward(*args, **kwargs)
-        feed(breakdown.total, 0)
+        feed("steps", breakdown.total, 0)
         return breakdown
+
+    def hashed_from_unit(u):
+        feed("units", u, 1)
+        return from_unit(u)
 
     ClusterSim.reset = hashed_reset
     ClusterSim.step = hashed_step
     harness.total_reward = hashed_reward
+    agents.action_from_unit = hashed_from_unit
     try:
-        yield digest
+        yield digests
     finally:
         flush()
         ClusterSim.reset, ClusterSim.step, harness.total_reward = reset, step, reward
+        agents.action_from_unit = from_unit
 
 
 def eval_config(base, work_dir: Path, topology: str):
@@ -187,6 +204,12 @@ def eval_config(base, work_dir: Path, topology: str):
     return replace(base, sim=sim, scenario=TRACE_PREFIX + str(trace), basek_mode="threshold")
 
 
+def _digest_hashes(run: str, algo: str, digests: dict) -> dict[str, str]:
+    """The steps digest of run, and its units digest if algo maps unit actions."""
+    keys = ("steps", "units") if algo in UNIT_ALGOS else ("steps",)
+    return {f"{run}/{key}_seed{SEED}": digests[key].hexdigest() for key in keys}
+
+
 def artifact_hashes(work_dir: Path) -> dict[str, str]:
     """Train and evaluate the matrix under work_dir; map '<group>/<algo>/<file>' to sha256."""
     base = load_config(ROOT / "configs" / "smoke.json")
@@ -194,10 +217,10 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
     for scenario in SCENARIOS:
         for algo in ALGOS:
             out, run = work_dir / scenario / algo, f"{scenario}/{algo}"
-            with step_digest() as digest:
+            with step_digest() as digests:
                 train_one_seed(replace(base, algorithm=algo, scenario=scenario, seeds=(SEED,),
                                        output_dir=str(out)), SEED, out)
-            hashes[f"{run}/steps_seed{SEED}"] = digest.hexdigest()
+            hashes.update(_digest_hashes(run, algo, digests))
             hashes[f"{run}/metrics_seed{SEED}.csv"] = \
                 _metrics_digest(out / f"metrics_seed{SEED}.csv")
             params = out / f"params_seed{SEED}.bin"
@@ -206,15 +229,16 @@ def artifact_hashes(work_dir: Path) -> dict[str, str]:
     for topology in EVAL_TOPOLOGIES:
         config = eval_config(base, work_dir, topology)
         for algo in EVAL_ALGOS:
-            out = work_dir / f"eval_{topology}" / algo
+            run = f"eval_{topology}/{algo}"
+            out = work_dir / run
             out.mkdir(parents=True)
-            with step_digest() as digest:
+            with step_digest() as digests:
                 rows = run_evaluation(replace(config, algorithm=algo),
                                       work_dir / "high_300" / algo / f"params_seed{SEED}.bin",
                                       episodes=base.episodes, seeds=(SEED,))
-            hashes[f"eval_{topology}/{algo}/steps_seed{SEED}"] = digest.hexdigest()
+            hashes.update(_digest_hashes(run, algo, digests))
             export_csv(rows, out / f"eval_seed{SEED}.csv")
-            hashes[f"eval_{topology}/{algo}/eval_seed{SEED}.csv"] = \
+            hashes[f"{run}/eval_seed{SEED}.csv"] = \
                 _metrics_digest(out / f"eval_seed{SEED}.csv")
     return hashes
 

@@ -15,6 +15,8 @@ import numpy as np
 from .domain import (
     _BOX_LO,
     _BOX_SPAN,
+    RAW_ALLOC,
+    RAW_USED,
     ActionVector,
     RawMetrics,
     StateVector,
@@ -194,12 +196,11 @@ class Td3Agent:
         The first warmup_transitions exploration steps are uniform over the
         unit box to seed the buffer before the policy drives the cluster.
         A greedy act takes a batch of observations too: its rows go
-        through the actor as a stack of one-row inputs, into the actor's
-        kept arrays (reuse). An exploring act leaves learn()'s kept arrays.
+        through the actor as a stack of one-row inputs.
         """
         if explore and t < self.hyper.warmup_transitions:
             return action_from_unit(rng.uniform(-1.0, 1.0, self.action_dim))
-        u = self.actor.forward(obs.vec[..., None, :], reuse=not explore)[0][..., 0, :]
+        u = self.actor.forward(obs.vec[..., None, :])[0][..., 0, :]
         if explore:
             sigma = exploration_sigma(self.hyper, t)
             u = u + sigma * rng.standard_normal(self.action_dim)
@@ -208,7 +209,7 @@ class Td3Agent:
     def smoothed_target_action(self, next_states: np.ndarray,
                                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
         """Target-actor batch output with clipped Gaussian smoothing noise."""
-        a, _ = self.target_actor.forward(next_states, reuse=True)
+        a, _ = self.target_actor.forward(next_states)
         noise = None
         if self.hyper.smoothing_sigma > 0:
             noise = rng.normal(0.0, self.hyper.smoothing_sigma, size=a.shape).clip(
@@ -221,15 +222,14 @@ class Td3Agent:
         """Bootstrapped targets y = r + gamma * min_i Q'_i(s', a') * (1 - done)."""
         a_next, _ = self.smoothed_target_action(next_states, rng)
         sa_next = np.concatenate([next_states, a_next], axis=1)
-        q_min = np.minimum.reduce([c.forward(sa_next, reuse=True)[0] for c in self.target_critics])
+        q_min = np.minimum.reduce([c.forward(sa_next)[0] for c in self.target_critics])
         return rewards[:, None] + self.hyper.gamma * q_min * (1.0 - dones)[:, None]
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
         """One critic update, with a delayed actor/target update when due.
 
-        Batch activations go into each network's kept arrays (forward with
-        reuse) and parameter gradients into each optimizer's grad vector, so
-        only the soft target updates allocate a network-sized temporary.
+        Parameter gradients go into each optimizer's grad vector, so only the
+        soft target updates allocate a network-sized temporary.
         """
         if len(buffer) <= self.hyper.batch_size:
             return TrainStats(skipped=True)
@@ -240,7 +240,7 @@ class Td3Agent:
         sa = np.concatenate([batch.states, unit_actions], axis=1)
         losses = []
         for critic, opt in zip(self.critics, self.critic_opts):
-            q, cache = critic.forward(sa, reuse=True)
+            q, cache = critic.forward(sa)
             err = q - y
             loss = float(np.mean(err ** 2))
             opt.step(critic.flat, critic.backward(cache, 2.0 * err / b, grad=opt.grad))
@@ -252,9 +252,9 @@ class Td3Agent:
             return TrainStats(critic_losses=tuple(losses))
 
         # delayed actor step: ascend mean Q_1(s, mu(s)) through the frozen critic
-        u, actor_cache = self.actor.forward(batch.states, reuse=True)
+        u, actor_cache = self.actor.forward(batch.states)
         sa_pi = np.concatenate([batch.states, u], axis=1)
-        q_pi, critic_cache = self.critics[0].forward(sa_pi, reuse=True)
+        q_pi, critic_cache = self.critics[0].forward(sa_pi)
         actor_loss = float(-np.mean(q_pi))
         # only the input gradient of critic 0: its parameters stay frozen here
         sa_grad = self.critics[0].backward(critic_cache, -np.ones((b, 1)) / b)
@@ -331,10 +331,10 @@ class DqnAgent:
         k = np.rint((_box_view(actions) - _BOX_LO) * (self.hyper.levels - 1) / _BOX_SPAN)
         return np.clip(k.reshape(actions.shape), 0, self.hyper.levels - 1).astype(int)
 
-    def greedy_levels(self, state: StateVector, reuse: bool = False) -> np.ndarray:
-        """Each head's best level; a batch's rows go through as one-row inputs,
-        with reuse into the q-net's kept arrays (see Mlp.forward)."""
-        q = self.q_net.forward(state.vec[..., None, :], reuse=reuse)[0]
+    def greedy_levels(self, state: StateVector) -> np.ndarray:
+        """Each head's best level, in a new array; a batch's rows go through
+        as one-row inputs."""
+        q = self.q_net.forward(state.vec[..., None, :])[0]
         return np.argmax(q.reshape(*q.shape[:-2], self.n_heads, self.hyper.levels), axis=-1)
 
     def act(self, obs: StateVector, raw: RawMetrics, t: int, explore: bool,
@@ -342,19 +342,18 @@ class DqnAgent:
         if explore and t < self.hyper.warmup_transitions:
             levels = rng.integers(0, self.hyper.levels, size=self.n_heads)
             return self.levels_to_action(levels)
-        levels = self.greedy_levels(obs, reuse=not explore)
+        levels = self.greedy_levels(obs)
         if explore:
             eps = epsilon_at(self.hyper, t)
             randomize = rng.random(self.n_heads) < eps
             if randomize.any():
-                levels = levels.copy()
                 levels[randomize] = rng.integers(0, self.hyper.levels,
                                                  size=int(randomize.sum()))
         return self.levels_to_action(levels)
 
     def learn(self, buffer: ReplayBuffer, rng: np.random.Generator) -> TrainStats:
         """Per-head TD(0) update with a periodically hard-synced target net; its
-        activations and gradients reuse arrays as in Td3Agent.learn."""
+        gradients go into the optimizer's grad vector as in Td3Agent.learn."""
         if len(buffer) <= self.hyper.batch_size:
             return TrainStats(skipped=True)
         batch = buffer.sample(self.hyper.batch_size, rng)
@@ -362,11 +361,11 @@ class DqnAgent:
         h, nl = self.n_heads, self.hyper.levels
         levels = self.action_to_levels(batch.actions)
 
-        q_next, _ = self.target_net.forward(batch.next_states, reuse=True)
+        q_next, _ = self.target_net.forward(batch.next_states)
         best_next = q_next.reshape(b, h, nl).max(axis=2)
         y = batch.rewards[:, None] + self.hyper.gamma * best_next * (1.0 - batch.dones)[:, None]
 
-        q_all, cache = self.q_net.forward(batch.states, reuse=True)
+        q_all, cache = self.q_net.forward(batch.states)
         q_grid = q_all.reshape(b, h, nl)
         rows = np.arange(b)[:, None]
         heads = np.arange(h)[None, :]
@@ -419,8 +418,8 @@ class BaseKScheduler:
         if self.mode == "static":
             return self.initial
         rows = raw._block
-        alloc = rows[..., 1:4:2, :].copy()  # rows: cpu, mem
-        util = rows[..., 0:4:2, :] / alloc
+        alloc = rows[..., RAW_ALLOC, :].copy()  # rows: cpu, mem
+        util = rows[..., RAW_USED, :] / alloc
         np.multiply(alloc, 1.0 + self.step_frac, out=alloc, where=util > self.high_util)
         np.multiply(alloc, 1.0 - self.step_frac, out=alloc, where=util < self.low_util)
         return _adopt(ActionVector, alloc)

@@ -315,6 +315,10 @@ class RawMetrics(_Rows):
     qps: np.ndarray
 
 
+# Rows of a RawMetrics block, in field order; used and alloc each run cpu, mem.
+RAW_USED, RAW_ALLOC, RAW_LATENCY, RAW_QPS = slice(0, 4, 2), slice(1, 4, 2), 4, 5
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector(_Rows):
     """Normalized observation: four [0, 1] blocks of N values; vec is [cpu, mem, latency, qps]."""
@@ -363,9 +367,9 @@ def normalize_state(raw: RawMetrics, norm: NormalizationConfig) -> StateVector:
     rows = raw._block
     block = np.empty((*rows.shape[:-2], 4, rows.shape[-1]))
     # used / alloc for cpu and mem
-    np.divide(rows[..., 0:4:2, :], rows[..., 1:4:2, :], out=block[..., :2, :])
-    np.divide(rows[..., 4, :], norm.l_max, out=block[..., 2, :])
-    np.divide(rows[..., 5, :], norm.q_max, out=block[..., 3, :])
+    np.divide(rows[..., RAW_USED, :], rows[..., RAW_ALLOC, :], out=block[..., :2, :])
+    np.divide(rows[..., RAW_LATENCY, :], norm.l_max, out=block[..., 2, :])
+    np.divide(rows[..., RAW_QPS, :], norm.q_max, out=block[..., 3, :])
     return _adopt(StateVector, block)
 
 

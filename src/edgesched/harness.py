@@ -301,7 +301,7 @@ def run_lanes(fn, jobs: list[tuple]) -> list:
         for k, proc in enumerate(workers, 1):
             data = proc.stdout.read()
             if proc.wait() != 0 or not data:
-                raise RuntimeError(f"campaign worker exited with code {proc.returncode} "
+                raise RuntimeError(f"lane worker exited with code {proc.returncode} "
                                    "without sending an outcome")
             if isinstance(outcome := pickle.loads(data), Exception):
                 raise outcome

@@ -74,7 +74,6 @@ class Mlp:
         params = self._views(self.flat)
         self.weights = params[0::2]
         self.biases = params[1::2]
-        self._kept: list[np.ndarray] | None = None  # forward(reuse=True)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """A vector laid out like flat, split into its tensors W0, b0, W1, b1, ..."""
@@ -102,38 +101,29 @@ class Mlp:
         net.flat[...] = self.flat
         return net
 
-    def forward(self, x, reuse: bool = False) -> tuple[np.ndarray, ForwardCache]:
+    def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
         """Affine/activation composition of a (B, in) batch, or of a stack
         (E, B, in) for forward only: a stack of (1, in) rows gives each row the
         bytes of its one-row call, where a flat (E, in) batch may round
-        differently. Each layer keeps one array: its product, with the bias
-        and the activation applied in place; x itself is never written. Values
-        are not checked: each update checks the updated network's parameters
-        once.
-
-        With reuse, the activations go into the arrays of this network's last
-        reuse call when the batch size matches, so that call's output and cache
-        are overwritten; every other call returns arrays of its own.
+        differently. Each layer makes one new array: its product, with the bias
+        and the activation applied in place; x itself is never written, and
+        every call returns arrays of its own. Values are not checked: each
+        update checks the updated network's parameters once.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (2, 3) or x.shape[-1] != self.layer_sizes[0]:
             raise DimensionError(
                 f"input shape {x.shape} incompatible with input size {self.layer_sizes[0]}")
-        kept = self._kept if reuse else None
-        if kept is not None and kept[0].shape[:-1] != x.shape[:-1]:
-            kept = None
         post = []
         a = x
         for l in range(self.n_layers):
-            a = np.matmul(a, self.weights[l], out=None if kept is None else kept[l])
+            a = np.matmul(a, self.weights[l])
             a += self.biases[l]
             if l < self.n_layers - 1:
                 np.maximum(a, 0.0, out=a)
             elif self.output_activation == "tanh":
                 np.tanh(a, out=a)
             post.append(a)
-        if reuse:
-            self._kept = post
         return a, ForwardCache(x=x, post=post)
 
     def backward(self, cache: ForwardCache, output_gradient,

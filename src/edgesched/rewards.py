@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (_BOX_SPAN, ActionVector, DimensionError, RawMetrics, ValidationError,
-                     check_fields)
+from .domain import (_BOX_SPAN, RAW_ALLOC, RAW_LATENCY, RAW_USED, ActionVector, DimensionError,
+                     RawMetrics, ValidationError, check_fields)
 
 __all__ = [
     "RewardWeights",
@@ -78,15 +78,15 @@ def total_reward(raw: RawMetrics, action: ActionVector, prev_action: ActionVecto
             f"raw covers {raw.n_services} services, action {action.n_services} "
             f"and prev_action {prev_action.n_services}")
     rows = raw._block
-    excess = rows[..., 4, :] - l_target  # latency_ms
+    excess = rows[..., RAW_LATENCY, :] - l_target
     np.maximum(0.0, excess, out=excess)
     if weights.normalize_latency_excess:
         excess /= l_target
     r_l = -excess.sum(axis=-1)
-    alloc = rows[..., 1:4:2, :]  # granted cpu, mem; rows[..., 0:4:2, :] is their use
-    idle = ((alloc - rows[..., 0:4:2, :]) / alloc).clip(0.0, 1.0)
+    alloc = rows[..., RAW_ALLOC, :]  # granted cpu, mem
+    idle = ((alloc - rows[..., RAW_USED, :]) / alloc).clip(0.0, 1.0)
     r_r = -(idle[..., 0, :] + idle[..., 1, :]).sum(axis=-1)
-    r_s = np.count_nonzero(rows[..., 4, :] <= l_target, axis=-1) * 1.0
+    r_s = np.count_nonzero(rows[..., RAW_LATENCY, :] <= l_target, axis=-1) * 1.0
     delta = np.abs(action._block - prev_action._block) / _BOX_SPAN  # rows: cpu, mem
     r_m = -(delta[..., 0, :] + delta[..., 1, :]).sum(axis=-1)
     total = (weights.alpha * r_l + weights.beta * r_r
@@ -104,8 +104,8 @@ def step_metrics(raw: RawMetrics) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = raw._block
     n = rows.shape[-1]
-    util = (rows[..., 0:4:2, :] / rows[..., 1:4:2, :]).clip(0.0, 1.0)  # used / alloc
-    return (rows[..., 4, :].sum(axis=-1) / n,
+    util = (rows[..., RAW_USED, :] / rows[..., RAW_ALLOC, :]).clip(0.0, 1.0)
+    return (rows[..., RAW_LATENCY, :].sum(axis=-1) / n,
             ((util[..., 0, :] + util[..., 1, :]) / 2.0).sum(axis=-1) / n)
 
 

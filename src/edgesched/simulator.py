@@ -15,6 +15,10 @@ import numpy as np
 
 from .domain import (
     _BOX_LO,
+    RAW_ALLOC,
+    RAW_LATENCY,
+    RAW_QPS,
+    RAW_USED,
     ActionVector,
     DimensionError,
     NodeSpec,
@@ -187,12 +191,12 @@ class ClusterSim:
         """Fill the window's raw block field by field (RawMetrics order) and adopt it."""
         lm = self.config.latency
         block = np.empty((*self._batch, 6, self.config.n_services))
-        block[..., 1, :], block[..., 3, :] = self.grant(action)
-        block[..., 5, :] = qps_at(self.workload, step_index)
-        demand, granted = self._demand[step_index], block[..., 1:4:2, :]
-        np.minimum(demand, granted, out=block[..., 0:4:2, :])  # cpu_used, mem_used
+        demand, granted = self._demand[step_index], block[..., RAW_ALLOC, :]
+        granted[..., 0, :], granted[..., 1, :] = self.grant(action)
+        block[..., RAW_QPS, :] = qps_at(self.workload, step_index)
+        np.minimum(demand, granted, out=block[..., RAW_USED, :])
         rho = np.minimum(demand[0] / granted[..., 0, :], RHO_CAP)
-        latency = np.divide(self._floor_ms, 1.0 - rho, out=block[..., 4, :])
+        latency = np.divide(self._floor_ms, 1.0 - rho, out=block[..., RAW_LATENCY, :])
         # memory pressure multiplies the latency, then the cap applies; as the
         # multiplier is >= 1 this equals capping both before and after it
         np.multiply(latency, lm.mem_pressure_multiplier, out=latency,

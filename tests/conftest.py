@@ -1,8 +1,10 @@
 import os
 
+from edgesched import BLAS_THREAD_VARS  # loads no numpy
+
 # One BLAS thread, set before numpy loads: campaign tests run a worker lane
 # beside this process, and BLAS threads here would compete with it.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np

@@ -595,63 +595,17 @@ def test_learn_asks_backward_only_for_gradients_it_reads(rng, monkeypatch, kind)
 
 
 @pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
-def test_learn_reuses_each_network_activation_arrays(rng, monkeypatch, kind):
-    outputs = []
-    forward = Mlp.forward
-
-    def spy(net, x, reuse=False):
-        out, cache = forward(net, x, reuse=reuse)
-        outputs.append((net, reuse, cache.post[0]))
-        return out, cache
-
-    monkeypatch.setattr(Mlp, "forward", spy)
-    agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
-                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
-    buf = fill_buffer()
-    agent.learn(buf, rng)
-    first = {id(net): post0 for net, _, post0 in outputs}
-    n_calls = len(outputs)
-    agent.learn(buf, rng)
-    assert len(outputs) == 2 * n_calls
-    assert all(reuse for _, reuse, _ in outputs)
-    assert all(post0 is first[id(net)] for net, _, post0 in outputs)
-
-
-@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
-def test_greedy_acts_reuse_forward_arrays_and_keep_each_action(rng, monkeypatch, kind):
-    """Two batched greedy acts: the second forward writes into the first's
-    arrays, and each act still returns a block of its own."""
-    posts = []
-    forward = Mlp.forward
-
-    def spy(net, x, reuse=False):
-        out, cache = forward(net, x, reuse=reuse)
-        posts.append(cache.post[0])
-        return out, cache
-
-    monkeypatch.setattr(Mlp, "forward", spy)
+def test_greedy_acts_keep_each_action(rng, kind):
+    """Two batched greedy acts each return a block of its own."""
     agent = build_agent(kind, 2, rng, td3=small_hyper(),
                         dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
     obs = [_adopt(StateVector, stream(k, "obs").uniform(0, 1, (3, 4, 2))) for k in (1, 2)]
     first = agent.act(obs[0], None, t=0, explore=False, rng=None)
-    kept = first._block.copy()
+    before = first._block.copy()
     second = agent.act(obs[1], None, t=0, explore=False, rng=None)
-    assert len(posts) == 2 and posts[1] is posts[0]
     assert not np.shares_memory(first._block, second._block)
-    assert first._block.tobytes() == kept.tobytes()  # the prev_action the reward reads
-    assert second._block.tobytes() != kept.tobytes()
-
-
-@pytest.mark.parametrize("kind", ["td3", "ddpg", "dqn"])
-def test_exploring_act_leaves_learn_kept_arrays(rng, kind):
-    agent = build_agent(kind, 1, rng, td3=small_hyper(policy_freq=1),
-                        dqn=DqnHyper(hidden=8, batch_size=8, warmup_transitions=0))
-    agent.learn(fill_buffer(), rng)
-    net = agent.policy_net()
-    kept = net._kept
-    assert kept is not None and kept[0].shape == (8, 8)
-    agent.act(make_state(1), None, t=0, explore=True, rng=rng)
-    assert net._kept is kept
+    assert first._block.tobytes() == before.tobytes()  # the prev_action the reward reads
+    assert second._block.tobytes() != before.tobytes()
 
 
 # ---------------------------------------------------------------- plumbing

@@ -143,15 +143,15 @@ class TestForward:
     @pytest.mark.parametrize("act", ["tanh", "linear"])
     @pytest.mark.parametrize("shape", [(5, 3), (4, 1, 3)])
     def test_input_is_never_written(self, act, shape, rng):
-        """forward leaves the caller's x as it was and gives the same bytes with
-        reuse on and off, the second reuse call writing into the first's arrays."""
+        """forward leaves the caller's x as it was, and two calls of one batch
+        size return outputs and caches that share no memory."""
         net = Mlp.create(3, 8, 2, act, rng)
         xs = [rng.normal(size=shape) for _ in range(2)]
         before = [x.tobytes() for x in xs]
-        plain = [net.forward(x)[0].tobytes() for x in xs]
-        reused = [net.forward(x, reuse=True)[0].tobytes() for x in xs]
-        assert reused == plain
+        (out0, cache0), (out1, cache1) = (net.forward(x) for x in xs)
         assert [x.tobytes() for x in xs] == before
+        for got, other in zip([out1, *cache1.post], [out0, *cache0.post]):
+            assert not np.shares_memory(got, other)
 
 
 class TestBackwardFiniteDifferences:
@@ -537,42 +537,6 @@ class TestSkippedProducts:
         assert input_grad.shape == x.shape
         assert np.array_equal(input_grad, want_input)
         assert np.array_equal(net.backward(cache, g, grad=np.empty(net.flat.size)), want_grad)
-
-
-class TestForwardReuse:
-    """forward(x, reuse=True): activations written into the net's kept arrays."""
-
-    @pytest.mark.parametrize("in_dim, h, h2, out_dim, act", CHECK_SHAPES)
-    def test_reuse_is_bit_equal_and_overwrites_last_reuse(self, in_dim, h, h2, out_dim,
-                                                          act, rng):
-        net = Mlp.create(in_dim, h, out_dim, act, rng)
-        xs = [rng.normal(size=(5, in_dim)) for _ in range(3)]
-        fresh = [net.forward(x) for x in xs]
-        first_out, first = net.forward(xs[0], reuse=True)
-        out, cache = net.forward(xs[1], reuse=True)
-        for got, want in zip(cache.post, first.post):
-            assert got is want  # the first reuse call's arrays, overwritten
-        assert out is first_out
-        for got, want in zip(cache.post, fresh[1][1].post):
-            assert np.array_equal(got, want)
-        ones = np.ones((5, out_dim))
-        assert np.array_equal(net.backward(cache, ones), net.backward(fresh[1][1], ones))
-        assert np.array_equal(net.backward(cache, ones, grad=np.empty(net.flat.size)),
-                              net.backward(fresh[1][1], ones, grad=np.empty(net.flat.size)))
-
-    def test_plain_calls_and_other_batch_sizes_get_own_arrays(self, rng):
-        net = Mlp.create(3, 8, 2, "tanh", rng)
-        kept, _ = net.forward(rng.normal(size=(4, 3)), reuse=True)
-        snapshot = kept.copy()
-        plain, _ = net.forward(rng.normal(size=(4, 3)))
-        other, _ = net.forward(rng.normal(size=(6, 3)), reuse=True)
-        single, _ = net.forward(rng.normal(size=(1, 3)), reuse=True)
-        assert plain is not kept and other is not kept
-        assert np.array_equal(kept, snapshot)
-        want, _ = net.forward(np.ones((1, 3)))
-        got, _ = net.forward(np.ones((1, 3)), reuse=True)  # a 1-row batch, as the last reuse
-        assert single is got
-        assert np.array_equal(got, want)
 
 
 def test_missing_parameter_file_names_path(tmp_path):

@@ -190,7 +190,8 @@ def test_larger_ring_samples_the_same_bytes(n):
 
 @pytest.mark.parametrize("capacity", [3, 7, 1024, 1500])
 def test_sample_bytes_match_deque_reference(capacity):
-    # growth boundaries (1024 initial rows, doubling) and wraparound
+    # wraparound at small (3, 7) and large (1024, 1500) rings: each ring fills,
+    # then takes capacity + 5 more adds, so its head wraps around at least once
     data_rng = stream(capacity, "replay-ref-data")
     buf, ref = ReplayBuffer(capacity), DequeReference(capacity)
     rng_buf, rng_ref = stream(capacity, "replay-ref"), stream(capacity, "replay-ref")
