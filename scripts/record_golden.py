@@ -50,7 +50,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from edgesched import agents, harness
 from edgesched.configio import TRACE_PREFIX, load_config
-from edgesched.domain import RawMetrics, default_services, make_node
+from edgesched.domain import NodeSpec, RawMetrics, default_services
 from edgesched.harness import export_csv, run_evaluation, train_one_seed
 from edgesched.simulator import ClusterSim
 from edgesched.workload import TraceRecord, front_heavy_weights, write_trace
@@ -187,12 +187,12 @@ def eval_config(base, work_dir: Path, topology: str):
     The burst pushes the heavy services' memory demand past their grants.
     """
     if topology == "shared_edge":
-        nodes = [make_node(0, "edge"), make_node(1, "edge"),
-                 make_node(2, "cloud"), make_node(3, "cloud")]
+        nodes = [NodeSpec(0, "edge"), NodeSpec(1, "edge"),
+                 NodeSpec(2, "cloud"), NodeSpec(3, "cloud")]
         services = default_services(nodes)
     else:
-        nodes = [make_node(0, "edge", cpu_capacity=3.0, mem_capacity=3000.0),
-                 make_node(1, "edge"), make_node(2, "cloud")]
+        nodes = [NodeSpec(0, "edge", cpu_capacity=3.0, mem_capacity=3000.0),
+                 NodeSpec(1, "edge"), NodeSpec(2, "cloud")]
         services = [replace(s, home_node=home)
                     for s, home in zip(default_services(), CROWDED_HOMES)]
     sim = replace(base.sim, nodes=nodes, services=services)

@@ -17,8 +17,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 _EXPORTS = {name: module for module, names in {
     "agents": "BaseKScheduler DdpgAgent DqnAgent DqnHyper Td3Agent Td3Hyper build_agent",
     "configio": "ExperimentConfig build_workload load_config",
-    "domain": "ActionVector NormalizationConfig RawMetrics StateVector Transition "
-              "ValidationError",
+    "domain": "ActionVector RawMetrics StateVector Transition ValidationError",
     "harness": "compare_runs run_campaign run_evaluation run_training",
     "replay": "ReplayBuffer",
     "rewards": "RewardWeights episode_metrics total_reward",

@@ -18,11 +18,9 @@ from .agents import AGENT_KINDS, BASEK_MODES, DqnHyper, Td3Hyper
 from .domain import (
     _FIELD_KINDS,
     NodeSpec,
-    NormalizationConfig,
     ServiceSpec,
     ValidationError,
     check_fields,
-    make_node,
 )
 from .rewards import RewardWeights
 from .simulator import LatencyModel, SimConfig
@@ -111,8 +109,13 @@ def build_workload(config: ExperimentConfig) -> np.ndarray:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """SHA-256 over the canonical JSON form of every resolved field."""
+    """SHA-256 over the canonical JSON form of every resolved field.
+
+    The form has the config document's shape: the latency model's fields
+    sit in sim beside its own, as the loader reads them.
+    """
     payload = asdict(config)
+    payload["sim"].update(payload["sim"].pop("latency"))
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -146,7 +149,7 @@ def _node_from(entry: dict, where: str, index: int) -> NodeSpec:
     if "tier" not in values:
         raise ConfigError(f"{where}: missing 'tier'")
     values.setdefault("node_id", index)
-    return make_node(**values)
+    return NodeSpec(**values)
 
 
 def _service_from(entry: dict, where: str, index: int) -> ServiceSpec:
@@ -158,12 +161,13 @@ def _service_from(entry: dict, where: str, index: int) -> ServiceSpec:
 
 
 def _sim_from(doc: dict) -> SimConfig:
-    """SimConfig, with the latency-model and normalization fields beside its own.
+    """SimConfig, with the latency-model fields beside its own.
 
-    Normalization keys override the divisors SimConfig derives from l_target.
+    A key left out, or null for l_max or for a node's capacity or latency,
+    takes the default SimConfig or NodeSpec derives: l_max from l_target,
+    a node's from its tier.
     """
-    values, latency, norm = _read(doc, "sim", SimConfig, LatencyModel, NormalizationConfig,
-                                  nested=("nodes", "services"))
+    values, latency = _read(doc, "sim", SimConfig, LatencyModel, nested=("nodes", "services"))
     for key, entry_from in (("nodes", _node_from), ("services", _service_from)):
         if key not in doc:
             continue
@@ -171,8 +175,7 @@ def _sim_from(doc: dict) -> SimConfig:
             raise ConfigError(f"sim.{key}: expected a list")
         values[key] = [entry_from(entry, f"sim.{key}[{i}]", i)
                        for i, entry in enumerate(doc[key])]
-    sim = SimConfig(latency=LatencyModel(**latency), **values)
-    return replace(sim, normalization=replace(sim.normalization, **norm))
+    return SimConfig(latency=LatencyModel(**latency), **values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

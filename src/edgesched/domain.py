@@ -35,7 +35,6 @@ __all__ = [
     "write_atomic",
     "NodeSpec",
     "ServiceSpec",
-    "NormalizationConfig",
     "RawMetrics",
     "StateVector",
     "ActionVector",
@@ -69,7 +68,7 @@ def require_finite(owner: str, **values: float) -> None:
 
 
 # Scalar field annotations, as strings: the config modules postpone annotations.
-_FIELD_KINDS = {"float": float, "int": int, "str": str, "bool": bool}
+_FIELD_KINDS = {"float": float, "float | None": float, "int": int, "str": str, "bool": bool}
 _EXPECTED = {float: "a finite number", int: "an integer", str: "a string", bool: "a boolean"}
 
 
@@ -78,10 +77,13 @@ def check_fields(obj, owner: str, error: type[ValidationError] = ValidationError
 
     An int, str or bool field takes exactly its type, so a bool is no int. A
     float field takes a finite int or float and stores it as a float, so a
-    config hashes alike however its numbers were spelled.
+    config hashes alike however its numbers were spelled. An optional float
+    field takes None as well, which its owner then fills.
     """
     for f in fields(obj):
         kind, value = _FIELD_KINDS.get(f.type), getattr(obj, f.name)
+        if value is None and f.type == "float | None":
+            continue  # the owner fills it
         if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool) \
                 and abs(value) <= sys.float_info.max:  # not NaN, inf or an int past float range
             object.__setattr__(obj, f.name, float(value))
@@ -159,43 +161,33 @@ def _adopt(cls, block: np.ndarray):
     return obj
 
 
+# Defaults per tier, which a NodeSpec field left None takes.
+_TIER_DEFAULTS = {
+    "edge": dict(cpu_capacity=2.0, mem_capacity=4096.0, base_network_latency=5.0),
+    "cloud": dict(cpu_capacity=8.0, mem_capacity=16384.0, base_network_latency=40.0),
+}
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """A cluster host. Edge nodes are small but close; cloud nodes the reverse."""
 
     node_id: int
-    tier: str  # "edge" | "cloud"
-    cpu_capacity: float
-    mem_capacity: float
-    base_network_latency: float  # ms
+    tier: str  # a key of _TIER_DEFAULTS
+    cpu_capacity: float | None = None  # cores
+    mem_capacity: float | None = None  # MB
+    base_network_latency: float | None = None  # ms
 
     def __post_init__(self):
         check_fields(self, f"node {self.node_id}")
-        if self.tier not in ("edge", "cloud"):
-            raise ValidationError(f"unknown node tier {self.tier!r}")
+        if self.tier not in _TIER_DEFAULTS:
+            raise ValidationError(f"node {self.node_id}: unknown node tier {self.tier!r}")
+        for name, default in _TIER_DEFAULTS[self.tier].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.cpu_capacity <= 0 or self.mem_capacity <= 0 or self.base_network_latency < 0:
             raise ValidationError(
                 f"node {self.node_id}: capacities must be positive and latency >= 0")
-
-
-# Defaults per tier: (cpu cores, mem MB, network ms).
-_TIER_DEFAULTS = {"edge": (2.0, 4096.0, 5.0), "cloud": (8.0, 16384.0, 40.0)}
-
-
-def make_node(node_id: int, tier: str, cpu_capacity: float | None = None,
-              mem_capacity: float | None = None,
-              base_network_latency: float | None = None) -> NodeSpec:
-    """NodeSpec with tier defaults filled in where not overridden."""
-    if not (isinstance(tier, str) and tier in _TIER_DEFAULTS):  # a list would not hash
-        raise ValidationError(f"unknown node tier {tier!r}")
-    cpu, mem, net = _TIER_DEFAULTS[tier]
-    return NodeSpec(
-        node_id=node_id,
-        tier=tier,
-        cpu_capacity=cpu if cpu_capacity is None else cpu_capacity,
-        mem_capacity=mem if mem_capacity is None else mem_capacity,
-        base_network_latency=net if base_network_latency is None else base_network_latency,
-    )
 
 
 @dataclass(frozen=True)
@@ -227,8 +219,8 @@ class ServiceSpec:
 
 def default_nodes() -> list[NodeSpec]:
     """Default 8-node cluster: 4 edge hosts and 4 cloud hosts."""
-    return [make_node(i, "edge") for i in range(4)] + \
-           [make_node(i, "cloud") for i in range(4, 8)]
+    return [NodeSpec(i, "edge") for i in range(4)] + \
+           [NodeSpec(i, "cloud") for i in range(4, 8)]
 
 
 # Default storefront roster: (name, cpu core-s/req, mem floor MB, mem MB per qps,
@@ -264,24 +256,6 @@ def default_services(nodes: list[NodeSpec] | None = None) -> list[ServiceSpec]:
             initial_mem_request=mem0,
         ))
     return services
-
-
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """Divisors mapping raw metrics into [0, 1] state components.
-
-    l_max defaults to twice the 150 ms latency objective so the violation
-    boundary sits at mid-scale; q_max sits above the heaviest stock scenario.
-    Utilizations are normalized against current allocation, not node capacity.
-    """
-
-    l_max: float = 300.0
-    q_max: float = 400.0
-
-    def __post_init__(self):
-        check_fields(self, "sim")  # the JSON section that holds the divisors
-        if self.l_max <= 0 or self.q_max <= 0:
-            raise ValidationError("normalization divisors must be positive")
 
 
 class _Rows:
@@ -362,14 +336,14 @@ class Transition:
             raise ValidationError("reward must be finite")
 
 
-def normalize_state(raw: RawMetrics, norm: NormalizationConfig) -> StateVector:
-    """Map raw per-service metrics into the clamped [0, 1] state blocks."""
+def normalize_state(raw: RawMetrics, l_max: float, q_max: float) -> StateVector:
+    """Map raw per-service metrics into the clamped [0, 1] state blocks: use over
+    allocation for cpu and mem, latency over l_max and qps over q_max."""
     rows = raw._block
     block = np.empty((*rows.shape[:-2], 4, rows.shape[-1]))
-    # used / alloc for cpu and mem
     np.divide(rows[..., RAW_USED, :], rows[..., RAW_ALLOC, :], out=block[..., :2, :])
-    np.divide(rows[..., RAW_LATENCY, :], norm.l_max, out=block[..., 2, :])
-    np.divide(rows[..., RAW_QPS, :], norm.q_max, out=block[..., 3, :])
+    np.divide(rows[..., RAW_LATENCY, :], l_max, out=block[..., 2, :])
+    np.divide(rows[..., RAW_QPS, :], q_max, out=block[..., 3, :])
     return _adopt(StateVector, block)
 
 

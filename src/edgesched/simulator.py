@@ -22,7 +22,6 @@ from .domain import (
     ActionVector,
     DimensionError,
     NodeSpec,
-    NormalizationConfig,
     RawMetrics,
     ServiceSpec,
     StateVector,
@@ -73,15 +72,17 @@ class LatencyModel:
 class SimConfig:
     """Cluster layout plus dynamics constants for one environment.
 
-    Without a normalization, the default divisors apply with l_max twice
-    l_target, which puts the latency objective at mid-scale.
+    l_max and q_max divide latency and qps into the state's [0, 1] range.
+    l_max left None is twice l_target, which puts the latency objective at
+    mid-scale; q_max sits above the heaviest stock scenario.
     """
 
     services: list[ServiceSpec] = field(default_factory=default_services)
     nodes: list[NodeSpec] = field(default_factory=default_nodes)
     l_target: float = 150.0
     latency: LatencyModel = field(default_factory=LatencyModel)
-    normalization: NormalizationConfig | None = None
+    l_max: float | None = None
+    q_max: float = 400.0
 
     def __post_init__(self):
         check_fields(self, "sim")
@@ -89,9 +90,10 @@ class SimConfig:
             raise ValidationError("need at least one service and one node")
         if self.l_target <= 0:
             raise ValidationError("l_target must be positive")
-        if self.normalization is None:
-            object.__setattr__(self, "normalization",
-                               NormalizationConfig(l_max=2.0 * self.l_target))
+        if self.l_max is None:
+            object.__setattr__(self, "l_max", 2.0 * self.l_target)
+        if self.l_max <= 0 or self.q_max <= 0:
+            raise ValidationError("l_max and q_max must be positive")
         node_ids = {n.node_id for n in self.nodes}
         if len(node_ids) != len(self.nodes):
             raise ValidationError("duplicate node ids")
@@ -218,7 +220,7 @@ class ClusterSim:
             self._noise = np.stack(draws, axis=1) if self._batch else draws[0]
         raw = self._window(0, self.initial_action)
         self._t = 0
-        return normalize_state(raw, self.config.normalization), raw
+        return normalize_state(raw, self.config.l_max, self.config.q_max), raw
 
     def step(self, action: ActionVector) -> tuple[StateVector, bool, RawMetrics]:
         """Advance one window under the given (clamped) allocation request."""
@@ -237,5 +239,5 @@ class ClusterSim:
             raise ValidationError("action contains non-finite values")
         raw = self._window(self._t + 1, action)
         self._t += 1
-        return (normalize_state(raw, self.config.normalization),
+        return (normalize_state(raw, self.config.l_max, self.config.q_max),
                 self._t == self.episode_len, raw)

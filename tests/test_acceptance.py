@@ -33,10 +33,10 @@ from edgesched.domain import (
     MEM_MAX,
     MEM_MIN,
     ActionVector,
+    NodeSpec,
     ServiceSpec,
     StateVector,
     action_from_unit,
-    make_node,
 )
 from edgesched.harness import (
     METRICS_HEADER,
@@ -357,7 +357,7 @@ def _threshold_sim():
     l = 30/(1 - 0.8/alloc) <= 150 exactly when alloc >= 1.0. Memory demand
     sits at the box floor and can never add pressure.
     """
-    node = make_node(0, "edge")
+    node = NodeSpec(0, "edge")
     svc = ServiceSpec(name="solo", home_node=0,
                       cpu_cost_per_request=0.04, mem_floor=64.0, mem_per_qps=0.0,
                       initial_cpu_request=0.5, initial_mem_request=256.0)

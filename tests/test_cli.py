@@ -88,6 +88,20 @@ class TestTrain:
         assert stderr.startswith("error: ")
         assert "episodez" in stderr
 
+    @pytest.mark.parametrize("tier,shown", [
+        ("fog", "node 0: unknown node tier 'fog'"),
+        (["edge"], "node 0.tier: expected a string, got ['edge']"),
+    ], ids=["unknown", "list"])
+    def test_bad_node_tier_exits_2(self, tmp_path, capsys, tier, shown):
+        bad = tmp_path / "tier.json"
+        bad.write_text(json.dumps({"sim": {"nodes": [{"tier": tier}]}}), encoding="utf-8")
+        out = tmp_path / "run"
+        code, stdout, stderr = run_cli(
+            ["train", "--config", bad, "--algo", "basek", "--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {shown}\n"
+        assert not out.exists()
+
     def test_non_finite_config_value_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "nan.json"
         bad.write_text('{"reward": {"alpha": NaN}}', encoding="utf-8")

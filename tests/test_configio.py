@@ -17,8 +17,7 @@ from edgesched.configio import (
     load_config,
 )
 from edgesched.agents import DqnHyper, Td3Hyper
-from edgesched.domain import (NodeSpec, NormalizationConfig, ServiceSpec, ValidationError,
-                              default_services, make_node)
+from edgesched.domain import NodeSpec, ServiceSpec, ValidationError, default_services
 from edgesched.rewards import RewardWeights
 from edgesched.simulator import ClusterSim, LatencyModel, SimConfig
 from edgesched.workload import TraceParseError, TraceRecord, qps_at, write_trace
@@ -83,19 +82,42 @@ class TestDefaultsAndOverrides:
 
     def test_latency_norm_defaults_to_twice_target(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"sim": {"l_target": 80.0}}))
-        assert cfg.sim.normalization.l_max == pytest.approx(160.0)
+        assert cfg.sim.l_max == pytest.approx(160.0)
 
     def test_latency_norm_rule_same_in_code_and_json(self, tmp_path):
         loaded = load_config(write_cfg(tmp_path, {"sim": {"l_target": 100.0}}))
         built = ExperimentConfig(sim=SimConfig(l_target=100.0))
-        assert loaded.sim.normalization.l_max == built.sim.normalization.l_max == 200.0
+        assert loaded.sim.l_max == built.sim.l_max == 200.0
         assert config_hash(loaded) == config_hash(built)
         # a custom topology hashes alike too: no field is set by the loader alone
         loaded = load_config(write_cfg(tmp_path, {"sim": dict(MINIMAL_TOPOLOGY)}))
         built = ExperimentConfig(sim=SimConfig(
-            nodes=[make_node(**MINIMAL_TOPOLOGY["nodes"][0])],
+            nodes=[NodeSpec(**MINIMAL_TOPOLOGY["nodes"][0])],
             services=[ServiceSpec(**MINIMAL_TOPOLOGY["services"][0])]))
         assert config_hash(loaded) == config_hash(built)
+
+    @pytest.mark.parametrize("sim,l_max", [
+        ({"l_target": 100.0, "q_max": 500.0}, 200.0),
+        ({"l_target": 100.0, "l_max": 250.0}, 250.0),
+    ], ids=["q_max-beside-l_target", "explicit-l_max"])
+    def test_divisors_resolve_alike_in_code_and_json(self, tmp_path, sim, l_max):
+        # a q_max given beside l_target once left l_max at 300 when built in Python
+        loaded = load_config(write_cfg(tmp_path, {"sim": sim}))
+        built = ExperimentConfig(sim=SimConfig(**sim))
+        assert loaded.sim.l_max == built.sim.l_max == l_max
+        assert loaded.sim.q_max == built.sim.q_max == sim.get("q_max", 400.0)
+        assert config_hash(loaded) == config_hash(built)
+
+    def test_null_reads_as_omitted(self, tmp_path):
+        # l_max and a node's capacities and latency take their derived defaults
+        node = MINIMAL_TOPOLOGY["nodes"][0]
+        omitted = dict(MINIMAL_TOPOLOGY, l_target=80.0)
+        nulled = dict(omitted, l_max=None, nodes=[dict(
+            node, cpu_capacity=None, mem_capacity=None, base_network_latency=None)])
+        a = load_config(write_cfg(tmp_path, {"sim": omitted}, "omitted.json"))
+        b = load_config(write_cfg(tmp_path, {"sim": nulled}, "nulled.json"))
+        assert b == a and config_hash(b) == config_hash(a)
+        assert (b.sim.l_max, b.sim.nodes[0].cpu_capacity) == (160.0, 2.0)
 
     def test_custom_topology(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, {"sim": dict(MINIMAL_TOPOLOGY)}))
@@ -127,6 +149,17 @@ class TestRejection:
         doc = {"sim": {"nodes": [{"node_id": 0, "tier": "edge", "gpus": 4}]}}
         with pytest.raises(ConfigError, match="gpus"):
             load_config(write_cfg(tmp_path, doc))
+
+    @pytest.mark.parametrize("tier,shown", [
+        ("fog", "node 0: unknown node tier 'fog'"),
+        (["edge"], r"node 0\.tier: expected a string"),
+    ], ids=["unknown", "list"])
+    def test_bad_node_tier_rejected(self, tmp_path, tier, shown):
+        # a list must not reach the tier lookup, where it would raise TypeError
+        with pytest.raises(ValidationError, match=shown):
+            NodeSpec(0, tier)
+        with pytest.raises(ConfigError, match=shown):
+            load_config(write_cfg(tmp_path, {"sim": {"nodes": [{"tier": tier}]}}))
 
     def test_missing_service_fields_named(self, tmp_path):
         svc = dict(MINIMAL_TOPOLOGY["services"][0])
@@ -292,6 +325,19 @@ class TestHashing:
         b = write_cfg(tmp_path, {"algorithm": "ddpg", "episodes": 9}, "b.json")
         assert config_hash(load_config(a)) == config_hash(load_config(b))
 
+    # A change to what a shipped config resolves to, or to the hashed form,
+    # shows here: manifests store these hashes, so such a change makes earlier
+    # runs of the same document read as another experiment.
+    @pytest.mark.parametrize("name,digest", [
+        ("example.json", "afed08dc69836daa116b77b69286c626a9b3c40194f5287ca0c7f1a79daf693d"),
+        ("smoke.json", "8edc11080af6ce460d5ea7c6421cfaed4a37d30103d5c1ef674606e86428012b"),
+        (None, "5e5655d625d8ab4ed5f8c64f53fc2a80998d4f0d9b1577f14cef5875f5326c94"),
+    ], ids=["example", "smoke", "defaults"])
+    def test_shipped_config_hashes_are_pinned(self, name, digest):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        config = ExperimentConfig() if name is None else load_config(configs / name)
+        assert config_hash(config) == digest
+
 
 # Every key the loader accepts, section by section, each with a valid value
 # that is not its default. A key missing here, or one the loader accepts
@@ -353,7 +399,7 @@ def section_of(doc, section):
 
 def field_of(cfg, section, key):
     owners = {"config": [cfg], "node": [cfg.sim.nodes[0]], "service": [cfg.sim.services[0]],
-              "sim": [cfg.sim, cfg.sim.latency, cfg.sim.normalization],
+              "sim": [cfg.sim, cfg.sim.latency],
               "reward": [cfg.reward], "td3": [cfg.td3], "dqn": [cfg.dqn]}[section]
     return getattr(next(o for o in owners if hasattr(o, key)), key)
 
@@ -382,13 +428,14 @@ class TestSchema:
 
     @pytest.mark.parametrize("section", sorted(SCHEMA))
     def test_other_field_names_are_rejected(self, tmp_path, section):
-        # among them the objects sim reads flat (latency, normalization), and
-        # episode_len and service_id, which are derived: the episode length from
-        # the rate matrix's rows, a service's id from its list position
-        classes = (ExperimentConfig, SimConfig, LatencyModel, NormalizationConfig, NodeSpec,
-                   ServiceSpec, RewardWeights, Td3Hyper, DqnHyper)
+        # among them the object sim reads flat (latency); normalization, which
+        # once held l_max and q_max; and episode_len and service_id, which are
+        # derived: the episode length from the rate matrix's rows, a service's
+        # id from its list position
+        classes = (ExperimentConfig, SimConfig, LatencyModel, NodeSpec, ServiceSpec,
+                   RewardWeights, Td3Hyper, DqnHyper)
         names = ({f.name for cls in classes for f in fields(cls)}
-                 | {"episode_len", "service_id"}) - set(SCHEMA[section])
+                 | {"normalization", "episode_len", "service_id"}) - set(SCHEMA[section])
         for name in sorted(names):
             doc = schema_document()
             section_of(doc, section)[name] = 1
@@ -416,9 +463,8 @@ def test_buffer_no_larger_than_batch_rejected(tmp_path, section, capacity):
 # A valid instance of every config dataclass, and how its errors name it: by
 # the JSON section its fields sit in, or a node or service by its id or name.
 CONFIG_CLASSES = {
-    NodeSpec: (lambda: make_node(0, "edge"), "node .*"),
+    NodeSpec: (lambda: NodeSpec(0, "edge"), "node .*"),
     ServiceSpec: (lambda: default_services()[0], "service .*"),
-    NormalizationConfig: (NormalizationConfig, "sim"),
     LatencyModel: (LatencyModel, "sim"),
     SimConfig: (SimConfig, "sim"),
     RewardWeights: (RewardWeights, "reward"),
@@ -433,6 +479,7 @@ BAD_VALUES = {
     "bool": [1, 0, "yes"],
     "str": [3, True, None],
 }
+BAD_VALUES["float | None"] = BAD_VALUES["float"]  # None is filled by the owner, not refused
 SCALAR_FIELDS = [(cls, f.name, f.type) for cls in CONFIG_CLASSES for f in fields(cls)
                  if f.type in BAD_VALUES]
 
@@ -454,13 +501,22 @@ class TestFieldTypes:
                 replace(valid, **{name: bad})
 
     @pytest.mark.parametrize("cls,name", [(cls, name) for cls, name, kind in SCALAR_FIELDS
-                                          if kind == "float"
+                                          if kind in ("float", "float | None")
                                           and getattr(CONFIG_CLASSES[cls][0](), name) % 1 == 0])
     def test_float_spelled_as_int_is_stored_as_float(self, cls, name):
         valid = CONFIG_CLASSES[cls][0]()
         spelled = replace(valid, **{name: int(getattr(valid, name))})
         assert type(getattr(spelled, name)) is float
         assert spelled == valid
+
+    @pytest.mark.parametrize("cls,name", [(cls, name) for cls, name, kind in SCALAR_FIELDS
+                                          if kind == "float | None"])
+    def test_none_is_filled_with_the_derived_default(self, cls, name):
+        # the defaults: l_max twice l_target, a node's capacities from its tier
+        valid = CONFIG_CLASSES[cls][0]()
+        filled = replace(valid, **{name: None})
+        assert type(getattr(filled, name)) is float
+        assert filled == valid
 
     def test_numpy_float64_is_stored_as_float(self):
         weights = RewardWeights(alpha=np.float64(0.25))

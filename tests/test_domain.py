@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edgesched.agents import batch_units_from_domain
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN,
                               ActionVector, DimensionError,
-                              NormalizationConfig, RawMetrics, StateVector, Transition,
+                              RawMetrics, StateVector, Transition,
                               ValidationError, action_from_unit,
                               default_nodes, default_services,
                               normalize_state)
@@ -59,7 +59,7 @@ class TestNormalizeState:
     def test_direct_ratios(self):
         raw = make_raw(n=1, cpu_used=1.0, cpu_alloc=2.0, mem_used=512.0,
                        mem_alloc=1024.0, latency=150.0, qps=500.0)
-        s = normalize_state(raw, NormalizationConfig(l_max=300.0, q_max=400.0))
+        s = normalize_state(raw, 300.0, 400.0)
         assert s.cpu_util[0] == pytest.approx(0.5)
         assert s.mem_util[0] == pytest.approx(0.5)
         # l_max = 2*l_target puts the objective boundary at mid-scale
@@ -68,7 +68,7 @@ class TestNormalizeState:
 
     def test_block_order_and_length(self):
         raw = make_raw(n=2)
-        s = normalize_state(raw, NormalizationConfig())
+        s = normalize_state(raw, 300.0, 400.0)
         v = s.vec
         assert v.shape == (8,)
         np.testing.assert_allclose(v[0:2], s.cpu_util)
@@ -85,7 +85,7 @@ class TestNormalizeState:
         raw = make_raw(n=1, cpu_used=cpu_used, cpu_alloc=cpu_alloc,
                        mem_used=mem_used, mem_alloc=mem_alloc,
                        latency=latency, qps=qps)
-        v = normalize_state(raw, NormalizationConfig()).vec
+        v = normalize_state(raw, 300.0, 400.0).vec
         assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 
@@ -104,11 +104,10 @@ class TestAdoptedBlocks:
         raw = RawMetrics(cpu_used=row(-1.0, 50.0), cpu_alloc=row(0.1, 50.0, False),
                          mem_used=row(-1.0, 1e5), mem_alloc=row(64.0, 1e5, False),
                          latency_ms=row(-1.0, 1e5), qps=row(-1.0, 1e5))
-        norm = NormalizationConfig(l_max=data.draw(st.floats(1.0, 1e3)),
-                                   q_max=data.draw(st.floats(1.0, 1e3)))
-        state = normalize_state(raw, norm)
+        l_max, q_max = data.draw(st.floats(1.0, 1e3)), data.draw(st.floats(1.0, 1e3))
+        state = normalize_state(raw, l_max, q_max)
         fields = [raw.cpu_used / raw.cpu_alloc, raw.mem_used / raw.mem_alloc,
-                  raw.latency_ms / norm.l_max, raw.qps / norm.q_max]
+                  raw.latency_ms / l_max, raw.qps / q_max]
         assert_same_bits(rows_of(state), rows_of(StateVector(*fields)))
         # np.clip keeps a -0.0 that np.maximum would turn into +0.0
         assert_same_bits(rows_of(state), np.clip(np.array(fields), 0.0, 1.0))
@@ -183,7 +182,7 @@ class TestActionBox:
 class TestTransition:
     def test_reward_must_be_finite(self):
         raw = make_raw(n=1)
-        s = normalize_state(raw, NormalizationConfig())
+        s = normalize_state(raw, 300.0, 400.0)
         a = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         with pytest.raises(ValidationError):
             Transition(state=s, action=a, reward=float("inf"),
@@ -191,7 +190,7 @@ class TestTransition:
 
     def test_holds_fields(self):
         raw = make_raw(n=1)
-        s = normalize_state(raw, NormalizationConfig())
+        s = normalize_state(raw, 300.0, 400.0)
         a = ActionVector(cpu_alloc=[1.0], mem_alloc=[512.0])
         t = Transition(state=s, action=a, reward=-0.5, next_state=s, done=True)
         assert t.done and t.reward == -0.5
@@ -272,7 +271,7 @@ class TestOneBlock:
         for cls, values in GOOD.items():
             assert cls(**{name: np.resize(v, n) for name, v in values.items()}).n_services == n
         raw = make_raw(n=n)
-        assert normalize_state(raw, NormalizationConfig()).n_services == n
+        assert normalize_state(raw, 300.0, 400.0).n_services == n
         assert action_from_unit(np.zeros(2 * n)).n_services == n
         sim = ClusterSim(SimConfig(services=default_services()[:n]), constant_source(50.0, n, 2))
         obs, raw = sim.reset(0)

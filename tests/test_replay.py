@@ -5,8 +5,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from edgesched.domain import (ActionVector, DimensionError, NormalizationConfig,
-                              ValidationError, normalize_state)
+from edgesched.domain import ActionVector, DimensionError, ValidationError, normalize_state
 from edgesched.replay import ReplayBuffer, TransitionBatch
 from edgesched.rng import stream
 from conftest import make_raw
@@ -14,7 +13,7 @@ from conftest import make_raw
 
 def transition(reward, n=1, done=False):
     """The five add() arguments of one (s, a, r, s', done) row."""
-    s = normalize_state(make_raw(n=n), NormalizationConfig()).vec
+    s = normalize_state(make_raw(n=n), 300.0, 400.0).vec
     a = ActionVector(cpu_alloc=np.full(n, 1.0), mem_alloc=np.full(n, 512.0)).vec
     return s, a, reward, s, done
 
@@ -161,13 +160,12 @@ class DequeReference:
 
 
 def random_transition(rng, n=2):
-    norm = NormalizationConfig()
     raw = lambda: make_raw(n=n, latency=rng.uniform(1, 500), cpu_used=rng.uniform(0, 1),
                            mem_used=rng.uniform(0, 1024), qps=rng.uniform(0, 300))
-    return (normalize_state(raw(), norm).vec,
+    return (normalize_state(raw(), 300.0, 400.0).vec,
             ActionVector(cpu_alloc=rng.uniform(0.1, 2.0, n),
                          mem_alloc=rng.uniform(64, 2048, n)).vec,
-            float(rng.normal()), normalize_state(raw(), norm).vec,
+            float(rng.normal()), normalize_state(raw(), 300.0, 400.0).vec,
             bool(rng.random() < 0.1))
 
 

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgesched.domain import (CPU_MAX, CPU_MIN, MEM_MAX, MEM_MIN, ActionVector,
-                              DimensionError, NormalizationConfig, ServiceSpec,
-                              ValidationError, _adopt, action_from_unit, make_node)
+                              DimensionError, NodeSpec, ServiceSpec,
+                              ValidationError, _adopt, action_from_unit)
 from edgesched import simulator
 from edgesched.rng import stream
 from edgesched.simulator import RHO_CAP, ClusterSim, LatencyModel, SimConfig
@@ -38,7 +38,7 @@ STOCK_ROWS = 21
 def one_service_config(cpu_cost=0.1, l_target=150.0,
                        latency=None, init_cpu=1.0, init_mem=512.0,
                        mem_floor=64.0, mem_per_qps=0.0, tier="edge"):
-    node = make_node(0, tier)
+    node = NodeSpec(0, tier)
     svc = ServiceSpec(name="svc", home_node=0,
                       cpu_cost_per_request=cpu_cost, mem_floor=mem_floor,
                       mem_per_qps=mem_per_qps, initial_cpu_request=init_cpu,
@@ -328,7 +328,7 @@ class TestWorkloadShape:
 
 class TestNodeCapacity:
     def _two_on_one_node(self, cpu_capacity):
-        node = make_node(0, "edge", cpu_capacity=cpu_capacity)
+        node = NodeSpec(0, "edge", cpu_capacity=cpu_capacity)
         svcs = [ServiceSpec(name=f"s{i}", home_node=0,
                             cpu_cost_per_request=0.05, mem_floor=64.0,
                             mem_per_qps=0.0, initial_cpu_request=0.5,
@@ -416,7 +416,7 @@ class TestGrantMatchesLoop:
         rng = np.random.default_rng(seed)
         # services land on their nodes in a shuffled order, so members interleave
         homes = rng.permutation(np.repeat(np.arange(len(counts)), counts))
-        nodes = [make_node(i, "edge", cpu_capacity=rng.uniform(0.1, 16.0),
+        nodes = [NodeSpec(i, "edge", cpu_capacity=rng.uniform(0.1, 16.0),
                            mem_capacity=rng.uniform(64.0, 32768.0))
                  for i in range(len(counts))]
         services = [ServiceSpec(name=f"s{i}", home_node=int(home),
@@ -437,9 +437,9 @@ class TestGrantMatchesLoop:
 
 # One spec constructor per numeric field that enters from outside the step loop.
 SPEC_BUILDERS = {
-    "cpu_capacity": lambda x: make_node(0, "edge", cpu_capacity=x),
-    "mem_capacity": lambda x: make_node(0, "cloud", mem_capacity=x),
-    "base_network_latency": lambda x: make_node(0, "edge", base_network_latency=x),
+    "cpu_capacity": lambda x: NodeSpec(0, "edge", cpu_capacity=x),
+    "mem_capacity": lambda x: NodeSpec(0, "cloud", mem_capacity=x),
+    "base_network_latency": lambda x: NodeSpec(0, "edge", base_network_latency=x),
     "cpu_cost_per_request": lambda x: one_service_config(cpu_cost=x),
     "mem_floor": lambda x: one_service_config(mem_floor=x),
     "mem_per_qps": lambda x: one_service_config(mem_per_qps=x),
@@ -447,8 +447,8 @@ SPEC_BUILDERS = {
     "saturation_cap_ms": lambda x: LatencyModel(saturation_cap_ms=x),
     "mem_pressure_multiplier": lambda x: LatencyModel(mem_pressure_multiplier=x),
     "jitter_sigma": lambda x: LatencyModel(jitter_sigma=x),
-    "l_max": lambda x: NormalizationConfig(l_max=x),
-    "q_max": lambda x: NormalizationConfig(q_max=x),
+    "l_max": lambda x: SimConfig(l_max=x),
+    "q_max": lambda x: SimConfig(q_max=x),
     "l_target": lambda x: one_service_config(l_target=x),
 }
 
@@ -466,10 +466,10 @@ class TestConfigValidation:
 
     def test_negative_network_latency_rejected(self):
         with pytest.raises(ValidationError, match="latency >= 0"):
-            make_node(0, "edge", base_network_latency=-1.0)
+            NodeSpec(0, "edge", base_network_latency=-1.0)
 
     def test_home_node_must_exist(self):
-        node = make_node(0, "edge")
+        node = NodeSpec(0, "edge")
         svc = ServiceSpec(name="s", home_node=3,
                           cpu_cost_per_request=0.05, mem_floor=64.0,
                           mem_per_qps=0.0, initial_cpu_request=0.5,
@@ -487,7 +487,7 @@ qps_values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1000.0))
 
 @st.composite
 def topologies(draw):
-    nodes = [make_node(i, draw(st.sampled_from(["edge", "cloud"])),
+    nodes = [NodeSpec(i, draw(st.sampled_from(["edge", "cloud"])),
                        cpu_capacity=draw(st.floats(0.1, 16.0)),
                        mem_capacity=draw(st.floats(64.0, 32768.0)),
                        base_network_latency=draw(st.floats(0.0, 100.0)))
